@@ -13,8 +13,10 @@ A campaign file is JSON with three required blocks:
 The uncertainty block is exactly one of ``iid`` (scalar sigma), ``diagonal``
 (one sigma per probe, column-major vec order: rake index fastest) or
 ``correlation`` (the same sigma vector plus an NM x NM correlation matrix,
-giving Sigma_B = D rho D). Schema violations raise SchemaError with the
-offending field path; the CLI maps them to exit code 2.
+giving Sigma_B = D rho D). Readings and sigmas must be finite: Python's json
+reads NaN and Infinity as numbers, so they are refused after the schema.
+Schema violations raise SchemaError with the offending field path; the CLI
+maps them to exit code 2.
 
 Reports are plain dicts serialized with json, which round-trips every float
 bit-exactly.
@@ -187,6 +189,8 @@ def campaign_from_dict(doc) -> Campaign:
             f"expected {geometry.n_rakes} x {geometry.n_stations}, got {B.shape}",
             field="measurements",
         )
+    if not np.all(np.isfinite(B)):
+        raise SchemaError("readings must be finite numbers", field="measurements")
     unc = doc["uncertainty"]
     try:
         if "iid" in unc:

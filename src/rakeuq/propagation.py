@@ -10,10 +10,23 @@ vec(X) = (I_M kron P) vec(B), and first/second moments push through exactly:
     mu_F = A mu_X                Sigma_F = (I kron A) Sigma_X (I kron A)^T
     mu_R = mu_F - mu_B           Sigma_R = (I kron (AP - I)) Sigma_B (...)^T
 
-F is the fitted value at the rakes and R = F - B the fit residual. Every
-propagated covariance is symmetrized and PSD-checked before use.
+F is the fitted value at the rakes and R = F - B the fit residual.
+
+All three covariances come from one congruence primitive that works on the
+small block T in {P, A, AP - I} and never forms I_M kron T:
+
+- iid noise, Sigma_B = sigma_b^2 I: the result is sigma_b^2 (I_M kron T T^T),
+  built from the one small block T T^T;
+- any other Sigma: it is viewed as an (M, N, M, N) array and T is contracted
+  into its two N axes, at most O(N^3 M^2) work instead of O((NM)^3).
+
+Only the user's Sigma_B is checked for PSD, when the MeasurementDistribution
+is built (Cholesky first, the eigenvalue check of ensure_psd as fallback;
+from_iid needs no check). A congruence of a PSD matrix is PSD, so the
+propagated covariances are only symmetrized. The outputs stay dense arrays.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,10 +49,10 @@ def unvec(vector, n_rakes: int, n_stations: int) -> np.ndarray:
 def ensure_psd(S, name: str = "covariance") -> np.ndarray:
     """Symmetrize S and clip trace-relative negligible negative eigenvalues.
 
-    Rank-deficient propagated covariances legitimately carry eigenvalues a
-    few machine epsilons below zero; those are clipped silently. Eigenvalues
-    down to -1e-10 * trace are clipped with a warning, and anything more
-    negative raises NotPSD.
+    Rank-deficient covariances legitimately carry eigenvalues a few machine
+    epsilons below zero; those are clipped silently. Eigenvalues down to
+    -1e-10 * trace are clipped with a warning, and anything more negative
+    raises NotPSD.
     """
     S = np.asarray(S, dtype=float)
     S = 0.5 * (S + S.T)
@@ -63,13 +76,37 @@ def ensure_psd(S, name: str = "covariance") -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _detect_iid(Sigma_B: np.ndarray):
-    """Return sigma_b if Sigma_B equals sigma_b^2 I within tight tolerance."""
-    d = np.diag(Sigma_B)
+def _checked_covariance(S: np.ndarray) -> np.ndarray:
+    """Symmetrized Sigma_B once it is known to be PSD.
+
+    A successful Cholesky factorization proves positive definiteness; a
+    singular or slightly indefinite input falls back to ensure_psd.
+    """
+    if not np.all(np.isfinite(S)):
+        raise InvalidParams("Sigma_B must be finite")
+    S = 0.5 * (S + S.T)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return ensure_psd(S, "Sigma_B")
+    return S
+
+
+def _common_variance(d: np.ndarray):
+    """d[0] if every variance in d equals it within tight tolerance, else None."""
     if d.size == 0 or np.any(d < 0.0):
         return None
     scale = float(d[0])
     if not np.allclose(d, scale, rtol=1e-12, atol=1e-300 + 1e-12 * abs(scale)):
+        return None
+    return scale
+
+
+def _detect_iid(Sigma_B: np.ndarray):
+    """Return sigma_b if Sigma_B equals sigma_b^2 I within tight tolerance."""
+    d = np.diag(Sigma_B)
+    scale = _common_variance(d)
+    if scale is None:
         return None
     off = Sigma_B - np.diag(d)
     if not np.allclose(off, 0.0, atol=1e-12 * max(scale, 1e-300)):
@@ -77,12 +114,33 @@ def _detect_iid(Sigma_B: np.ndarray):
     return float(np.sqrt(scale))
 
 
+def _measurement_matrix(mu_B) -> np.ndarray:
+    mu = np.asarray(mu_B, dtype=float)
+    if mu.ndim == 1:
+        mu = mu[:, None]
+    if mu.ndim != 2:
+        raise DimensionMismatch("mu_B must be an N x M matrix")
+    return mu
+
+
+def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
+    sigma = np.asarray(sigma, dtype=float).ravel()
+    if sigma.size != mu.size:
+        raise DimensionMismatch("need one sigma per measurement")
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidParams("sigmas must be finite")
+    if np.any(sigma < 0.0):
+        raise InvalidParams("sigmas must be nonnegative")
+    return sigma
+
+
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
 
     ``iid_sigma`` is the scalar noise level when Sigma_B = sigma_b^2 I and
-    None otherwise; downstream closed forms that require iid noise key off it.
+    None otherwise. When it is set, the propagation and the closed forms
+    that require iid noise take Sigma_B to be iid_sigma^2 I.
     """
 
     mu_B: np.ndarray
@@ -90,16 +148,13 @@ class MeasurementDistribution:
     iid_sigma: float = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_B, dtype=float)
-        if mu.ndim == 1:
-            mu = mu[:, None]
-        if mu.ndim != 2:
-            raise DimensionMismatch("mu_B must be an N x M matrix")
-        S = ensure_psd(np.asarray(self.Sigma_B, dtype=float), "Sigma_B")
+        mu = _measurement_matrix(self.mu_B)
+        S = np.asarray(self.Sigma_B, dtype=float)
         if S.shape != (mu.size, mu.size):
             raise DimensionMismatch(
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
+        S = _checked_covariance(S)
         object.__setattr__(self, "mu_B", mu)
         object.__setattr__(self, "Sigma_B", S)
         if self.iid_sigma is None:
@@ -107,22 +162,31 @@ class MeasurementDistribution:
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
-        """Independent identical noise sigma_b on every probe reading."""
-        mu = np.asarray(mu_B, dtype=float)
+        """Independent identical noise sigma_b on every probe reading.
+
+        sigma_b^2 I is PSD for every finite sigma_b >= 0, so the matrix
+        check of the plain constructor is skipped.
+        """
+        sigma_b = float(sigma_b)
+        if not math.isfinite(sigma_b):
+            raise InvalidParams("sigma_b must be finite")
         if sigma_b < 0.0:
             raise InvalidParams("sigma_b must be nonnegative")
-        return cls(mu, sigma_b**2 * np.eye(mu.size), float(sigma_b))
+        mu = _measurement_matrix(mu_B)
+        meas = object.__new__(cls)
+        object.__setattr__(meas, "mu_B", mu)
+        object.__setattr__(meas, "Sigma_B", sigma_b**2 * np.eye(mu.size))
+        object.__setattr__(meas, "iid_sigma", sigma_b)
+        return meas
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
         """Independent noise with one sigma per probe, in vec (column) order."""
         mu = np.asarray(mu_B, dtype=float)
-        sigma = np.asarray(sigma, dtype=float).ravel()
-        if sigma.size != mu.size:
-            raise DimensionMismatch("need one sigma per measurement")
-        if np.any(sigma < 0.0):
-            raise InvalidParams("sigmas must be nonnegative")
-        return cls(mu, np.diag(sigma**2))
+        sigma = _finite_sigmas(mu, sigma)
+        var = _common_variance(sigma**2)
+        iid_sigma = None if var is None else float(np.sqrt(var))
+        return cls(mu, np.diag(sigma**2), iid_sigma)
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":
@@ -130,11 +194,7 @@ class MeasurementDistribution:
         from .efficiency import validate_correlation  # shared validator
 
         mu = np.asarray(mu_B, dtype=float)
-        sigma = np.asarray(sigma, dtype=float).ravel()
-        if sigma.size != mu.size:
-            raise DimensionMismatch("need one sigma per measurement")
-        if np.any(sigma < 0.0):
-            raise InvalidParams("sigmas must be nonnegative")
+        sigma = _finite_sigmas(mu, sigma)
         rho = validate_correlation(np.asarray(rho, dtype=float), mu.size)
         return cls(mu, (sigma[:, None] * rho) * sigma[None, :])
 
@@ -155,13 +215,35 @@ def _check_meas(model: FourierModel, meas: MeasurementDistribution):
         )
 
 
+def _congruence(T: np.ndarray, Sigma, n_stations: int) -> np.ndarray:
+    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, for a k x N block T.
+
+    Sigma is either a scalar s, standing for s I, or a dense NM x NM array.
+    """
+    M = n_stations
+    k, N = T.shape
+    if np.ndim(Sigma) == 0:
+        G = T @ T.T
+        return np.kron(np.eye(M), float(Sigma) * 0.5 * (G + G.T))
+    S = np.asarray(Sigma, dtype=float)
+    # Sigma (I kron T)^T: T contracts the rake axis of every column block.
+    right = (S.reshape(M * N, M, N) @ T.T).reshape(M, N, M * k)
+    # (I kron T) times that: the same on the rake axis of every row block.
+    out = (T @ right).reshape(M * k, M * k)
+    return 0.5 * (out + out.T)
+
+
+def _input_covariance(meas: MeasurementDistribution):
+    """Sigma_B as _congruence takes it: the scalar variance for iid noise."""
+    return meas.Sigma_B if meas.iid_sigma is None else meas.iid_sigma**2
+
+
 def propagate_coefficients(model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0):
     """Moments of the fitted coefficients: (mu_X, Sigma_X)."""
     _check_meas(model, meas)
     P = model.pseudoinverse(lam)
     mu_X = P @ meas.mu_B
-    IP = np.kron(np.eye(model.n_stations), P)
-    Sigma_X = ensure_psd(IP @ meas.Sigma_B @ IP.T, "Sigma_X")
+    Sigma_X = _congruence(P, _input_covariance(meas), model.n_stations)
     return mu_X, Sigma_X
 
 
@@ -170,9 +252,8 @@ def propagate_field(model: FourierModel, mu_X, Sigma_X):
     mu_X = np.asarray(mu_X, dtype=float)
     if mu_X.shape != (model.n_coeffs, model.n_stations):
         raise DimensionMismatch("mu_X has the wrong shape for this model")
-    IA = np.kron(np.eye(model.n_stations), model.A)
     mu_F = model.A @ mu_X
-    Sigma_F = ensure_psd(IA @ np.asarray(Sigma_X, dtype=float) @ IA.T, "Sigma_F")
+    Sigma_F = _congruence(model.A, Sigma_X, model.n_stations)
     return mu_F, Sigma_F
 
 
@@ -183,9 +264,8 @@ def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, l
     if mu_F.shape != meas.mu_B.shape:
         raise DimensionMismatch("mu_F has the wrong shape for these measurements")
     K = model.A @ model.pseudoinverse(lam) - np.eye(model.n_rakes)
-    IK = np.kron(np.eye(model.n_stations), K)
     mu_R = mu_F - meas.mu_B
-    Sigma_R = ensure_psd(IK @ meas.Sigma_B @ IK.T, "Sigma_R")
+    Sigma_R = _congruence(K, _input_covariance(meas), model.n_stations)
     return mu_R, Sigma_R
 
 

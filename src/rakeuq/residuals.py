@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .errors import InvalidParams, RequiresIidNoise, TooFewSamples
 from .fourier import CoefficientMatrix, FourierModel
-from .propagation import FieldDistribution, MeasurementDistribution, vec
+from .propagation import FieldDistribution, MeasurementDistribution
 
 # Singular values above this fraction of the largest count toward rank.
 RANK_RTOL = 1e-10
@@ -62,32 +62,36 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
 
     Only valid when the measurement noise was iid (Sigma_B = sigma_b^2 I);
     other covariances raise RequiresIidNoise and call for Monte Carlo.
+    iid noise makes Sigma_R = I_M kron S_R with an N x N block S_R, so the
+    law is read off S_R alone: g = M rank(S_R) and phi sums
+    mu_R[:, m]^T S_R^+ mu_R[:, m] over the stations.
     """
     if field.iid_sigma is None:
         raise RequiresIidNoise(
             "closed-form residual statistics need Sigma_B = sigma_b^2 I"
         )
-    mu_r = vec(field.mu_R)
-    n_meas = mu_r.size
-    sv, U = np.linalg.eigh(np.asarray(field.Sigma_R, dtype=float))
+    mu_R = np.asarray(field.mu_R, dtype=float)
+    n_rakes, n_stations = mu_R.shape
+    block = np.asarray(field.Sigma_R, dtype=float)[:n_rakes, :n_rakes]
+    sv, U = np.linalg.eigh(block)
     sv = sv[::-1]
     U = U[:, ::-1]
     smax = float(sv[0]) if sv.size else 0.0
     if smax <= 0.0:
         # Noise-free exact fit: define phi = 0, but a nonzero residual mean
         # with zero residual covariance has no chi-square description.
-        if float(mu_r @ mu_r) > 1e-20:
+        if float(np.sum(mu_R**2)) > 1e-20:
             raise InvalidParams(
                 "zero residual covariance with nonzero residual mean"
             )
         g = 0
         phi = 0.0
     else:
-        keep = sv > RANK_RTOL * smax
-        g = int(np.count_nonzero(keep))
-        proj = U[:, : g].T @ mu_r
-        phi = float(proj @ (proj / sv[:g]))
-    scale = field.iid_sigma**2 / n_meas
+        rank = int(np.count_nonzero(sv > RANK_RTOL * smax))
+        g = n_stations * rank
+        proj = U[:, :rank].T @ mu_R
+        phi = float(np.sum(proj * (proj / sv[:rank, None])))
+    scale = field.iid_sigma**2 / mu_R.size
     return ChiSquareParams(g, phi, float(scale))
 
 

@@ -274,6 +274,31 @@ def test_fit_exit_code_on_schema_error(tmp_path):
     assert code == 2
 
 
+def test_fit_rejects_nan_reading(tmp_path, capsys):
+    # Python's json reads NaN and Infinity, and the schema's number passes them
+    doc = campaign_doc()
+    doc["measurements"][2][3] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        io.load_campaign(str(path))
+    assert err.value.field == "measurements"
+    code = main(["fit", str(path), "--harmonics", "1,4"])
+    assert code == 2
+    assert "measurements" in capsys.readouterr().err
+
+
+def test_fit_rejects_infinite_sigma_b(tmp_path, capsys):
+    doc = campaign_doc()
+    doc["uncertainty"]["iid"]["sigma_b"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    code = main(["fit", str(path), "--harmonics", "1,4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "uncertainty" in err and "sigma_b" in err
+
+
 def test_fit_exit_code_on_exhausted_ladder(campaign_path):
     code = main(["fit", campaign_path, "--harmonics", "1,4", "--beta", "1e-6"])
     assert code == 4

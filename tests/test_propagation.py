@@ -5,6 +5,7 @@ from rakeuq import (
     DimensionMismatch,
     FieldDistribution,
     InvalidCorrelation,
+    InvalidParams,
     MeasurementDistribution,
     NotPSD,
     ensure_psd,
@@ -75,6 +76,27 @@ def test_block_diagonal_covariance_decouples_stations(engine_model, engine_data)
         np.testing.assert_allclose(got, P @ blk @ P.T, atol=1e-10)
     off = Sigma_X[0:5, 5:10]
     np.testing.assert_allclose(off, np.zeros((5, 5)), atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_correlated_covariances_match_kron_reference(engine_model, engine_data, lam):
+    # a full cross-station Sigma_B takes the dense path; the reference is
+    # the explicit congruence by I_M kron T
+    Sigma_B = random_psd(42, np.random.default_rng(17))
+    meas = MeasurementDistribution(engine_data, Sigma_B)
+    assert meas.iid_sigma is None
+    field = FieldDistribution.from_measurements(engine_model, meas, lam)
+    P = engine_model.pseudoinverse(lam)
+    A = engine_model.A
+    for got, T in (
+        (field.Sigma_X, P),
+        (field.Sigma_F, A @ P),
+        (field.Sigma_R, A @ P - np.eye(6)),
+    ):
+        IT = np.kron(np.eye(7), T)
+        expected = IT @ meas.Sigma_B @ IT.T
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(got, got.T)
 
 
 def test_covariance_scales_quadratically(engine_model, engine_data):
@@ -166,6 +188,20 @@ def test_iid_sigma_detection(engine_data):
     assert uneven.iid_sigma is None
     even = MeasurementDistribution.from_diagonal(engine_data, np.full(42, SIGMA_B))
     assert even.iid_sigma == pytest.approx(SIGMA_B)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_sigma_rejected(engine_data, bad):
+    with pytest.raises(InvalidParams):
+        MeasurementDistribution.from_iid(engine_data, bad)
+    with pytest.raises(InvalidParams):
+        MeasurementDistribution.from_diagonal(engine_data, np.full(42, bad))
+    with pytest.raises(InvalidParams):
+        MeasurementDistribution.from_correlation(engine_data, np.full(42, bad), np.eye(42))
+    Sigma = np.eye(42)
+    Sigma[3, 3] = bad
+    with pytest.raises(InvalidParams):
+        MeasurementDistribution(engine_data, Sigma)
 
 
 def test_from_correlation_assembles_covariance(engine_data):

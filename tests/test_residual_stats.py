@@ -20,8 +20,9 @@ from rakeuq import (
     noncentral_chisq_pdf,
     sampling_metric,
 )
+from rakeuq.residuals import RANK_RTOL
 
-from conftest import BETA, SCAN_THETA, SIGMA_B, STATIONS, coefficient_truth
+from conftest import BETA, ENGINE_THETA, SCAN_THETA, SIGMA_B, STATIONS, coefficient_truth
 
 
 def test_in_span_degrees_of_freedom(engine_field):
@@ -61,6 +62,33 @@ def test_noncentrality_scales_inversely_with_variance(engine_model, truth):
         field = FieldDistribution.from_measurements(engine_model, meas)
         phis.append(chi_square_params(field).phi)
     assert phis[0] == pytest.approx(4.0 * phis[1], rel=1e-9)
+
+
+def dense_chi_square_reference(field):
+    """g and phi from the eigendecomposition of the whole NM x NM Sigma_R."""
+    sv, U = np.linalg.eigh(field.Sigma_R)
+    keep = sv > RANK_RTOL * sv.max()
+    proj = U[:, keep].T @ field.mu_R.reshape(-1, order="F")
+    return int(np.count_nonzero(keep)), float(proj @ (proj / sv[keep]))
+
+
+@pytest.mark.parametrize("omega,lam", [((1, 4), 0.0), ((1, 9), 1e-4)])
+def test_block_chi_square_matches_dense_eigh(engine_data, omega, lam):
+    # (1, 9) aliases on the 36-degree lattice (cos 9t = -cos t there), so
+    # its fit stops on the lambda = 1e-4 rung, whose off-projector
+    # eigenvalues fall under RANK_RTOL
+    geom = AnnulusGeometry(ENGINE_THETA, STATIONS, 0.45, 0.75)
+    model = build_design_matrix(geom, HarmonicSet(omega), beta=BETA)
+    coeffs = fit(model, engine_data)
+    assert coeffs.lambda_used == lam
+    meas = MeasurementDistribution.from_iid(engine_data, SIGMA_B)
+    field = FieldDistribution.from_measurements(model, meas, lam)
+    g, phi = dense_chi_square_reference(field)
+    params = chi_square_params(field)
+    assert params.g == g
+    # the kept directions are exactly the leftover ones of the plain fit
+    assert g == 7 * (6 - np.linalg.matrix_rank(model.A))
+    assert params.phi == pytest.approx(phi, rel=1e-10, abs=1e-12)
 
 
 def test_error_moments_frozen_values():
