@@ -34,7 +34,6 @@ from .errors import (
     NegativeVariance,
     NotPSD,
     OutOfDomain,
-    QuadratureFailure,
     RakeUqError,
     RegularizationExhausted,
     RequiresIidNoise,

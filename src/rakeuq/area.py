@@ -14,52 +14,31 @@ same radius weighting on both arguments:
     K(f, f') = v(f)^T U C00 U^T v(f'),
 
 where C00 picks the constant-row block Cov(X[0, m], X[0, m']) out of Sigma_X.
-Radial integrals use composite Gauss-Legendre quadrature with a panel between
-neighbouring stations (plus edge panels), and an order-doubling check.
+Both reduce to the station weight vector q = integral r U^T v(f) dr. The
+blend v is a cubic (or linear) polynomial on each panel between neighbouring
+stations and constant on the edge panels, and r is linear in f, so r * v(f)
+is at most quartic per panel and a 3-point Gauss-Legendre rule (exact to
+degree 5) on each panel gives q exactly, up to roundoff.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeVariance, QuadratureFailure
+from .errors import NegativeVariance
 from .fourier import FourierModel
 from .propagation import FieldDistribution
 
-# Gauss-Legendre points per inter-station panel; doubled for the convergence check.
-PANEL_POINTS = 64
-QUAD_RTOL = 1e-10
 
-
-def _panels(model: FourierModel) -> np.ndarray:
-    knots = np.concatenate(([0.0], model.geometry.r_stations, [1.0]))
-    return np.unique(knots)
-
-
-def _radius_weight_vector(model: FourierModel, points: int) -> np.ndarray:
+def _radius_weight_vector(model: FourierModel) -> np.ndarray:
     """q = integral over span of r(f) * U^T v(f) * dr, as a length-M vector."""
     geometry = model.geometry
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    knots = _panels(model)
-    q = np.zeros(model.n_stations)
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        half = 0.5 * (hi - lo)
-        f = lo + half * (nodes + 1.0)
-        blend = model.radial.blend(f)  # (points, M)
-        r_phys = geometry.physical_radius(f)
-        q += half * geometry.span * (weights * r_phys) @ blend
-    return q
-
-
-def _converged_weight_vector(model: FourierModel) -> np.ndarray:
-    q = _radius_weight_vector(model, PANEL_POINTS)
-    q2 = _radius_weight_vector(model, 2 * PANEL_POINTS)
-    scale = float(np.linalg.norm(q2))
-    if scale > 0.0 and float(np.linalg.norm(q - q2)) > QUAD_RTOL * scale:
-        raise QuadratureFailure(
-            "radial quadrature did not converge under order doubling"
-        )
-    return q2
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    knots = np.unique(np.concatenate(([0.0], geometry.r_stations, [1.0])))
+    half = 0.5 * np.diff(knots)[:, None]  # (panels, 1)
+    f = (knots[:-1, None] + half * (nodes + 1.0)).ravel()
+    w = (half * weights).ravel() * geometry.span * geometry.physical_radius(f)
+    return w @ model.radial.blend(f)
 
 
 def _constant_row_block(model: FourierModel, Sigma_X) -> np.ndarray:
@@ -73,7 +52,7 @@ def area_average_mean(model: FourierModel, mu_X) -> float:
     """Annulus area average of the mean reconstructed field."""
     mu_X = np.asarray(mu_X, dtype=float)
     geometry = model.geometry
-    q = _converged_weight_vector(model)
+    q = _radius_weight_vector(model)
     norm = 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
     return float(norm * (q @ mu_X[0, :]))
 
@@ -97,7 +76,7 @@ def area_average_variance(model: FourierModel, Sigma_X) -> float:
     """Variance of the annulus area average of the reconstructed field."""
     geometry = model.geometry
     C00 = _constant_row_block(model, Sigma_X)
-    q = _converged_weight_vector(model)
+    q = _radius_weight_vector(model)
     norm = 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
     var = float(norm**2 * (q @ C00 @ q))
     if var < 0.0:

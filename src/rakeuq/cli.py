@@ -140,7 +140,10 @@ def cmd_grid(args) -> int:
     field = FieldDistribution.from_measurements(model, campaign.meas, coeffs.lambda_used)
     r_grid, t_grid = _grid_centers(args.n_r, args.n_theta)
     mean, var = predictive_grid(model, field, r_grid, t_grid)
-    io.write_grid_csv(args.output, r_grid, t_grid, mean, var)
+    # row-major with theta fastest
+    rows = ((r, t, mean[i, j], var[i, j])
+            for i, r in enumerate(r_grid) for j, t in enumerate(t_grid))
+    io.write_csv(args.output, ["r_frac", "theta_deg", "mean", "variance"], rows)
     return 0
 
 
@@ -159,7 +162,10 @@ def cmd_scan(args) -> int:
         lambda_ladder=ladder,
         radial_basis=args.radial_basis,
     )
-    io.write_scan_csv(args.output, result)
+    # flagged pairs carry an empty lambda and mean_eps = inf
+    rows = ((*e.omega, "" if e.lambda_used is None else float(e.lambda_used), float(e.mean_eps))
+            for e in result.entries)
+    io.write_csv(args.output, ["omega1", "omega2", "lambda", "mean_eps"], rows)
     best = result.best
     print(f"best pair: omega={best.omega} mean_eps={best.mean_eps:.6g} "
           f"lambda={best.lambda_used}")
@@ -180,7 +186,10 @@ def cmd_rake_mc(args) -> int:
         config,
         n_prediction=args.n_prediction,
     )
-    io.write_rake_mc_csv(args.output, model, result)
+    stations = model.geometry.r_stations
+    rows = ((t, r, result.grid_mean[i, m], result.grid_var[i, m])
+            for i, t in enumerate(result.theta_pred_deg) for m, r in enumerate(stations))
+    io.write_csv(args.output, ["theta_deg", "r_frac", "mean", "variance"], rows)
     print(f"{result.n_draws} draws, {result.n_failed} failed, "
           f"{int(np.count_nonzero(result.lambdas))} needed ridge")
     return 0
@@ -214,7 +223,7 @@ def cmd_efficiency(args) -> int:
         sigmas = correlation_sweep(state, rho_values)
         if not args.output:
             raise RakeUqError("--rho-values needs --output for the sweep CSV")
-        io.write_sweep_csv(args.output, rho_values, sigmas)
+        io.write_csv(args.output, ["rho", "sigma_eta"], zip(rho_values, sigmas))
         print(f"wrote sweep of {len(rho_values)} correlation values")
         return 0
     io.assert_finite(doc)
@@ -244,7 +253,8 @@ def cmd_fig1_demo(args) -> int:
     )
     rows = fig1_demo(field, _parse_ints(args.rake_counts), offset_deg=args.offset)
     if args.output:
-        io.write_demo_csv(args.output, rows)
+        io.write_csv(args.output, ["n_rakes", "legacy", "model_eps_p_sq"],
+                     ((row.n_rakes, row.legacy, row.model_eps_p_sq) for row in rows))
     for row in rows:
         print(f"K={row.n_rakes:4d}  legacy={row.legacy:.6g}  "
               f"model_eps_p_sq={row.model_eps_p_sq:.6g}")
@@ -252,14 +262,19 @@ def cmd_fig1_demo(args) -> int:
     return 0
 
 
-def _add_common(parser, *, samples_default=200000):
-    parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    parser.add_argument("--samples", type=int, default=samples_default,
-                        help="Monte Carlo sample count")
-    parser.add_argument("--lambda-ladder", default="",
-                        help="comma-separated ridge penalties")
-    parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                        help="coefficient norm guard")
+def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
+    """Attach --output plus the ridge (--lambda-ladder, --beta), --seed and
+    --samples options, each only where the subcommand reads it."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    if samples_default is not None:
+        parser.add_argument("--samples", type=int, default=samples_default,
+                            help="Monte Carlo sample count")
+    if ridge:
+        parser.add_argument("--lambda-ladder", default="",
+                            help="comma-separated ridge penalties")
+        parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                            help="coefficient norm guard")
     parser.add_argument("--output", default=None, help="output path")
 
 
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a campaign and write the JSON report")
     p.add_argument("campaign")
     _add_model_args(p)
-    _add_common(p)
+    _add_common(p, seed=True, samples_default=200000)
     p.add_argument("--n-theta", type=int, default=360)
     p.add_argument("--n-r", type=int, default=50)
     p.add_argument("--coefficients", default=None,
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rake-mc", help="Monte Carlo over rake placement scatter")
     p.add_argument("campaign")
     _add_model_args(p)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--sigma-theta", type=float, required=True,
                    help="angle scatter std dev in degrees")
     p.add_argument("--draws", type=int, default=50000)
@@ -315,18 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency", help="efficiency uncertainty budget")
     p.add_argument("state", nargs="?", default=None,
                    help="state JSON (defaults to a synthetic representative state)")
-    _add_common(p, samples_default=0)
+    _add_common(p, ridge=False, seed=True, samples_default=0)
     p.add_argument("--rho-values", default="",
                    help="comma-separated correlations for a sweep CSV")
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("legacy", help="root-sum-square an uncertainty budget")
     p.add_argument("budget")
-    _add_common(p)
+    _add_common(p, ridge=False)
     p.set_defaults(func=cmd_legacy)
 
     p = sub.add_parser("fig1-demo", help="legacy vs model metric demo table")
-    _add_common(p)
+    _add_common(p, ridge=False)
     p.add_argument("--frequency", type=int, default=2)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--mean", type=float, default=0.0)

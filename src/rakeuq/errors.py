@@ -63,10 +63,6 @@ class NegativeComponent(RakeUqError):
     """An uncertainty budget component is negative."""
 
 
-class QuadratureFailure(RakeUqError):
-    """Radial quadrature did not converge under order doubling."""
-
-
 class NegativeVariance(RakeUqError):
     """An analytically nonnegative variance came out meaningfully negative."""
 

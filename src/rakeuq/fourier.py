@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DimensionMismatch,
@@ -106,14 +105,32 @@ def ridge_solve(A, B, lam: float) -> np.ndarray:
     return qr_solve(A_aug, B_aug)
 
 
+def _natural_curvatures(s) -> np.ndarray:
+    """C[m, j]: second derivative at station m of the natural cubic spline
+    through e_j. End rows are zero; the interior rows solve the tridiagonal
+    continuity system h_{m-1} c_{m-1} + 2 (h_{m-1} + h_m) c_m + h_m c_{m+1}
+    = 6 * (second divided difference of e_j at m), h_m = s_{m+1} - s_m."""
+    M = s.size
+    C = np.zeros((M, M))
+    if M >= 3:
+        h = np.diff(s)
+        T = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+        C[1:-1] = np.linalg.solve(T, 6.0 * np.diff(np.diff(np.eye(M), axis=0) / h[:, None], axis=0))
+    return C
+
+
 @dataclass(frozen=True)
 class RadialBasis:
     """Radial blending weights v(r) over the probe stations.
 
     ``kind`` selects natural-cubic-spline cardinal weights ("cubic", default)
-    or piecewise-linear hat weights ("linear"). Either way v(s_m) = e_m at the
-    stations, weights are held constant outside the station range, and U
-    (identity unless supplied) maps station values to blending coefficients.
+    or piecewise-linear hat weights ("linear"). On the panel s_m <= f <= s_{m+1}
+    (h = s_{m+1} - s_m, t = (f - s_m)/h, u = 1 - t) both are the cubic
+    v(f) = u e_m + t e_{m+1} + h^2/6 [(u^3 - u) c_m + (t^3 - t) c_{m+1}],
+    with c_m the knot second derivatives: the natural spline's for "cubic",
+    zero for "linear". Either way v(s_m) = e_m at the stations, weights are
+    held constant outside the station range, and U (identity unless
+    supplied) maps station values to blending coefficients.
     """
 
     stations: np.ndarray
@@ -129,11 +146,8 @@ class RadialBasis:
             raise DimensionMismatch("U must be M x M")
         object.__setattr__(self, "stations", stations)
         object.__setattr__(self, "U", U)
-        if self.kind == "cubic" and stations.size >= 2:
-            spline = CubicSpline(stations, np.eye(stations.size), axis=0, bc_type="natural")
-        else:
-            spline = None
-        object.__setattr__(self, "_spline", spline)
+        C = _natural_curvatures(stations) if self.kind == "cubic" else np.zeros(U.shape)
+        object.__setattr__(self, "_curvatures", C)
 
     @property
     def n_stations(self) -> int:
@@ -154,15 +168,17 @@ class RadialBasis:
             w = np.ones((f.size, 1))
         else:
             fc = np.clip(f, s[0], s[-1])  # hold end weights outside the stations
-            if self._spline is not None:
-                w = self._spline(fc)
-            else:
-                idx = np.clip(np.searchsorted(s, fc, side="right") - 1, 0, s.size - 2)
-                t = (fc - s[idx]) / (s[idx + 1] - s[idx])
-                w = np.zeros((f.size, s.size))
-                rows = np.arange(f.size)
-                w[rows, idx] = 1.0 - t
-                w[rows, idx + 1] = t
+            idx = np.clip(np.searchsorted(s, fc, side="right") - 1, 0, s.size - 2)
+            h = s[idx + 1] - s[idx]
+            t = (fc - s[idx]) / h
+            u = 1.0 - t
+            C = self._curvatures
+            w = (h * h / 6.0)[:, None] * (
+                (u * (u * u - 1.0))[:, None] * C[idx] + (t * (t * t - 1.0))[:, None] * C[idx + 1]
+            )
+            rows = np.arange(f.size)
+            w[rows, idx] += u
+            w[rows, idx + 1] += t
         return w[0] if scalar_input else w
 
     def blend(self, frac) -> np.ndarray:

@@ -14,7 +14,8 @@ The uncertainty block is exactly one of ``iid`` (scalar sigma), ``diagonal``
 (one sigma per probe, column-major vec order: rake index fastest) or
 ``correlation`` (the same sigma vector plus an NM x NM correlation matrix,
 giving Sigma_B = D rho D). Readings and sigmas must be finite: Python's json
-reads NaN and Infinity as numbers, so they are refused after the schema.
+reads NaN and Infinity as numbers, so they are refused after the schema, as
+is any non-finite number in a station-state or budget file.
 Schema violations raise SchemaError with the offending field path; the CLI
 maps them to exit code 2.
 
@@ -30,7 +31,6 @@ from datetime import datetime, timezone
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import RakeUqError, SchemaError
@@ -142,6 +142,27 @@ def _validate_schema(doc, schema, what: str):
         raise SchemaError(err.message, field=path)
 
 
+def _non_finite_path(obj, path=""):
+    """Dotted path of the first NaN or infinity in nested dicts/lists, else None."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return path if isinstance(obj, float) and not math.isfinite(obj) else None
+    for key, value in items:
+        found = _non_finite_path(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
+def _require_finite(doc):
+    bad = _non_finite_path(doc)
+    if bad is not None:
+        raise SchemaError("must be a finite number", field=bad)
+
+
 def read_json(path):
     try:
         with open(path) as handle:
@@ -215,6 +236,7 @@ def load_station_state(path):
 
     doc = read_json(path)
     _validate_schema(doc, STATION_STATE_SCHEMA, "state")
+    _require_finite(doc)
     z = np.array([doc["means"][name] for name in PARAM_NAMES], dtype=float)
     sigma = np.array([doc["sigmas"][name] for name in PARAM_NAMES], dtype=float)
     rho = np.asarray(doc["rho"], dtype=float) if "rho" in doc else None
@@ -230,6 +252,7 @@ def load_budget(path):
 
     doc = read_json(path)
     _validate_schema(doc, BUDGET_SCHEMA, "budget")
+    _require_finite(doc)
     components = tuple((c["label"], float(c["value"])) for c in doc["components"])
     samples = np.asarray(doc["samples"], dtype=float) if "samples" in doc else None
     try:
@@ -242,7 +265,6 @@ def provenance(seed=None, samples=None) -> dict:
     info = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     if seed is not None:
@@ -254,14 +276,9 @@ def provenance(seed=None, samples=None) -> dict:
 
 def assert_finite(obj, path: str = "report"):
     """Reports must not carry NaN or infinities; fail loudly if one appears."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            assert_finite(value, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            assert_finite(value, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise RakeUqError(f"non-finite value at {path}")
+    bad = _non_finite_path(obj, path)
+    if bad is not None:
+        raise RakeUqError(f"non-finite value at {bad}")
 
 
 def build_report(
@@ -325,52 +342,10 @@ def coefficients_to_dict(model: FourierModel, coeffs: CoefficientMatrix) -> dict
     }
 
 
-def write_grid_csv(path, r_fracs, theta_deg, mean, variance):
-    """Grid rows, row-major with theta fastest: r_frac, theta_deg, mean, variance."""
+def write_csv(path, header, rows):
+    """Write a header and rows; floats are written with repr, so they round-trip."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["r_frac", "theta_deg", "mean", "variance"])
-        for i, r in enumerate(r_fracs):
-            for j, t in enumerate(theta_deg):
-                writer.writerow([repr(float(r)), repr(float(t)),
-                                 repr(float(mean[i, j])), repr(float(variance[i, j]))])
-
-
-def write_scan_csv(path, result):
-    """Frequency-scan rows: omega1, omega2, lambda, mean_eps (flagged rows
-    carry an empty lambda and mean_eps = inf)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["omega1", "omega2", "lambda", "mean_eps"])
-        for entry in result.entries:
-            lam = "" if entry.lambda_used is None else repr(float(entry.lambda_used))
-            writer.writerow([entry.omega[0], entry.omega[1], lam, repr(float(entry.mean_eps))])
-
-
-def write_rake_mc_csv(path, model: FourierModel, result):
-    """Rake-scatter grid rows: theta_deg, r_frac, mean, variance."""
-    stations = model.geometry.r_stations
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta_deg", "r_frac", "mean", "variance"])
-        for i, t in enumerate(result.theta_pred_deg):
-            for m, r in enumerate(stations):
-                writer.writerow([repr(float(t)), repr(float(r)),
-                                 repr(float(result.grid_mean[i, m])),
-                                 repr(float(result.grid_var[i, m]))])
-
-
-def write_sweep_csv(path, rho_values, sigmas):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rho", "sigma_eta"])
-        for rho, sigma in zip(rho_values, sigmas):
-            writer.writerow([repr(float(rho)), repr(float(sigma))])
-
-
-def write_demo_csv(path, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n_rakes", "legacy", "model_eps_p_sq"])
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([row.n_rakes, repr(float(row.legacy)), repr(float(row.model_eps_p_sq))])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

@@ -19,10 +19,10 @@ measurement imprecision metric is the gap eps_m^2 = mu(eps_p^2) - eps_p^2,
 which vanishes as sigma_b -> 0 for data inside the model span.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParams, RequiresIidNoise, TooFewSamples
 from .fourier import CoefficientMatrix, FourierModel
@@ -146,12 +146,12 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
             dof = g + 2 * j
             # j * log(phi/2) with the 0 * -inf corner pinned to 0
             log_pow = j * log_half_phi if j > 0 else 0.0
-            log_w = -half_phi + log_pow - gammaln(j + 1)
+            log_w = -half_phi + log_pow - math.lgamma(j + 1)
             log_f = (
                 (0.5 * dof - 1.0) * log_x
                 - 0.5 * xp
                 - 0.5 * dof * np.log(2.0)
-                - gammaln(0.5 * dof)
+                - math.lgamma(0.5 * dof)
             )
             term = np.exp(log_w + log_f)
             total += term

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-import rakeuq.area as area_mod
 from rakeuq import (
     AnnulusGeometry,
     HarmonicSet,
     NegativeVariance,
-    QuadratureFailure,
     SamplerConfig,
     area_average,
     area_average_mean,
@@ -132,12 +130,38 @@ def test_area_average_result_consistent(engine_model, engine_field):
     assert res.two_sigma == pytest.approx(1.96 * np.sqrt(res.variance), rel=1e-12)
 
 
-def test_quadrature_doubling_guard(engine_model, engine_field, monkeypatch):
-    # with a zero tolerance any last-ulp disagreement between the 64- and
-    # 128-point panels must trip the guard
-    monkeypatch.setattr(area_mod, "QUAD_RTOL", 0.0)
-    with pytest.raises(QuadratureFailure):
-        area_average_mean(engine_model, engine_field.mu_X)
+def gauss_legendre_area_weights(model, points=128):
+    """Area-average station weights by a dense per-panel Gauss-Legendre rule."""
+    geom = model.geometry
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    knots = np.unique(np.concatenate(([0.0], geom.r_stations, [1.0])))
+    q = np.zeros(geom.n_stations)
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        half = 0.5 * (hi - lo)
+        f = lo + half * (nodes + 1.0)
+        q += half * geom.span * (weights * geom.physical_radius(f)) @ model.radial.blend(f)
+    return 2.0 * q / (geom.r_outer**2 - geom.r_inner**2)
+
+
+@pytest.mark.parametrize("kind", ["cubic", "linear"])
+@pytest.mark.parametrize(
+    "stations",
+    [STATIONS, np.array([0.1, 0.3, 0.35, 0.9]), np.array([0.02, 0.05, 0.4, 0.41, 0.7, 0.99])],
+    ids=["regular", "irregular4", "irregular6"],
+)
+def test_area_weights_match_dense_quadrature(stations, kind):
+    # r * v(r) is a piecewise polynomial of degree <= 4, so the library's
+    # per-panel rule must agree with a 128-point one to roundoff
+    geom = AnnulusGeometry([10.0, 130.0, 250.0], stations, R_INNER, R_OUTER)
+    model = build_design_matrix(geom, HarmonicSet((1,)), radial_basis=kind)
+    M = stations.size
+    got = np.empty(M)
+    for m in range(M):
+        mu_X = np.zeros((3, M))
+        mu_X[0, m] = 1.0
+        got[m] = area_average_mean(model, mu_X)
+    want = gauss_legendre_area_weights(model)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_indefinite_covariance_rejected(engine_model):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, assume, strategies as st
+from scipy.interpolate import CubicSpline
 
 from rakeuq import (
     AnnulusGeometry,
@@ -149,6 +150,24 @@ def test_cubic_weights_are_cardinal_at_stations():
     basis = RadialBasis(STATIONS)
     W = basis.blend(STATIONS)
     np.testing.assert_allclose(W, np.eye(7), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "stations",
+    [
+        np.array([0.2, 0.7]),
+        np.array([0.1, 0.45, 0.8]),
+        np.array([0.05, 0.12, 0.6, 0.97]),
+        STATIONS,
+        np.linspace(0.02, 0.98, 20),
+    ],
+    ids=["M2", "M3", "M4-irregular", "M7", "M20"],
+)
+def test_cubic_weights_match_scipy_natural_spline(stations):
+    f = np.linspace(0.0, 1.0, 1001)
+    oracle = CubicSpline(stations, np.eye(stations.size), bc_type="natural")
+    want = oracle(np.clip(f, stations[0], stations[-1]))
+    np.testing.assert_allclose(RadialBasis(stations).weights(f), want, rtol=0, atol=1e-14)
 
 
 def test_linear_weights_are_cardinal_at_stations():

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rakeuq
 import rakeuq.io as io
 from rakeuq import (
     FieldDistribution,
@@ -373,6 +378,60 @@ def test_legacy_cli_with_samples(tmp_path):
     labels = [c["label"] for c in doc["components"]]
     assert "sampling" in labels
     assert doc["total"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
+
+
+def test_legacy_rejects_nan_component(tmp_path, capsys):
+    # Python's json reads NaN, and the schema's number passes it
+    budget = {
+        "components": [
+            {"label": "probe", "value": float("nan")},
+            {"label": "spatial", "value": 2.0},
+        ]
+    }
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(budget))
+    with pytest.raises(SchemaError) as err:
+        io.load_budget(str(path))
+    assert err.value.field == "components.0.value"
+    code = main(["legacy", str(path), "--output", str(tmp_path / "total.json")])
+    assert code == 2
+    assert "components.0.value" in capsys.readouterr().err
+    assert not (tmp_path / "total.json").exists()
+
+
+def test_efficiency_rejects_infinite_sigma(tmp_path, capsys):
+    state_doc = {
+        "means": {"T01": 1000.0, "T02": 800.0, "P01": 8e5, "P02": 2e5, "gamma": 1.4},
+        "sigmas": {"T01": float("inf"), "T02": 2.0, "P01": 500.0, "P02": 500.0, "gamma": 0.001},
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_doc))
+    with pytest.raises(SchemaError) as err:
+        io.load_station_state(str(path))
+    assert err.value.field == "sigmas.T01"
+    code = main(["efficiency", str(path), "--output", str(tmp_path / "eta.json")])
+    assert code == 2
+    assert "sigmas.T01" in capsys.readouterr().err
+
+
+def test_legacy_rejects_seed(tmp_path, capsys):
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"components": [{"label": "probe", "value": 1.0}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["legacy", str(path), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime must not pull it back in
+    src = str(Path(rakeuq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rakeuq.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_fig1_demo_cli(tmp_path, capsys):
