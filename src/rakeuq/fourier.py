@@ -335,7 +335,7 @@ def predict_point(model: FourierModel, X, r_frac, theta_deg):
 def station_predictions(X, theta_deg, omega) -> np.ndarray:
     """Per-station circumferential predictions design(theta) @ X.
 
-    Shared by the deterministic fit and the rake-position Monte Carlo so the
-    two produce bit-identical grids for identical coefficients.
+    With zero angle scatter the rake-position Monte Carlo returns exactly
+    this grid: its origin is the same product for the nominal fit.
     """
     return design_matrix(np.atleast_1d(np.asarray(theta_deg, dtype=float)), omega) @ X

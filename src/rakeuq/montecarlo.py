@@ -15,6 +15,19 @@ Three drivers sit on the shared sampler:
   sampling metric, walking the ridge ladder where a pair is ill-conditioned.
 * ``rake_position_mc`` perturbs the rake angles themselves, refitting every
   draw, to expose how uncertain rake placement moves the reconstruction.
+
+Neither engine evaluates a grid per draw. Every grid value is linear in the
+draw's K x M coefficients X, so its sample mean and variance follow exactly
+from the coefficients' sample moments, accumulated as deviations from a
+reference fit of the mean input:
+
+* ``mc_propagate_model`` keeps the full KM x KM sample covariance Sigma_X;
+  the value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid
+  has mean G mu_X and variance diag(G Sigma_X G^T), taken by the same
+  contraction as ``predictive_grid``.
+* ``rake_position_mc`` keeps, per station m, the K-vector sum of the
+  deviations and their K x K cross-product sum, so the variance at
+  prediction angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
 """
 
 import math
@@ -44,7 +57,13 @@ from .fourier import (
     ridge_solve,
 )
 from .geometry import AnnulusGeometry
-from .propagation import FieldDistribution, MeasurementDistribution, unvec
+from .propagation import (
+    FieldDistribution,
+    MeasurementDistribution,
+    _grid_moments,
+    _row_quadratic_forms,
+    unvec,
+)
 from .residuals import chi_square_params, error_moments
 
 BATCH = 8192
@@ -187,51 +206,39 @@ def mc_propagate_model(
     A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
     def push(vb):
+        # vec(B) is station-major with the rake fastest, so each row of the
+        # (size * M, N) view is one station column of one draw; P and A act
+        # on those rows and the results come out in vec order again.
         size = vb.shape[0]
-        B = vb.reshape(size, M, N).transpose(0, 2, 1)
-        X = P @ B
-        F = A @ X
-        R = F - B
-        Xv = X.transpose(0, 2, 1).reshape(size, K * M)
-        Fv = F.transpose(0, 2, 1).reshape(size, NM)
-        Rv = R.transpose(0, 2, 1).reshape(size, NM)
-        eps = np.einsum("bnm,bnm->b", R, R) / NM
-        T = np.einsum("rm,bkm,tk->brt", W, X, A_g)
-        return Xv, Fv, Rv, eps, T
+        Xv = (vb.reshape(size * M, N) @ P.T).reshape(size, K * M)
+        Fv = (Xv.reshape(size * M, K) @ A.T).reshape(size, NM)
+        Rv = Fv - vb
+        eps = np.einsum("bi,bi->b", Rv, Rv) / NM
+        return Xv, Fv, Rv, eps
 
     # Reference trajectory of the mean measurement. Accumulating deviations
     # from it keeps the running sums well conditioned, and makes degenerate
     # cases (Sigma_B = 0) come out as exact zeros instead of roundoff noise.
-    Xv0, Fv0, Rv0, _, T0 = push(mu_vec[None, :])
-    Xv0, Fv0, Rv0, T0 = Xv0[0], Fv0[0], Rv0[0], T0[0]
+    Xv0, Fv0, Rv0, _ = (row[0] for row in push(mu_vec[None, :]))
 
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
         z = _standard_draws(rng, size, NM, config.antithetic)
-        Xv, Fv, Rv, eps, T = push(mu_vec + z @ L.T)
-        dX, dF, dR, dT = Xv - Xv0, Fv - Fv0, Rv - Rv0, T - T0
+        Xv, Fv, Rv, eps = push(mu_vec + z @ L.T)
+        dX, dF, dR = Xv - Xv0, Fv - Fv0, Rv - Rv0
         return (
             dX.sum(axis=0), dX.T @ dX,
             dF.sum(axis=0), dF.T @ dF,
             dR.sum(axis=0), dR.T @ dR,
-            eps, dT.sum(axis=0), np.einsum("brt,brt->rt", dT, dT),
+            eps,
         )
 
     children, sizes = _batch_plan(config)
     results = _map_batches(run_batch, list(zip(children, sizes)))
 
     n = config.n_samples
-    n_grid = (W.shape[0], A_g.shape[0])
-    sums = [np.zeros(K * M), np.zeros((K * M, K * M)),
-            np.zeros(NM), np.zeros((NM, NM)),
-            np.zeros(NM), np.zeros((NM, NM)),
-            np.zeros(n_grid), np.zeros(n_grid)]
-    eps_parts = []
-    for res in results:
-        for acc, idx in zip(sums, (0, 1, 2, 3, 4, 5, 7, 8)):
-            acc += res[idx]
-        eps_parts.append(res[6])
-    eps = np.concatenate(eps_parts)
+    sums = [sum(parts) for parts in zip(*(res[:6] for res in results))]
+    eps = np.concatenate([res[6] for res in results])
 
     def moments(ref, s1, s2):
         cov = (s2 - np.outer(s1, s1) / n) / (n - 1)
@@ -240,16 +247,17 @@ def mc_propagate_model(
     mu_x, cov_x = moments(Xv0, sums[0], sums[1])
     mu_f, cov_f = moments(Fv0, sums[2], sums[3])
     mu_r, cov_r = moments(Rv0, sums[4], sums[5])
-    grid_mean = T0 + sums[6] / n
-    grid_var = (sums[7] - sums[6] ** 2 / n) / (n - 1)
-    grid_var = np.maximum(grid_var, 0.0)
+    mu_X = unvec(mu_x, K, M)
+    # Every grid value is linear in X, so its sample moments follow exactly
+    # from the sample moments of the coefficients.
+    grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x)
     eps_mean = float(eps.mean())
     eps_var = float(eps.var(ddof=1))
     centered = eps - eps_mean
     m4 = float((centered**4).mean())
     return McPropagation(
         n_samples=n,
-        mu_X=unvec(mu_x, K, M), Sigma_X=cov_x,
+        mu_X=mu_X, Sigma_X=cov_x,
         mu_F=unvec(mu_f, N, M), Sigma_F=cov_f,
         mu_R=unvec(mu_r, N, M), Sigma_R=cov_r,
         eps_mean=eps_mean,
@@ -374,8 +382,18 @@ def _fit_batch(model: FourierModel, A_stack: np.ndarray, B: np.ndarray):
     finite = np.isfinite(X).all(axis=(1, 2))
     norms = np.full(size, np.inf)
     if np.any(finite):
-        sv = np.linalg.svd(X[finite], compute_uv=False)
-        norms[finite] = sv[..., 0]
+        # ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T.
+        # Entries beyond about 1e154 overflow the Gram matrix; those few
+        # slices take the singular values instead.
+        Xf = X[finite]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = Xf @ Xf.transpose(0, 2, 1)
+        fits = np.isfinite(gram).all(axis=(1, 2))
+        top = np.empty(len(Xf))
+        top[fits] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram[fits])[..., -1], 0.0))
+        if not fits.all():
+            top[~fits] = np.linalg.svd(Xf[~fits], compute_uv=False)[..., 0]
+        norms[finite] = top
     ok = norms < model.beta
     for i in np.nonzero(~ok)[0]:
         for lam in model.lambda_ladder:
@@ -437,11 +455,13 @@ def rake_position_mc(
     omega = model.harmonics.omega
     A_pred = design_matrix(theta_pred, omega)
 
-    # Prediction of the fit at the nominal angles, used as the accumulation
-    # origin. Deviations from it sum to exactly zero when Sigma_theta = 0,
-    # so the degenerate case reproduces the deterministic fit bit for bit.
+    # Fit at the nominal angles, used as the accumulation origin. Deviations
+    # from it sum to exactly zero when Sigma_theta = 0, so the degenerate
+    # case reproduces the deterministic prediction grid bit for bit.
+    K, M = model.n_coeffs, model.n_stations
     X_nom, _, ok_nom = _fit_batch(model, design_matrix(mu_theta, omega)[None], B)
-    G_ref = A_pred @ X_nom[0] if ok_nom[0] else np.zeros((n_prediction, model.n_stations))
+    X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
+    G_ref = A_pred @ X_ref
 
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
@@ -450,15 +470,13 @@ def rake_position_mc(
         A_stack = design_matrix(thetas, omega)
         X, lambdas, ok = _fit_batch(model, A_stack, B)
         X_ok = X[ok]
-        # matmul broadcasts to (n_ok, P, M), applying the same kernel per
-        # slice as the deterministic station_predictions path.
-        D = A_pred @ X_ok - G_ref
+        dX = (X_ok - X_ref).transpose(2, 0, 1)  # (M, n_ok, K)
         return (
             X_ok,
             lambdas[ok],
             int(np.sum(~ok)),
-            D.sum(axis=0),
-            np.einsum("bpm,bpm->pm", D, D),
+            dX.sum(axis=1),
+            dX.transpose(0, 2, 1) @ dX,
         )
 
     children, sizes = _batch_plan(config)
@@ -476,9 +494,11 @@ def rake_position_mc(
             f"(> {max_failure_fraction:.0%})"
         )
     n_ok = n - n_failed
-    coeffs = np.concatenate(slices, axis=0) if slices else np.empty((0, model.n_coeffs, model.n_stations))
-    grid_mean = G_ref + s1 / n_ok
-    grid_var = np.maximum((s2 - s1**2 / n_ok) / max(n_ok - 1, 1), 0.0)
+    coeffs = np.concatenate(slices, axis=0) if slices else np.empty((0, K, M))
+    # Per station m: mean a_p^T mean(dX) about G_ref, variance a_p^T S_m a_p.
+    cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / max(n_ok - 1, 1)
+    grid_mean = G_ref + A_pred @ (s1.T / n_ok)
+    grid_var = np.maximum(_row_quadratic_forms(A_pred, cov).T, 0.0)
     return RakeMCResult(
         coefficients=coeffs,
         lambdas=lambdas,

@@ -330,17 +330,39 @@ def predictive_moments(
     return mean, cov
 
 
+def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """a_t^T S_i a_t for every row a_t of A (T x K) and block S_i of S (I x K x K).
+
+    Returns shape (I, T). One product of S, flattened to K^2 columns, with
+    the outer products a_t a_t^T, so no (I, T, K) intermediate is formed.
+    """
+    T, K = A.shape
+    return S.reshape(-1, K * K) @ (A[:, :, None] * A[:, None, :]).reshape(T, K * K).T
+
+
+def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, Sigma_X: np.ndarray):
+    """Mean and variance of the grid W X A_g^T for coefficients X (K x M).
+
+    X has mean mu_X and covariance Sigma_X in vec order (K fastest), so the
+    value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t]. The variance
+    g^T Sigma_X g is taken with matrix products: W contracts both station
+    axes of the (M, K, M, K) view, leaving one K x K block per radius, and
+    A_g closes each block from both sides.
+    """
+    R, M = W.shape
+    K = mu_X.shape[0]
+    mean = W @ mu_X.T @ A_g.T
+    left = (W @ Sigma_X.reshape(M, K * M * K)).reshape(R, K, M, K)
+    S_r = (W[:, None, None, :] @ left)[:, :, 0, :]
+    return mean, np.maximum(_row_quadratic_forms(A_g, S_r), 0.0)
+
+
 def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
     """Vectorized predictive mean and variance on an (r, theta) grid.
 
     Returns two arrays of shape (len(r_fracs), len(theta_deg)).
     """
-    K, M = model.n_coeffs, model.n_stations
     W = np.atleast_2d(model.radial.blend(np.asarray(r_fracs, dtype=float)))
     A_g = design_row(np.asarray(theta_deg, dtype=float), model.harmonics.omega)
     A_g = np.atleast_2d(A_g)
-    mean = W @ field.mu_X.T @ A_g.T
-    S4 = np.asarray(field.Sigma_X, dtype=float).reshape(M, K, M, K)
-    S_r = np.einsum("ra,abcd,rc->rbd", W, S4, W)
-    var = np.einsum("tk,rkl,tl->rt", A_g, S_r, A_g)
-    return mean, np.maximum(var, 0.0)
+    return _grid_moments(W, A_g, field.mu_X, np.asarray(field.Sigma_X, dtype=float))

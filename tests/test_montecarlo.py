@@ -156,6 +156,25 @@ def test_mc_grid_variance_matches_closed_form(engine_model, engine_field, mc_ora
     assert rel.max() < 0.02
 
 
+def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
+    # rebuild the draws of a one-batch run and evaluate W X A_g^T per draw
+    Sigma_B = random_psd(42, np.random.default_rng(29))
+    meas = MeasurementDistribution(engine_data, Sigma_B)
+    cfg = SamplerConfig(seed=31, n_samples=512)
+    res = mc_propagate_model(engine_model, meas, cfg)
+    children, sizes = mc_mod._batch_plan(cfg)
+    assert sizes == [512]
+    z = mc_mod._standard_draws(np.random.default_rng(children[0]), 512, 42, False)
+    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(Sigma_B).T
+    B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
+    X = engine_model.P @ B
+    W = engine_model.radial.blend(res.r_fracs)
+    A_g = design_matrix(res.theta_grid_deg, engine_model.harmonics.omega)
+    grids = np.einsum("rm,bkm,tk->brt", W, X, A_g)
+    np.testing.assert_allclose(res.grid_mean, grids.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
+
+
 def test_mc_correlated_noise_shrinks_peak_band(engine_model, engine_data):
     rho = np.full((42, 42), 0.95)
     np.fill_diagonal(rho, 1.0)
@@ -285,6 +304,29 @@ def test_rake_mc_deterministic(engine_model, engine_data):
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
 
+def test_rake_mc_grid_moments_match_kept_draws(engine_model, engine_data):
+    res = rake_position_mc(
+        engine_model, engine_data, 5.1, SamplerConfig(seed=4, n_samples=4096),
+        n_prediction=36,
+    )
+    A_pred = design_matrix(res.theta_pred_deg, engine_model.harmonics.omega)
+    grids = A_pred @ res.coefficients
+    np.testing.assert_allclose(res.grid_mean, grids.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
+
+
+def test_rake_mc_thread_invariant(engine_model, engine_data, monkeypatch):
+    cfg = SamplerConfig(seed=21, n_samples=10_000)
+    assert len(mc_mod._batch_plan(cfg)[1]) == 2
+    monkeypatch.setenv("RAKEUQ_THREADS", "1")
+    a = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
+    monkeypatch.setenv("RAKEUQ_THREADS", "4")
+    b = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
+    np.testing.assert_array_equal(a.grid_mean, b.grid_mean)
+    np.testing.assert_array_equal(a.grid_var, b.grid_var)
+    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+
 def test_rake_mc_seed_stability(engine_model, engine_data):
     a = rake_position_mc(
         engine_model, engine_data, 0.51,
@@ -305,6 +347,17 @@ def test_rake_mc_full_covariance_matches_scalar(engine_model, engine_data):
         engine_model, engine_data, 0.7**2 * np.eye(6), cfg, n_prediction=36
     )
     np.testing.assert_array_equal(scalar.grid_var, full.grid_var)
+
+
+def test_fit_batch_norm_guard_past_gram_overflow(engine_geometry, engine_data):
+    # coefficients near 1e200 overflow the K x K Gram matrix; the guard
+    # must still measure their spectral norm rather than raise
+    A_stack = design_matrix(ENGINE_THETA + np.array([[0.0], [1.0]]), (1, 4))
+    for beta, accepted in ((BETA, False), (np.inf, True)):
+        model = build_design_matrix(engine_geometry, HarmonicSet((1, 4)), beta=beta)
+        X, lambdas, ok = mc_mod._fit_batch(model, A_stack, 1e200 * engine_data)
+        assert ok.tolist() == [accepted, accepted]
+        assert np.all(lambdas == 0.0)
 
 
 def test_rake_mc_aborts_when_fits_fail(engine_geometry, engine_data):

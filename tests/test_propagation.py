@@ -159,6 +159,23 @@ def test_predictive_grid_matches_pointwise(engine_model, engine_field):
             assert var[i, j] == pytest.approx(v, rel=1e-10)
 
 
+def test_predictive_grid_matches_pointwise_correlated(engine_model, engine_data):
+    # a full cross-station Sigma_B makes Sigma_X dense across stations; iid
+    # noise leaves it block diagonal, where a contraction that drops the
+    # cross-station blocks would still agree
+    meas = MeasurementDistribution(engine_data, random_psd(42, np.random.default_rng(23)))
+    field = FieldDistribution.from_measurements(engine_model, meas)
+    r = np.array([0.0, 0.27, 0.5, 0.83, 1.0])
+    th = np.array([0.0, 41.0, 133.0, 222.5, 301.0])
+    mean, var = predictive_grid(engine_model, field, r, th)
+    assert mean.shape == var.shape == (5, 5)
+    for i, ri in enumerate(r):
+        for j, tj in enumerate(th):
+            m, v = predictive_moments(engine_model, field, ri, tj)
+            assert mean[i, j] == pytest.approx(m, rel=1e-12)
+            assert var[i, j] == pytest.approx(v, rel=1e-12)
+
+
 def test_predictive_variance_bounded_at_probes(engine_model, engine_field):
     # unregularized fit: the hat matrix is a projection, so the fitted
     # surface at a probe location can never be noisier than the probe
