@@ -18,15 +18,15 @@ Three drivers sit on the shared sampler:
 
 Neither engine evaluates a grid per draw. Every grid value is linear in the
 draw's K x M coefficients X, so its sample mean and variance follow exactly
-from the coefficients' sample moments, accumulated as deviations from a
+from the coefficients' sample moments, taken as deviations from a
 reference fit of the mean input:
 
 * ``mc_propagate_model`` keeps the full KM x KM sample covariance Sigma_X;
   the value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid
   has mean G mu_X and variance diag(G Sigma_X G^T), taken by the same
   contraction as ``predictive_grid``.
-* ``rake_position_mc`` keeps, per station m, the K-vector sum of the
-  deviations and their K x K cross-product sum, so the variance at
+* ``rake_position_mc`` sums, per station m, the kept draws' deviations
+  (a K-vector) and their K x K cross products once, after all batches, so the variance at
   prediction angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
 """
 
@@ -383,17 +383,13 @@ def _fit_batch(model: FourierModel, A_stack: np.ndarray, B: np.ndarray):
     norms = np.full(size, np.inf)
     if np.any(finite):
         # ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T.
-        # Entries beyond about 1e154 overflow the Gram matrix; those few
-        # slices take the singular values instead.
+        # Each slice is first divided by the power of two just above its
+        # largest entry: exact, and the Gram matrix cannot overflow.
         Xf = X[finite]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = Xf @ Xf.transpose(0, 2, 1)
-        fits = np.isfinite(gram).all(axis=(1, 2))
-        top = np.empty(len(Xf))
-        top[fits] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram[fits])[..., -1], 0.0))
-        if not fits.all():
-            top[~fits] = np.linalg.svd(Xf[~fits], compute_uv=False)[..., 0]
-        norms[finite] = top
+        scale = np.ldexp(1.0, np.frexp(np.abs(Xf).max(axis=(1, 2)))[1])
+        Xs = Xf / scale[:, None, None]
+        top = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))[..., -1]
+        norms[finite] = scale * np.sqrt(np.maximum(top, 0.0))
     ok = norms < model.beta
     for i in np.nonzero(~ok)[0]:
         for lam in model.lambda_ladder:
@@ -455,9 +451,9 @@ def rake_position_mc(
     omega = model.harmonics.omega
     A_pred = design_matrix(theta_pred, omega)
 
-    # Fit at the nominal angles, used as the accumulation origin. Deviations
-    # from it sum to exactly zero when Sigma_theta = 0, so the degenerate
-    # case reproduces the deterministic prediction grid bit for bit.
+    # Fit at the nominal angles, the origin of the coefficient deviations.
+    # These are exactly zero when Sigma_theta = 0, so the degenerate case
+    # reproduces the deterministic prediction grid bit for bit.
     K, M = model.n_coeffs, model.n_stations
     X_nom, _, ok_nom = _fit_batch(model, design_matrix(mu_theta, omega)[None], B)
     X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
@@ -469,15 +465,7 @@ def rake_position_mc(
         thetas = np.mod(mu_theta + z @ L.T, 360.0)
         A_stack = design_matrix(thetas, omega)
         X, lambdas, ok = _fit_batch(model, A_stack, B)
-        X_ok = X[ok]
-        dX = (X_ok - X_ref).transpose(2, 0, 1)  # (M, n_ok, K)
-        return (
-            X_ok,
-            lambdas[ok],
-            int(np.sum(~ok)),
-            dX.sum(axis=1),
-            dX.transpose(0, 2, 1) @ dX,
-        )
+        return X[ok], lambdas[ok], int(np.sum(~ok))
 
     children, sizes = _batch_plan(config)
     results = _map_batches(run_batch, list(zip(children, sizes)))
@@ -485,8 +473,6 @@ def rake_position_mc(
     slices = [r[0] for r in results]
     lambdas = np.concatenate([r[1] for r in results])
     n_failed = sum(r[2] for r in results)
-    s1 = sum(r[3] for r in results)
-    s2 = sum(r[4] for r in results)
     n = config.n_samples
     if n_failed > max_failure_fraction * n or n_failed == n:
         raise DrawFailed(
@@ -496,6 +482,9 @@ def rake_position_mc(
     n_ok = n - n_failed
     coeffs = np.concatenate(slices, axis=0) if slices else np.empty((0, K, M))
     # Per station m: mean a_p^T mean(dX) about G_ref, variance a_p^T S_m a_p.
+    dX = (coeffs - X_ref).transpose(2, 0, 1)  # (M, n_ok, K)
+    s1 = dX.sum(axis=1)
+    s2 = dX.transpose(0, 2, 1) @ dX
     cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / max(n_ok - 1, 1)
     grid_mean = G_ref + A_pred @ (s1.T / n_ok)
     grid_var = np.maximum(_row_quadratic_forms(A_pred, cov).T, 0.0)
