@@ -27,9 +27,9 @@ from .errors import RakeUqError, RegularizationExhausted, SchemaError
 from .fourier import DEFAULT_BETA, DEFAULT_LADDER, build_design_matrix, fit
 from .geometry import HarmonicSet
 from .legacy import HarmonicField, fig1_demo, legacy_sampling_uncertainty, rss_total
-from .montecarlo import SamplerConfig, efficiency_mc, frequency_scan, mc_propagate_model, rake_position_mc
+from .montecarlo import SamplerConfig, efficiency_mc, frequency_scan, rake_position_mc
 from .propagation import FieldDistribution, predictive_grid
-from .residuals import UncertaintyMetrics, compute_metrics, sampling_metric
+from .residuals import compute_metrics
 
 
 def _parse_harmonics(text: str) -> HarmonicSet:
@@ -84,22 +84,7 @@ def cmd_fit(args) -> int:
     model = _build_model(campaign, args)
     coeffs = fit(model, campaign.measurements)
     field = FieldDistribution.from_measurements(model, campaign.meas, coeffs.lambda_used)
-    if campaign.meas.iid_sigma is not None:
-        metrics = compute_metrics(model, coeffs, campaign.meas, field)
-        method = "analytic"
-    else:
-        mc = mc_propagate_model(
-            model, campaign.meas, SamplerConfig(args.seed, args.samples),
-            lam=coeffs.lambda_used,
-        )
-        eps_p = sampling_metric(model, coeffs, campaign.meas)
-        metrics = UncertaintyMetrics(
-            eps_p_sq=eps_p,
-            eps_m_sq=mc.eps_mean - eps_p,
-            mean_eps=mc.eps_mean,
-            var_eps=mc.eps_var,
-        )
-        method = "monte-carlo"
+    metrics = compute_metrics(model, coeffs, campaign.meas, field)
     area = area_average(model, field)
     sigma_b = campaign.meas.iid_sigma
     legacy_value = legacy_sampling_uncertainty(campaign.measurements)
@@ -119,10 +104,7 @@ def cmd_fit(args) -> int:
         model, coeffs, metrics, area,
         legacy_block=legacy_block,
         predictive_block=predictive_block,
-        method=method,
         units=campaign.units,
-        seed=args.seed if method == "monte-carlo" else None,
-        samples=args.samples if method == "monte-carlo" else None,
     )
     _emit(report, args.output)
     coeff_path = args.coefficients
@@ -295,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a campaign and write the JSON report")
     p.add_argument("campaign")
     _add_model_args(p)
-    _add_common(p, seed=True, samples_default=200000)
+    _add_common(p)
     p.add_argument("--n-theta", type=int, default=360)
     p.add_argument("--n-r", type=int, default=50)
     p.add_argument("--coefficients", default=None,

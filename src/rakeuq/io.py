@@ -261,17 +261,12 @@ def load_budget(path):
         raise SchemaError(str(exc), field="components") from None
 
 
-def provenance(seed=None, samples=None) -> dict:
-    info = {
+def provenance() -> dict:
+    return {
         "package_version": __version__,
         "numpy_version": np.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    if seed is not None:
-        info["seed"] = int(seed)
-    if samples is not None:
-        info["samples"] = int(samples)
-    return info
 
 
 def assert_finite(obj, path: str = "report"):
@@ -289,10 +284,7 @@ def build_report(
     *,
     legacy_block=None,
     predictive_block=None,
-    method: str = "analytic",
     units: str = "K",
-    seed=None,
-    samples=None,
 ) -> dict:
     """Assemble the JSON uncertainty report for one fitted campaign."""
     n_meas = model.n_rakes * model.n_stations
@@ -309,7 +301,7 @@ def build_report(
             "eps_m_sq": metrics.eps_m_sq,
             "mean_eps_p_sq": metrics.mean_eps,
             "var_eps_p_sq": metrics.var_eps,
-            "method": method,
+            "method": "analytic",
             "metric_divisor": n_meas - 1,
             "moment_divisor": n_meas,
         },
@@ -319,7 +311,7 @@ def build_report(
             "two_sigma": area.two_sigma,
         },
         "units": units,
-        "provenance": provenance(seed=seed, samples=samples),
+        "provenance": provenance(),
     }
     if metrics.chi2 is not None:
         report["metrics"]["g"] = int(metrics.chi2.g)

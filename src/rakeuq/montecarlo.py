@@ -21,10 +21,11 @@ draw's K x M coefficients X, so its sample mean and variance follow exactly
 from the coefficients' sample moments, taken as deviations from a
 reference fit of the mean input:
 
-* ``mc_propagate_model`` keeps the full KM x KM sample covariance Sigma_X;
-  the value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid
-  has mean G mu_X and variance diag(G Sigma_X G^T), taken by the same
-  contraction as ``predictive_grid``.
+* ``mc_propagate_model`` sums only the draws' NM x NM sample covariance
+  and maps it to the sample Sigma_X, Sigma_F and Sigma_R; the value at
+  (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean
+  G mu_X and variance diag(G Sigma_X G^T), taken by the same contraction
+  as ``predictive_grid``.
 * ``rake_position_mc`` sums, per station m, the kept draws' deviations
   (a K-vector) and their K x K cross products once, after all batches, so the variance at
   prediction angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
@@ -60,11 +61,12 @@ from .geometry import AnnulusGeometry
 from .propagation import (
     FieldDistribution,
     MeasurementDistribution,
+    _congruence,
     _grid_moments,
     _row_quadratic_forms,
     unvec,
 )
-from .residuals import chi_square_params, error_moments
+from .residuals import _residual_power_moments
 
 BATCH = 8192
 
@@ -190,9 +192,12 @@ def mc_propagate_model(
         raise DimensionMismatch("measurement shape does not match the model")
     if config.n_samples < 2:
         raise InvalidParams("empirical covariances need at least two samples")
+    N, M = model.n_rakes, model.n_stations
     P = model.pseudoinverse(lam)
-    A = model.A
-    N, M, K = model.n_rakes, model.n_stations, model.n_coeffs
+    H = model.A @ P
+    resid = H - np.eye(N)
+    # X, F and R act on each station column of B through these N-column blocks.
+    maps = (P, H, resid)
     NM = N * M
     mu_vec = meas.mu_B.reshape(-1, order="F")
     L = psd_factor(meas.Sigma_B)
@@ -205,49 +210,31 @@ def mc_propagate_model(
     W = np.atleast_2d(model.radial.blend(r_fracs))
     A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
-    def push(vb):
-        # vec(B) is station-major with the rake fastest, so each row of the
-        # (size * M, N) view is one station column of one draw; P and A act
-        # on those rows and the results come out in vec order again.
-        size = vb.shape[0]
-        Xv = (vb.reshape(size * M, N) @ P.T).reshape(size, K * M)
-        Fv = (Xv.reshape(size * M, K) @ A.T).reshape(size, NM)
-        Rv = Fv - vb
-        eps = np.einsum("bi,bi->b", Rv, Rv) / NM
-        return Xv, Fv, Rv, eps
-
-    # Reference trajectory of the mean measurement. Accumulating deviations
-    # from it keeps the running sums well conditioned, and makes degenerate
-    # cases (Sigma_B = 0) come out as exact zeros instead of roundoff noise.
-    Xv0, Fv0, Rv0, _ = (row[0] for row in push(mu_vec[None, :]))
-
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
         z = _standard_draws(rng, size, NM, config.antithetic)
-        Xv, Fv, Rv, eps = push(mu_vec + z @ L.T)
-        dX, dF, dR = Xv - Xv0, Fv - Fv0, Rv - Rv0
-        return (
-            dX.sum(axis=0), dX.T @ dX,
-            dF.sum(axis=0), dF.T @ dF,
-            dR.sum(axis=0), dR.T @ dR,
-            eps,
-        )
+        dB = z @ L.T
+        # vec(B) is station-major with the rake fastest, so each row of the
+        # (size * M, N) view is one station column of one draw.
+        Rv = ((mu_vec + dB).reshape(size * M, N) @ resid.T).reshape(size, NM)
+        eps = np.einsum("bi,bi->b", Rv, Rv) / NM
+        return dB.sum(axis=0), dB.T @ dB, eps
 
     children, sizes = _batch_plan(config)
     results = _map_batches(run_batch, list(zip(children, sizes)))
 
     n = config.n_samples
-    sums = [sum(parts) for parts in zip(*(res[:6] for res in results))]
-    eps = np.concatenate([res[6] for res in results])
-
-    def moments(ref, s1, s2):
-        cov = (s2 - np.outer(s1, s1) / n) / (n - 1)
-        return ref + s1 / n, 0.5 * (cov + cov.T)
-
-    mu_x, cov_x = moments(Xv0, sums[0], sums[1])
-    mu_f, cov_f = moments(Fv0, sums[2], sums[3])
-    mu_r, cov_r = moments(Rv0, sums[4], sums[5])
-    mu_X = unvec(mu_x, K, M)
+    s1 = sum(res[0] for res in results)
+    s2 = sum(res[1] for res in results)
+    eps = np.concatenate([res[2] for res in results])
+    # X, F and R are the fixed maps I_M kron T of the draw, so their sample
+    # moments are the draws' sample moments pushed through the same maps.
+    # Deviations from mu_B keep the sums well conditioned, and Sigma_B = 0
+    # gives exact zeros.
+    mean_B = meas.mu_B + unvec(s1 / n, N, M)
+    cov_B = (s2 - np.outer(s1, s1) / n) / (n - 1)
+    mu_X, mu_F, mu_R = (T @ mean_B for T in maps)
+    cov_x, cov_f, cov_r = (_congruence(T, cov_B, M) for T in maps)
     # Every grid value is linear in X, so its sample moments follow exactly
     # from the sample moments of the coefficients.
     grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x)
@@ -258,8 +245,8 @@ def mc_propagate_model(
     return McPropagation(
         n_samples=n,
         mu_X=mu_X, Sigma_X=cov_x,
-        mu_F=unvec(mu_f, N, M), Sigma_F=cov_f,
-        mu_R=unvec(mu_r, N, M), Sigma_R=cov_r,
+        mu_F=mu_F, Sigma_F=cov_f,
+        mu_R=mu_R, Sigma_R=cov_r,
         eps_mean=eps_mean,
         eps_var=eps_var,
         eps_mean_se=float(np.sqrt(eps_var / n)),
@@ -310,9 +297,10 @@ def frequency_scan(
     """Rank every unordered harmonic pair by expected sampling metric.
 
     Fits the mean measurements for each pair (w1, w2), w1 < w2 <= max_freq,
-    walking the ridge ladder when needed, then evaluates the closed-form
-    mu(eps_p^2) under iid noise sigma_b. Pairs whose ladder is exhausted are
-    flagged and sort last with mean_eps = inf rather than being dropped.
+    walking the ridge ladder when needed, then evaluates the exact
+    mu(eps_p^2) under iid noise sigma_b at the lambda each fit used. Pairs
+    whose ladder is exhausted are flagged and sort last with mean_eps = inf
+    rather than being dropped.
     """
     if max_freq < 2:
         raise InvalidParams("max_freq must be at least 2")
@@ -335,8 +323,7 @@ def frequency_scan(
             cond = model.cond_AtA
             coeffs = fit(model, mu_B)
             field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
-            params = chi_square_params(field)
-            mean_eps, _ = error_moments(params, meas.n_rakes, meas.n_stations, sigma_b)
+            mean_eps, _ = _residual_power_moments(field)
             entries.append(ScanEntry(pair, coeffs.lambda_used, mean_eps, cond, False))
         except (RegularizationExhausted, SingularDesign):
             entries.append(ScanEntry(pair, None, math.inf, cond, True))

@@ -5,18 +5,27 @@ field and the measured means,
 
     eps_p^2 = ||A X - mu_B||_F^2 / (NM - 1).
 
-Under iid probe noise sigma_b the scaled residual power (NM/sigma_b^2) *
-||R||_F^2 / NM follows a noncentral chi-square law with g = rank(Sigma_R)
-degrees of freedom and noncentrality phi = vec(mu_R)^T Sigma_R^+ vec(mu_R),
-which gives closed-form moments for the metric:
+The residual R = F - B is Gaussian with mean mu_R and covariance Sigma_R
+for every measurement covariance Sigma_B and every ridge penalty lambda, so
+the scaled residual power ||R||_F^2 / NM has the exact moments
+
+    mu(eps_p^2)      = (tr Sigma_R + ||mu_R||^2) / NM
+    sigma^2(eps_p^2) = (2 ||Sigma_R||_F^2 + 4 mu_R^T Sigma_R mu_R) / NM^2
+
+Its law is a weighted sum of noncentral chi-square(1) terms (Imhof 1961).
+Only for iid probe noise sigma_b > 0 and an unregularized fit is
+Sigma_R / sigma_b^2 = I_M kron (I - H) a projector; then (NM/sigma_b^2) *
+||R||_F^2 / NM is noncentral chi-square with g = rank(Sigma_R) degrees of
+freedom and noncentrality phi = vec(mu_R)^T Sigma_R^+ vec(mu_R), and the
+moments above reduce to
 
     mu(eps_p^2)      = sigma_b^2/(NM) * (g + phi)
     sigma^2(eps_p^2) = (sigma_b^2/(NM))^2 * (2g + 4 phi)
 
-Note the two divisors: the metric itself uses NM-1, the chi-square moments
-use NM. Both are reported so the mixed convention stays auditable. The
-measurement imprecision metric is the gap eps_m^2 = mu(eps_p^2) - eps_p^2,
-which vanishes as sigma_b -> 0 for data inside the model span.
+Note the two divisors: the metric itself uses NM-1, the moments use NM.
+Both are reported so the mixed convention stays auditable. The measurement
+imprecision metric is the gap eps_m^2 = mu(eps_p^2) - eps_p^2, which
+vanishes as sigma_b -> 0 for data inside the model span.
 """
 
 import math
@@ -26,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParams, RequiresIidNoise, TooFewSamples
 from .fourier import CoefficientMatrix, FourierModel
-from .propagation import FieldDistribution, MeasurementDistribution
+from .propagation import FieldDistribution, MeasurementDistribution, vec
 
 # Singular values above this fraction of the largest count toward rank.
 RANK_RTOL = 1e-10
@@ -61,7 +70,7 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
     """Degrees of freedom and noncentrality from the residual moments.
 
     Only valid when the measurement noise was iid (Sigma_B = sigma_b^2 I);
-    other covariances raise RequiresIidNoise and call for Monte Carlo.
+    other covariances raise RequiresIidNoise.
     iid noise makes Sigma_R = I_M kron S_R with an N x N block S_R, so the
     law is read off S_R alone: g = M rank(S_R) and phi sums
     mu_R[:, m]^T S_R^+ mu_R[:, m] over the stations.
@@ -103,6 +112,16 @@ def error_moments(params: ChiSquareParams, n_rakes: int, n_stations: int, sigma_
     scale = sigma_b**2 / n_meas
     mean = scale * (params.g + params.phi)
     var = scale**2 * (2.0 * params.g + 4.0 * params.phi)
+    return float(mean), float(var)
+
+
+def _residual_power_moments(field: FieldDistribution):
+    """Exact mean and variance of ||R||_F^2 / NM for Gaussian R, any Sigma_R."""
+    mu = vec(field.mu_R)
+    S = np.asarray(field.Sigma_R, dtype=float)
+    n_meas = mu.size
+    mean = (np.trace(S) + mu @ mu) / n_meas
+    var = (2.0 * np.vdot(S, S) + 4.0 * (mu @ S @ mu)) / n_meas**2
     return float(mean), float(var)
 
 
@@ -184,16 +203,21 @@ def compute_metrics(
     meas: MeasurementDistribution,
     field: FieldDistribution,
 ) -> UncertaintyMetrics:
-    """Assemble both metrics from a fit and its propagated moments (iid only)."""
+    """Assemble both metrics from a fit and its propagated moments.
+
+    The moments are exact for every noise model and ridge penalty. The
+    chi-square parameters are attached only where that law holds: iid
+    noise with sigma_b > 0 and an unregularized fit.
+    """
     eps_p = sampling_metric(model, coeffs, meas)
-    params = chi_square_params(field)
-    mean_eps, var_eps = error_moments(
-        params, model.n_rakes, model.n_stations, field.iid_sigma
-    )
+    mean_eps, var_eps = _residual_power_moments(field)
+    chi2 = None
+    if field.iid_sigma is not None and field.iid_sigma > 0.0 and field.lambda_used == 0.0:
+        chi2 = chi_square_params(field)
     return UncertaintyMetrics(
         eps_p_sq=eps_p,
         eps_m_sq=imprecision_metric(mean_eps, eps_p),
         mean_eps=mean_eps,
         var_eps=var_eps,
-        chi2=params,
+        chi2=chi2,
     )

@@ -13,12 +13,14 @@ import rakeuq.io as io
 from rakeuq import (
     FieldDistribution,
     HarmonicSet,
+    SamplerConfig,
     SchemaError,
     area_average,
     build_design_matrix,
     compute_metrics,
     design_matrix,
     fit,
+    mc_propagate_model,
     station_predictions,
 )
 from rakeuq.cli import main
@@ -165,6 +167,62 @@ def test_fit_report_matches_library(campaign_path, tmp_path):
 
     # written floats are repr round-trips: reloading changes nothing
     assert json.loads(json.dumps(report)) == report
+
+
+def test_fit_zero_noise_off_span(tmp_path):
+    # sigma_b = 0 is valid input; the residual power is then the constant
+    # ||mu_R||^2 / NM and there is no chi-square law to report
+    doc = campaign_doc()
+    data = np.asarray(doc["measurements"])
+    data[0] += 1.0
+    doc["measurements"] = data.tolist()
+    doc["uncertainty"] = {"iid": {"sigma_b": 0.0}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", "1,4", "--beta", str(BETA),
+                 "--output", str(out), "--n-theta", "72", "--n-r", "13"])
+    assert code == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    model = build_design_matrix(io.load_campaign(str(path)).geometry, HarmonicSet((1, 4)), beta=BETA)
+    resid = model.A @ model.P @ data - data
+    assert metrics["mean_eps_p_sq"] == pytest.approx(np.sum(resid**2) / 42, rel=1e-12)
+    assert metrics["var_eps_p_sq"] == 0.0
+    assert "g" not in metrics and "phi" not in metrics
+
+
+def test_fit_correlated_noise_is_analytic(tmp_path):
+    doc = campaign_doc()
+    rho = np.full((42, 42), 0.3)
+    np.fill_diagonal(rho, 1.0)
+    doc["uncertainty"] = {"correlation": {"sigma": [SIGMA_B] * 42, "rho": rho.tolist()}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", "1,4", "--beta", str(BETA),
+                 "--output", str(out), "--n-theta", "72", "--n-r", "13"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["metrics"]["method"] == "analytic"
+    assert "g" not in report["metrics"] and "phi" not in report["metrics"]
+
+    campaign = io.load_campaign(str(path))
+    model = build_design_matrix(campaign.geometry, HarmonicSet((1, 4)), beta=BETA)
+    coeffs = fit(model, campaign.measurements)
+    field = FieldDistribution.from_measurements(model, campaign.meas, coeffs.lambda_used)
+    metrics = compute_metrics(model, coeffs, campaign.meas, field)
+    assert report["metrics"]["mean_eps_p_sq"] == metrics.mean_eps
+    mc = mc_propagate_model(model, campaign.meas, SamplerConfig(seed=7, n_samples=50_000),
+                            lam=coeffs.lambda_used)
+    assert abs(mc.eps_mean - metrics.mean_eps) < 5.0 * mc.eps_mean_se
+
+
+@pytest.mark.parametrize("option,value", [("--seed", "1"), ("--samples", "10")])
+def test_fit_rejects_monte_carlo_options(campaign_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", campaign_path, "--harmonics", "1,4", option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 def test_fit_writes_coefficient_file(campaign_path, tmp_path):

@@ -175,6 +175,31 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
 
 
+def test_mc_covariances_match_per_draw_samples(engine_model, engine_data):
+    # one batch rebuilt draw by draw: X = P B, F = A X and R = F - B
+    lam = 0.1
+    Sigma_B = random_psd(42, np.random.default_rng(37))
+    meas = MeasurementDistribution(engine_data, Sigma_B)
+    cfg = SamplerConfig(seed=43, n_samples=512)
+    res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
+    children, sizes = mc_mod._batch_plan(cfg)
+    assert sizes == [512]
+    z = mc_mod._standard_draws(np.random.default_rng(children[0]), 512, 42, False)
+    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(Sigma_B).T
+    B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
+    X = engine_model.pseudoinverse(lam) @ B
+    F = engine_model.A @ X
+    for draws, mean, cov in (
+        (X, res.mu_X, res.Sigma_X),
+        (F, res.mu_F, res.Sigma_F),
+        (F - B, res.mu_R, res.Sigma_R),
+    ):
+        ref = np.cov(draws.transpose(0, 2, 1).reshape(512, -1), rowvar=False)  # vec order
+        assert np.linalg.norm(cov - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref_mean = draws.mean(axis=0)
+        assert np.linalg.norm(mean - ref_mean) <= 1e-10 * np.linalg.norm(ref_mean)
+
+
 def test_mc_correlated_noise_shrinks_peak_band(engine_model, engine_data):
     rho = np.full((42, 42), 0.95)
     np.fill_diagonal(rho, 1.0)

@@ -9,6 +9,7 @@ from rakeuq import (
     InvalidParams,
     MeasurementDistribution,
     RequiresIidNoise,
+    SamplerConfig,
     TooFewSamples,
     build_design_matrix,
     chi_square_params,
@@ -17,12 +18,23 @@ from rakeuq import (
     error_moments,
     fit,
     imprecision_metric,
+    mc_propagate_model,
     noncentral_chisq_pdf,
     sampling_metric,
 )
 from rakeuq.residuals import RANK_RTOL
 
-from conftest import BETA, ENGINE_THETA, SCAN_THETA, SIGMA_B, STATIONS, coefficient_truth
+from conftest import (
+    BETA,
+    ENGINE_THETA,
+    R_INNER,
+    R_OUTER,
+    SCAN_THETA,
+    SIGMA_B,
+    STATIONS,
+    coefficient_truth,
+    random_psd,
+)
 
 
 def test_in_span_degrees_of_freedom(engine_field):
@@ -162,6 +174,46 @@ def test_compute_metrics_consistency(engine_model, engine_meas, engine_field, en
     assert metrics.mean_eps == pytest.approx(SIGMA_B**2 * 7 / 42, rel=1e-9)
     assert metrics.eps_m_sq == pytest.approx(metrics.mean_eps - metrics.eps_p_sq)
     assert metrics.chi2.g == 7
+
+
+@pytest.mark.parametrize(
+    "noise,lam", [("iid", 0.1), ("iid", 10.0), ("diagonal", 0.0), ("correlated", 0.0)]
+)
+def test_exact_moments_match_monte_carlo(engine_model, engine_data, noise, lam):
+    # off-span data, so the mean terms ||mu_R||^2 and mu_R^T Sigma_R mu_R count
+    data = engine_data.copy()
+    data[0, :] += 1.0
+    rng = np.random.default_rng(5)
+    if noise == "iid":
+        meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+    elif noise == "diagonal":
+        meas = MeasurementDistribution.from_diagonal(data, SIGMA_B * (0.5 + rng.random(42)))
+    else:
+        meas = MeasurementDistribution(data, random_psd(42, rng))
+    field = FieldDistribution.from_measurements(engine_model, meas, lam)
+    metrics = compute_metrics(engine_model, fit(engine_model, data), meas, field)
+    mc = mc_propagate_model(engine_model, meas, SamplerConfig(seed=23, n_samples=50_000), lam=lam)
+    assert abs(mc.eps_mean - metrics.mean_eps) < 5.0 * mc.eps_mean_se
+    assert abs(mc.eps_var - metrics.var_eps) < 5.0 * mc.eps_var_se
+    # the chi-square law holds only for iid noise and an unregularized fit
+    assert metrics.chi2 is None
+
+
+def test_ridge_fit_reports_exact_mean():
+    # noisy readings that push the (1, 4) fit past beta = 1395 onto the
+    # lambda = 0.1 rung, where Sigma_R / sigma_b^2 is not a projector
+    geom = AnnulusGeometry(ENGINE_THETA, STATIONS, R_INNER, R_OUTER)
+    model = build_design_matrix(geom, HarmonicSet((1, 4)), beta=1395.0)
+    rng = np.random.default_rng(0)
+    data = model.A @ coefficient_truth() + SIGMA_B * rng.standard_normal((6, 7))
+    coeffs = fit(model, data)
+    assert coeffs.lambda_used == 0.1
+    meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+    field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
+    metrics = compute_metrics(model, coeffs, meas, field)
+    assert metrics.mean_eps == pytest.approx(2.886017362132, rel=1e-9)
+    assert abs(metrics.eps_m_sq) < 0.05
+    assert metrics.chi2 is None
 
 
 def test_pdf_matches_reference_central():
