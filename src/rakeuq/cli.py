@@ -142,13 +142,17 @@ def cmd_scan(args) -> int:
         max_freq=args.max_freq,
         beta=args.beta,
         lambda_ladder=ladder,
-        radial_basis=args.radial_basis,
     )
     # flagged pairs carry an empty lambda and mean_eps = inf
     rows = ((*e.omega, "" if e.lambda_used is None else float(e.lambda_used), float(e.mean_eps))
             for e in result.entries)
     io.write_csv(args.output, ["omega1", "omega2", "lambda", "mean_eps"], rows)
     best = result.best
+    if best.flagged:
+        # flagged pairs sort last, so every pair is flagged
+        raise RegularizationExhausted(
+            f"all {len(result.entries)} pairs exhausted the ridge ladder"
+        )
     print(f"best pair: omega={best.omega} mean_eps={best.mean_eps:.6g} "
           f"lambda={best.lambda_used}")
     flagged = sum(1 for e in result.entries if e.flagged)
@@ -296,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign")
     _add_common(p)
     p.add_argument("--max-freq", type=int, default=10)
-    p.add_argument("--radial-basis", choices=("cubic", "linear"), default="cubic")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("rake-mc", help="Monte Carlo over rake placement scatter")

@@ -24,6 +24,7 @@ Angles are degrees at every public interface and radians internally.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,6 +187,37 @@ class RadialBasis:
         return self.weights(frac) @ self.U
 
 
+class _RidgeGuard(NamedTuple):
+    """The fit guard: ridge penalties to try in order, and the norm bound."""
+
+    lambda_ladder: tuple
+    beta: float
+
+
+def _ridge_guard(lambda_ladder, beta: float) -> _RidgeGuard:
+    """Checked guard settings: beta and every ladder entry must be positive."""
+    if beta <= 0.0:
+        raise InvalidParams("beta must be positive")
+    ladder = tuple(float(l) for l in (lambda_ladder or ()))
+    if any(l <= 0.0 for l in ladder):
+        raise InvalidParams("ladder entries must be positive")
+    return _RidgeGuard(ladder, float(beta))
+
+
+def _design_conditioning(A):
+    """cond(A^T A) and the numerical-singularity flag of a design or a stack.
+
+    A design is singular when it has fewer rows than columns or its smallest
+    singular value is at most sigma_max * max(N, K) * eps; its cond is then
+    inf. A stack gives one value per slice.
+    """
+    sv = np.linalg.svd(A, compute_uv=False)
+    tol = sv[..., 0] * max(A.shape[-2:]) * np.finfo(float).eps
+    singular = (A.shape[-2] < A.shape[-1]) | (sv[..., -1] <= tol)
+    ratio = np.divide(sv[..., 0], sv[..., -1], out=np.full(singular.shape, np.inf), where=~singular)
+    return ratio**2, singular
+
+
 @dataclass(frozen=True)
 class FourierModel:
     """Design matrix, pseudoinverse and fit configuration for one geometry.
@@ -243,25 +275,18 @@ def build_design_matrix(
     empty, because no fit could ever succeed. With a non-empty ladder the
     model is built anyway and fits go straight to the ridge penalties.
     """
-    if beta <= 0.0:
-        raise InvalidParams("beta must be positive")
-    ladder = tuple(float(l) for l in (lambda_ladder or ()))
-    if any(l <= 0.0 for l in ladder):
-        raise InvalidParams("ladder entries must be positive")
+    guard = _ridge_guard(lambda_ladder, beta)
     A = design_matrix(geometry.theta_deg, harmonics.omega)
-    sv = np.linalg.svd(A, compute_uv=False)
-    ncoef = harmonics.n_coeffs
-    tol = sv[0] * max(A.shape) * np.finfo(float).eps
-    singular = A.shape[0] < ncoef or sv[-1] <= tol
-    cond = math.inf if singular else float((sv[0] / sv[-1]) ** 2)
-    if singular and not ladder:
+    cond, singular = _design_conditioning(A)
+    cond, singular = float(cond), bool(singular)
+    if singular and not guard.lambda_ladder:
         raise SingularDesign(
             f"A^T A is numerically singular for omega={harmonics.omega} at "
             f"{geometry.n_rakes} rakes and no ridge requested"
         )
     P = None if singular else qr_solve(A, np.eye(geometry.n_rakes))
     radial = RadialBasis(geometry.r_stations, kind=radial_basis, U=U)
-    return FourierModel(geometry, harmonics, A, P, cond, ladder, float(beta), radial)
+    return FourierModel(geometry, harmonics, A, P, cond, guard.lambda_ladder, guard.beta, radial)
 
 
 @dataclass(frozen=True)

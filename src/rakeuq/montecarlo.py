@@ -5,21 +5,26 @@ draw from generators spawned off one seed sequence and are reduced in a fixed
 order, so results are bit-identical whether batches run serially or on the
 thread pool capped by the RAKEUQ_THREADS environment variable.
 
-Three drivers sit on the shared sampler:
+Two sampling studies share the sampler:
 
 * ``mc_propagate_model`` pushes measurement noise through the fixed linear
   fit map and returns empirical moments of coefficients, fitted values,
   residuals, the sampling metric and a predictive grid. It is the sampling
   cross-check for the closed-form Gaussian propagation.
-* ``frequency_scan`` ranks every unordered harmonic pair by the expected
-  sampling metric, walking the ridge ladder where a pair is ill-conditioned.
 * ``rake_position_mc`` perturbs the rake angles themselves, refitting every
   draw, to expose how uncertain rake placement moves the reconstruction.
 
-Neither engine evaluates a grid per draw. Every grid value is linear in the
-draw's K x M coefficients X, so its sample mean and variance follow exactly
-from the coefficients' sample moments, taken as deviations from a
-reference fit of the mean input:
+``frequency_scan`` ranks every unordered harmonic pair by the expected
+sampling metric, in closed form: all pairs' designs are stacked into one
+(P, N, 5) array, and the exact mean comes from each pair's N x N residual
+map. The scan and the rake engine fit their stacks through one ridge-ladder
+walk, ``_fit_batch``: each rung is a single stacked ridge solve over the
+slices that still break the norm guard.
+
+Neither sampling engine evaluates a grid per draw. Every grid value is
+linear in the draw's K x M coefficients X, so its sample mean and variance
+follow exactly from the coefficients' sample moments, taken as deviations
+from a reference fit of the mean input:
 
 * ``mc_propagate_model`` sums only the draws' NM x NM sample covariance
   and maps it to the sample Sigma_X, Sigma_F and Sigma_R; the value at
@@ -44,29 +49,24 @@ from .errors import (
     DrawFailed,
     InvalidParams,
     NotPSD,
-    RegularizationExhausted,
-    SingularDesign,
 )
 from .fourier import (
+    DEFAULT_BETA,
+    DEFAULT_LADDER,
     FourierModel,
-    HarmonicSet,
-    build_design_matrix,
-    coefficient_norm,
+    _design_conditioning,
+    _ridge_guard,
     design_matrix,
-    fit,
-    qr_solve,
     ridge_solve,
 )
 from .geometry import AnnulusGeometry
 from .propagation import (
-    FieldDistribution,
     MeasurementDistribution,
     _congruence,
     _grid_moments,
     _row_quadratic_forms,
     unvec,
 )
-from .residuals import _residual_power_moments
 
 BATCH = 8192
 
@@ -292,43 +292,64 @@ def frequency_scan(
     max_freq: int = 10,
     beta: float = None,
     lambda_ladder=None,
-    radial_basis: str = "cubic",
 ) -> FrequencyScanResult:
     """Rank every unordered harmonic pair by expected sampling metric.
 
-    Fits the mean measurements for each pair (w1, w2), w1 < w2 <= max_freq,
-    walking the ridge ladder when needed, then evaluates the exact
-    mu(eps_p^2) under iid noise sigma_b at the lambda each fit used. Pairs
-    whose ladder is exhausted are flagged and sort last with mean_eps = inf
-    rather than being dropped.
+    Every pair (w1, w2), w1 < w2 <= max_freq, has a K = 5 design, so all of
+    them are stacked into one (P, N, 5) array, sliced from the columns of
+    one design over the harmonics 1..max_freq. One batched SVD gives each
+    pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
+    tolerance, and ``_fit_batch`` fits the mean measurements for all pairs
+    in one rung-by-rung ladder walk, the one the rake engine uses; singular
+    pairs skip lambda = 0, as ``fit`` does. The exact mu(eps_p^2) under iid
+    noise sigma_b then needs only the N x N residual map K = A P(lambda) - I
+    of each pair, one stacked pseudoinverse per rung used:
+
+        mu(eps_p^2) = (sigma_b^2 M ||K||_F^2 + ||K mu_B||_F^2) / NM.
+
+    Pairs whose ladder is exhausted are flagged and sort last with
+    mean_eps = inf rather than being dropped. The radial basis does not
+    enter: the metric lives at the rakes.
     """
     if max_freq < 2:
         raise InvalidParams("max_freq must be at least 2")
-    if sigma_b <= 0.0:
-        raise InvalidParams("sigma_b must be positive")
+    sigma_b = float(sigma_b)
+    if not 0.0 < sigma_b < math.inf:
+        raise InvalidParams("sigma_b must be positive and finite")
+    guard = _ridge_guard(
+        DEFAULT_LADDER if lambda_ladder is None else lambda_ladder,
+        DEFAULT_BETA if beta is None else beta,
+    )
     mu_B = np.asarray(mu_B, dtype=float)
     if mu_B.ndim == 1:
         mu_B = mu_B[:, None]
-    meas = MeasurementDistribution.from_iid(mu_B, sigma_b)
-    build_kwargs = {"radial_basis": radial_basis}
-    if beta is not None:
-        build_kwargs["beta"] = beta
-    if lambda_ladder is not None:
-        build_kwargs["lambda_ladder"] = lambda_ladder
-    entries = []
-    for pair in combinations(range(1, max_freq + 1), 2):
-        cond = math.inf
-        try:
-            model = build_design_matrix(geometry, HarmonicSet(pair), **build_kwargs)
-            cond = model.cond_AtA
-            coeffs = fit(model, mu_B)
-            field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
-            mean_eps, _ = _residual_power_moments(field)
-            entries.append(ScanEntry(pair, coeffs.lambda_used, mean_eps, cond, False))
-        except (RegularizationExhausted, SingularDesign):
-            entries.append(ScanEntry(pair, None, math.inf, cond, True))
+    N, M = geometry.n_rakes, geometry.n_stations
+    if mu_B.shape != (N, M):
+        raise DimensionMismatch(f"measurements must be {N} x {M}, got {mu_B.shape}")
+    pairs = list(combinations(range(1, max_freq + 1), 2))
+    # Columns [1, cos w1, sin w1, cos w2, sin w2] of the all-harmonics design.
+    cols = np.array([[0, 2 * w1 - 1, 2 * w1, 2 * w2 - 1, 2 * w2] for w1, w2 in pairs])
+    A_full = design_matrix(geometry.theta_deg, range(1, max_freq + 1))
+    A_stack = np.ascontiguousarray(A_full[:, cols].transpose(1, 0, 2))
+    cond, singular = _design_conditioning(A_stack)
+    _, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular)
+    mean_eps = np.full(len(pairs), math.inf)
+    for lam in np.unique(lambdas[ok]):
+        idx = np.nonzero(ok & (lambdas == lam))[0]
+        A = A_stack[idx]
+        P = ridge_solve(A, np.eye(N), lam)
+        resid = A @ (P @ mu_B) - mu_B
+        K = A @ P - np.eye(N)
+        noise = sigma_b**2 * M * np.einsum("pij,pij->p", K, K)
+        mean_eps[idx] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
+    entries = [
+        ScanEntry(pair, float(lambdas[i]), float(mean_eps[i]), float(cond[i]), False)
+        if ok[i]
+        else ScanEntry(pair, None, math.inf, float(cond[i]), True)
+        for i, pair in enumerate(pairs)
+    ]
     entries.sort(key=lambda e: (e.mean_eps, e.omega))
-    return FrequencyScanResult(tuple(entries), float(sigma_b), int(max_freq))
+    return FrequencyScanResult(tuple(entries), sigma_b, int(max_freq))
 
 
 @dataclass(frozen=True)
@@ -344,51 +365,65 @@ class RakeMCResult:
     n_failed: int
 
 
-def _fit_batch(model: FourierModel, A_stack: np.ndarray, B: np.ndarray):
-    """Fit every design in a stack, walking the ladder for bad slices.
+def _spectral_norms(X: np.ndarray) -> np.ndarray:
+    """||X_i||_2 for every slice of a (b, K, M) stack; inf where non-finite.
 
-    Returns (X (b, K, M), lambdas (b,), ok mask (b,)).
+    ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T. Each
+    slice is first divided by the power of two just above its largest entry:
+    exact, and the Gram matrix cannot overflow.
     """
-    size = A_stack.shape[0]
-    K = A_stack.shape[-1]
-    M = B.shape[-1]
-    X = np.full((size, K, M), np.nan)
-    lambdas = np.zeros(size)
-    batched_failed = None
-    try:
-        X[:] = qr_solve(A_stack, B)
-    except np.linalg.LinAlgError:
-        batched_failed = True
-    if batched_failed:
-        # Some slice was exactly singular; do the plain solve slice by slice.
-        for i in range(size):
-            try:
-                X[i] = qr_solve(A_stack[i], B)
-            except np.linalg.LinAlgError:
-                X[i] = np.nan
+    norms = np.full(X.shape[0], np.inf)
     finite = np.isfinite(X).all(axis=(1, 2))
-    norms = np.full(size, np.inf)
     if np.any(finite):
-        # ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T.
-        # Each slice is first divided by the power of two just above its
-        # largest entry: exact, and the Gram matrix cannot overflow.
         Xf = X[finite]
         scale = np.ldexp(1.0, np.frexp(np.abs(Xf).max(axis=(1, 2)))[1])
         Xs = Xf / scale[:, None, None]
         top = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))[..., -1]
         norms[finite] = scale * np.sqrt(np.maximum(top, 0.0))
-    ok = norms < model.beta
-    for i in np.nonzero(~ok)[0]:
-        for lam in model.lambda_ladder:
+    return norms
+
+
+def _solve_stack(A_stack: np.ndarray, B: np.ndarray, lam: float) -> np.ndarray:
+    """ridge_solve over a stack; a slice whose R is exactly singular gets NaN."""
+    try:
+        return ridge_solve(A_stack, B, lam)
+    except np.linalg.LinAlgError:
+        out = np.full(A_stack.shape[:1] + (A_stack.shape[-1], B.shape[-1]), np.nan)
+        for i, A in enumerate(A_stack):
             try:
-                cand = ridge_solve(A_stack[i], B, lam)
+                out[i] = ridge_solve(A, B, lam)
             except np.linalg.LinAlgError:
-                continue
-            if coefficient_norm(cand) < model.beta:
-                X[i] = cand
-                lambdas[i] = lam
-                ok[i] = True
-                break
+                pass
+        return out
+
+
+def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=None):
+    """Fit every design in a stack, walking the ridge ladder rung by rung.
+
+    ``guard`` supplies ``lambda_ladder`` and ``beta``: a FourierModel, or a
+    ``_RidgeGuard``. Slices in the ``plain`` mask (default: all) first try
+    lambda = 0; the rest go straight to the ladder, as ``fit`` does with a
+    numerically singular design. Each rung is one stacked ``ridge_solve``
+    over the slices still failing, kept where the spectral norm is below
+    beta. Returns (X (b, K, M), lambdas (b,), ok mask (b,)); failed slices
+    keep lambda 0 and NaN coefficients.
+    """
+    size = A_stack.shape[0]
+    X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
+    lambdas = np.zeros(size)
+    ok = np.zeros(size, dtype=bool)
+    everyone = np.ones(size, dtype=bool)
+    plain = everyone if plain is None else np.asarray(plain, dtype=bool)
+    for lam, allowed in [(0.0, plain)] + [(lam, everyone) for lam in guard.lambda_ladder]:
+        todo = allowed & ~ok
+        if not todo.any():
+            continue
+        cand = _solve_stack(A_stack[todo], B, lam)
+        good = _spectral_norms(cand) < guard.beta
+        idx = np.nonzero(todo)[0][good]
+        X[idx] = cand[good]
+        lambdas[idx] = lam
+        ok[idx] = True
     return X, lambdas, ok
 
 

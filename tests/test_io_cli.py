@@ -299,6 +299,31 @@ def test_scan_needs_iid(tmp_path):
     assert code == 3
 
 
+def test_scan_rejects_radial_basis(campaign_path, capsys):
+    # the expected misfit lives at the rakes, so the radial basis never
+    # entered the scan and its option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", campaign_path, "--radial-basis", "linear"])
+    assert exc.value.code == 2
+    assert "--radial-basis" in capsys.readouterr().err
+
+
+def test_scan_exit_code_when_every_pair_exhausted(campaign_path, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = main(
+        ["scan", campaign_path, "--beta", "1e-6", "--lambda-ladder", "0.0001",
+         "--output", str(out)]
+    )
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "best pair" not in captured.out
+    assert "exhausted" in captured.err
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 46
+    assert all(row[2] == "" and row[3] == "inf" for row in rows[1:])
+
+
 def test_rake_mc_cli_zero_scatter_matches_fit(campaign_path, tmp_path):
     out = tmp_path / "rake.csv"
     code = main(

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,13 +8,16 @@ from scipy import stats
 import rakeuq.montecarlo as mc_mod
 from rakeuq import (
     AnnulusGeometry,
+    DimensionMismatch,
     DrawFailed,
     FieldDistribution,
     HarmonicSet,
     InvalidParams,
     MeasurementDistribution,
     NotPSD,
+    RegularizationExhausted,
     SamplerConfig,
+    SingularDesign,
     build_design_matrix,
     chi_square_params,
     design_matrix,
@@ -23,10 +29,14 @@ from rakeuq import (
     sample_mvn,
     station_predictions,
 )
+from rakeuq.fourier import _RidgeGuard
+from rakeuq.residuals import _residual_power_moments
 
 from conftest import (
     BETA,
     ENGINE_THETA,
+    R_INNER,
+    R_OUTER,
     SCAN_THETA,
     SIGMA_B,
     STATIONS,
@@ -265,6 +275,160 @@ def test_scan_input_validation(scan_geometry):
         frequency_scan(scan_geometry, data, 0.0)
     with pytest.raises(InvalidParams):
         frequency_scan(scan_geometry, data, SIGMA_B, max_freq=1)
+
+
+def reference_scan(geometry, mu_B, sigma_b, max_freq=10, **build_kwargs):
+    """Pair by pair: a full model, fit and propagated field per pair.
+
+    Returns {omega: (lambda_used, mean_eps, cond_AtA, flagged)}.
+    """
+    mu_B = np.asarray(mu_B, dtype=float)
+    if mu_B.ndim == 1:
+        mu_B = mu_B[:, None]
+    meas = MeasurementDistribution.from_iid(mu_B, sigma_b)
+    out = {}
+    for pair in combinations(range(1, max_freq + 1), 2):
+        try:
+            model = build_design_matrix(geometry, HarmonicSet(pair), **build_kwargs)
+        except SingularDesign:
+            out[pair] = (None, math.inf, math.inf, True)
+            continue
+        try:
+            coeffs = fit(model, mu_B)
+        except RegularizationExhausted:
+            out[pair] = (None, math.inf, model.cond_AtA, True)
+            continue
+        field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
+        mean_eps, _ = _residual_power_moments(field)
+        out[pair] = (coeffs.lambda_used, mean_eps, model.cond_AtA, False)
+    return out
+
+
+FOUR_THETA = np.array([10.0, 100.0, 200.0, 300.0])
+
+
+@pytest.mark.parametrize(
+    "theta, data_pair, kwargs, expect",
+    [
+        (ENGINE_THETA, (1, 4), {"beta": BETA}, "ridge"),
+        (ENGINE_THETA, (1, 4), {"beta": BETA, "lambda_ladder": (0.1, 10.0)}, "ridge"),
+        # noise-free data in the span of the singular (2, 8) design: its plain
+        # solve would pass the guard, but a singular pair must skip lambda = 0
+        (ENGINE_THETA, (2, 8), {"beta": BETA}, "ridge"),
+        (SCAN_THETA, (1, 4), {"beta": BETA, "max_freq": 12}, "plain"),
+        (FOUR_THETA, (1, 4), {"beta": BETA}, "all_ridge"),
+        (ENGINE_THETA, (1, 4), {"beta": BETA, "lambda_ladder": ()}, "flagged"),
+        (SCAN_THETA, (1, 4), {"beta": 1e-6, "lambda_ladder": (0.0001,)}, "all_flagged"),
+    ],
+    ids=["lattice", "lattice-ladder", "lattice-aliased-data", "scan", "four-rakes",
+         "empty-ladder", "exhausted"],
+)
+def test_scan_matches_per_pair_reference(theta, data_pair, kwargs, expect):
+    geometry = AnnulusGeometry(theta, STATIONS, R_INNER, R_OUTER)
+    mu_B = design_matrix(theta, data_pair) @ coefficient_truth()
+    if data_pair == (1, 4):
+        mu_B = mu_B + SIGMA_B * np.random.default_rng(17).standard_normal(mu_B.shape)
+    result = frequency_scan(geometry, mu_B, SIGMA_B, **kwargs)
+    ref = reference_scan(geometry, mu_B, SIGMA_B, **kwargs)
+    assert sorted(e.omega for e in result.entries) == sorted(ref)
+    keys = [(e.mean_eps, e.omega) for e in result.entries]
+    assert keys == sorted(keys)
+    for e in result.entries:
+        lam, mean_eps, cond, flagged = ref[e.omega]
+        assert (e.lambda_used, e.flagged, e.cond_AtA) == (lam, flagged, cond), e.omega
+        if flagged:
+            assert e.mean_eps == math.inf
+        else:
+            assert e.mean_eps == pytest.approx(mean_eps, rel=1e-12, abs=0.0)
+    lams = [e.lambda_used for e in result.entries]
+    # each case drives the path its id names
+    if expect == "plain":
+        assert all(lam == 0.0 for lam in lams)
+    elif expect == "all_ridge":
+        assert all(lam > 0.0 for lam in lams)
+    elif expect == "ridge":
+        assert 0.0 in lams and any(lam and lam > 0.0 for lam in lams)
+    elif expect == "flagged":
+        flagged = [e for e in result.entries if e.flagged]
+        assert flagged and all(e.cond_AtA == math.inf for e in flagged)
+        assert all(e.lambda_used == 0.0 for e in result.entries if not e.flagged)
+    else:
+        assert all(e.flagged for e in result.entries)
+
+
+def test_scan_one_station_vector_matches_reference():
+    geometry = AnnulusGeometry(SCAN_THETA, [0.5], R_INNER, R_OUTER)
+    mu_B = (design_matrix(SCAN_THETA, (1, 4)) @ coefficient_truth([0.5]))[:, 0]
+    result = frequency_scan(geometry, mu_B, SIGMA_B, beta=BETA)
+    ref = reference_scan(geometry, mu_B, SIGMA_B, beta=BETA)
+    for e in result.entries:
+        lam, mean_eps, cond, flagged = ref[e.omega]
+        assert (e.lambda_used, e.flagged, e.cond_AtA) == (lam, flagged, cond)
+        assert e.mean_eps == pytest.approx(mean_eps, rel=1e-12, abs=0.0)
+    assert result.best.omega == (1, 4)
+
+
+@pytest.mark.parametrize(
+    "sigma_b, kwargs, error",
+    [
+        (float("nan"), {}, InvalidParams),
+        (float("inf"), {}, InvalidParams),
+        (0.0, {}, InvalidParams),
+        (SIGMA_B, {"beta": 0.0}, InvalidParams),
+        (SIGMA_B, {"beta": -1.0}, InvalidParams),
+        (SIGMA_B, {"lambda_ladder": (0.1, 0.0)}, InvalidParams),
+        (SIGMA_B, {"lambda_ladder": (-0.1,)}, InvalidParams),
+        (SIGMA_B, {"mu_B": np.zeros((9, 3))}, DimensionMismatch),
+        (SIGMA_B, {"mu_B": np.zeros(9)}, DimensionMismatch),
+        (SIGMA_B, {"mu_B": np.zeros((9, 7, 1))}, DimensionMismatch),
+    ],
+)
+def test_scan_rejects_bad_inputs(scan_geometry, sigma_b, kwargs, error):
+    kwargs = dict(kwargs)
+    mu_B = kwargs.pop("mu_B", design_matrix(SCAN_THETA, (1, 4)) @ coefficient_truth())
+    with pytest.raises(error):
+        frequency_scan(scan_geometry, mu_B, sigma_b, **kwargs)
+
+
+def test_fit_batch_walks_ladder_rung_by_rung():
+    # one stack, four slices, each leaving the ladder at a different place;
+    # the data lie in the span of the aliased (2, 8) lattice design
+    #   0: (1, 4) on the lattice: well posed, plain fit accepted
+    #   1: (2, 8) on the lattice: singular, masked, so first rung
+    #   2: (1, 9) with two rakes nudged off the lattice: nonsingular, but
+    #      lambda = 0 and the first rung break the guard, the second passes
+    #   3: (1, 9) with one rake nudged: still singular, every rung breaks it
+    B = design_matrix(ENGINE_THETA, (2, 8)) @ coefficient_truth()
+    nudge2 = ENGINE_THETA + np.array([1e-5, -1e-5, 0, 0, 0, 0])
+    nudge1 = ENGINE_THETA + np.array([1e-3, 0, 0, 0, 0, 0])
+    cases = [(ENGINE_THETA, (1, 4)), (ENGINE_THETA, (2, 8)), (nudge2, (1, 9)), (nudge1, (1, 9))]
+    guard = _RidgeGuard((1e-5, 1e-4), BETA)
+    models = [
+        build_design_matrix(
+            AnnulusGeometry(theta, STATIONS, R_INNER, R_OUTER), HarmonicSet(pair),
+            lambda_ladder=guard.lambda_ladder, beta=guard.beta,
+        )
+        for theta, pair in cases
+    ]
+    plain = np.array([m.P is not None for m in models])
+    assert plain.tolist() == [True, False, True, False]
+    A_stack = np.stack([m.A for m in models])
+    X, lambdas, ok = mc_mod._fit_batch(guard, A_stack, B, plain=plain)
+    assert ok.tolist() == [True, True, True, False]
+    assert lambdas.tolist() == [0.0, 1e-5, 1e-4, 0.0]
+    for i, model in enumerate(models):
+        if not ok[i]:
+            with pytest.raises(RegularizationExhausted):
+                fit(model, B)
+            assert np.isnan(X[i]).all()
+            continue
+        ref = fit(model, B)
+        assert lambdas[i] == ref.lambda_used
+        np.testing.assert_array_equal(X[i], ref.X)
+    # the mask is what keeps slice 1 off lambda = 0: its plain solve is
+    # meaningless but happens to pass the guard
+    _, unmasked, _ = mc_mod._fit_batch(guard, A_stack, B)
+    assert unmasked.tolist() == [0.0, 0.0, 1e-4, 0.0]
 
 
 @pytest.fixture(scope="module")
