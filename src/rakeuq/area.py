@@ -30,15 +30,24 @@ from .fourier import FourierModel
 from .propagation import FieldDistribution
 
 
+# 3-point Gauss-Legendre rule on [-1, 1], exact to degree 5.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
+
+
 def _radius_weight_vector(model: FourierModel) -> np.ndarray:
     """q = integral over span of r(f) * U^T v(f) * dr, as a length-M vector."""
     geometry = model.geometry
-    nodes, weights = np.polynomial.legendre.leggauss(3)
     knots = np.unique(np.concatenate(([0.0], geometry.r_stations, [1.0])))
     half = 0.5 * np.diff(knots)[:, None]  # (panels, 1)
-    f = (knots[:-1, None] + half * (nodes + 1.0)).ravel()
-    w = (half * weights).ravel() * geometry.span * geometry.physical_radius(f)
+    f = (knots[:-1, None] + half * (_GAUSS_NODES + 1.0)).ravel()
+    w = (half * _GAUSS_WEIGHTS).ravel() * geometry.span * geometry.physical_radius(f)
     return w @ model.radial.blend(f)
+
+
+def _area_norm(model: FourierModel) -> float:
+    """2 / (r_o^2 - r_i^2), the reciprocal of the annulus area over pi."""
+    geometry = model.geometry
+    return 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
 
 
 def _constant_row_block(model: FourierModel, Sigma_X) -> np.ndarray:
@@ -48,13 +57,14 @@ def _constant_row_block(model: FourierModel, Sigma_X) -> np.ndarray:
     return S.reshape(M, K, M, K)[:, 0, :, 0]
 
 
+def _mean_from_weights(model: FourierModel, q: np.ndarray, mu_X) -> float:
+    mu_X = np.asarray(mu_X, dtype=float)
+    return float(_area_norm(model) * (q @ mu_X[0, :]))
+
+
 def area_average_mean(model: FourierModel, mu_X) -> float:
     """Annulus area average of the mean reconstructed field."""
-    mu_X = np.asarray(mu_X, dtype=float)
-    geometry = model.geometry
-    q = _radius_weight_vector(model)
-    norm = 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
-    return float(norm * (q @ mu_X[0, :]))
+    return _mean_from_weights(model, _radius_weight_vector(model), mu_X)
 
 
 def ring_average_covariance(model: FourierModel, Sigma_X, frac, frac_other=None) -> float:
@@ -72,19 +82,20 @@ def ring_average_covariance(model: FourierModel, Sigma_X, frac, frac_other=None)
     return float(w1 @ C00 @ w2)
 
 
-def area_average_variance(model: FourierModel, Sigma_X) -> float:
-    """Variance of the annulus area average of the reconstructed field."""
-    geometry = model.geometry
+def _variance_from_weights(model: FourierModel, q: np.ndarray, Sigma_X) -> float:
     C00 = _constant_row_block(model, Sigma_X)
-    q = _radius_weight_vector(model)
-    norm = 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
-    var = float(norm**2 * (q @ C00 @ q))
+    var = float(_area_norm(model) ** 2 * (q @ C00 @ q))
     if var < 0.0:
         scale = float(np.linalg.norm(np.asarray(Sigma_X, dtype=float)))
         if var < -1e-10 * scale:
             raise NegativeVariance(f"area-average variance {var:.3e} is negative")
         var = 0.0
     return var
+
+
+def area_average_variance(model: FourierModel, Sigma_X) -> float:
+    """Variance of the annulus area average of the reconstructed field."""
+    return _variance_from_weights(model, _radius_weight_vector(model), Sigma_X)
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,7 @@ class AreaAverageResult:
 
 def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageResult:
     """Area-average the propagated field distribution."""
-    mean = area_average_mean(model, field.mu_X)
-    var = area_average_variance(model, field.Sigma_X)
+    q = _radius_weight_vector(model)
+    mean = _mean_from_weights(model, q, field.mu_X)
+    var = _variance_from_weights(model, q, field.Sigma_X)
     return AreaAverageResult(mean, var, 1.96 * float(np.sqrt(var)))

@@ -16,8 +16,17 @@ The uncertainty block is exactly one of ``iid`` (scalar sigma), ``diagonal``
 giving Sigma_B = D rho D). Readings and sigmas must be finite: Python's json
 reads NaN and Infinity as numbers, so they are refused after the schema, as
 is any non-finite number in a station-state or budget file.
-Schema violations raise SchemaError with the offending field path; the CLI
-maps them to exit code 2.
+
+The schemas below are plain JSON Schema dicts, and a small walker checks a
+document against them. It knows only the keywords they use: ``type``,
+``required``, ``properties``, ``additionalProperties: false``, ``items``
+with ``minItems``, ``minProperties`` / ``maxProperties`` and ``minimum``. A
+number is an int or a float, never a bool, and an int too large for a
+double is refused. The walker stops at the first fault it meets and checks
+an object's or array's own keywords before its members, so for a document
+with one fault it names the field jsonschema's best match would name. A
+fault raises SchemaError with the dotted path of that field (the document's
+name for a fault at the top level); the CLI maps it to exit code 2.
 
 Reports are plain dicts serialized with json, which round-trips every float
 bit-exactly.
@@ -29,7 +38,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -133,13 +141,68 @@ BUDGET_SCHEMA = {
 }
 
 
+_CONTAINERS = {"object": dict, "array": list, "string": str}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+
+
+def _type_fault(value, kind: str) -> str:
+    return f"expected {kind}, got {_JSON_NAMES.get(type(value), type(value).__name__)}"
+
+
+def _schema_fault(doc, schema, path):
+    """(path, message) for the first fault of doc against schema, else None.
+
+    An object's or array's own keywords are checked before its members, so a
+    document with one fault names the field jsonschema's best match names.
+    """
+    kind = schema["type"]
+    if kind == "number":
+        if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+            return path, _type_fault(doc, kind)
+        try:
+            float(doc)
+        except OverflowError:
+            return path, "integer is too large for a double"
+        if "minimum" in schema and doc < schema["minimum"]:
+            return path, f"{doc!r} is less than the minimum of {schema['minimum']}"
+        return None
+    if not isinstance(doc, _CONTAINERS[kind]):
+        return path, _type_fault(doc, kind)
+    if kind == "array":
+        if len(doc) < schema.get("minItems", 0):
+            return path, f"needs at least {schema['minItems']} item(s)"
+        items = schema["items"]
+        if items == _NUMBER and set(map(type, doc)) <= {float}:
+            return None  # the common case, a row of JSON floats: one pass over types
+        members = ((index, value, items) for index, value in enumerate(doc))
+    elif kind == "object":
+        properties = schema["properties"]
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return path, f"{key!r} is a required property"
+        if schema.get("additionalProperties", True) is False:
+            for key in doc:
+                if key not in properties:
+                    return path, f"additional property {key!r} is not allowed"
+        low, high = schema.get("minProperties", 0), schema.get("maxProperties", len(doc))
+        if not low <= len(doc) <= high:
+            bounds = f"{low}" if low == high else f"{low} to {high}"
+            return path, f"needs {bounds} of {', '.join(properties)}, got {len(doc)}"
+        members = ((key, value, properties[key]) for key, value in doc.items() if key in properties)
+    else:
+        return None  # a string
+    for key, value, sub in members:
+        fault = _schema_fault(value, sub, path + (key,))
+        if fault is not None:
+            return fault
+    return None
+
+
 def _validate_schema(doc, schema, what: str):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        path = ".".join(str(p) for p in err.absolute_path) or what
-        raise SchemaError(err.message, field=path)
+    fault = _schema_fault(doc, schema, ())
+    if fault is not None:
+        path, message = fault
+        raise SchemaError(message, field=".".join(map(str, path)) or what)
 
 
 def _non_finite_path(obj, path=""):

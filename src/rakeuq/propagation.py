@@ -92,26 +92,16 @@ def _checked_covariance(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _common_variance(d: np.ndarray):
-    """d[0] if every variance in d equals it within tight tolerance, else None."""
-    if d.size == 0 or np.any(d < 0.0):
-        return None
-    scale = float(d[0])
-    if not np.allclose(d, scale, rtol=1e-12, atol=1e-300 + 1e-12 * abs(scale)):
-        return None
-    return scale
+def _exact_iid_sigma(Sigma_B: np.ndarray):
+    """sigma_b if Sigma_B is exactly sigma_b^2 I, else None.
 
-
-def _detect_iid(Sigma_B: np.ndarray):
-    """Return sigma_b if Sigma_B equals sigma_b^2 I within tight tolerance."""
+    Exactly: every off-diagonal entry is zero and every diagonal entry equals
+    the first. No tolerance, so a Sigma_B one ulp away is not iid.
+    """
     d = np.diag(Sigma_B)
-    scale = _common_variance(d)
-    if scale is None:
+    if d.size == 0 or np.any(d != d[0]) or np.count_nonzero(Sigma_B) > np.count_nonzero(d):
         return None
-    off = Sigma_B - np.diag(d)
-    if not np.allclose(off, 0.0, atol=1e-12 * max(scale, 1e-300)):
-        return None
-    return float(np.sqrt(scale))
+    return float(np.sqrt(d[0]))
 
 
 def _measurement_matrix(mu_B) -> np.ndarray:
@@ -138,9 +128,9 @@ def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
 class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
 
-    ``iid_sigma`` is the scalar noise level when Sigma_B = sigma_b^2 I and
-    None otherwise. When it is set, the propagation and the closed forms
-    that require iid noise take Sigma_B to be iid_sigma^2 I.
+    ``iid_sigma`` is the scalar noise level when Sigma_B is exactly
+    sigma_b^2 I and None otherwise. When it is set, the propagation and the
+    closed forms that require iid noise take Sigma_B to be iid_sigma^2 I.
     """
 
     mu_B: np.ndarray
@@ -158,7 +148,7 @@ class MeasurementDistribution:
         object.__setattr__(self, "mu_B", mu)
         object.__setattr__(self, "Sigma_B", S)
         if self.iid_sigma is None:
-            object.__setattr__(self, "iid_sigma", _detect_iid(S))
+            object.__setattr__(self, "iid_sigma", _exact_iid_sigma(S))
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
@@ -181,12 +171,15 @@ class MeasurementDistribution:
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
-        """Independent noise with one sigma per probe, in vec (column) order."""
+        """Independent noise with one sigma per probe, in vec (column) order.
+
+        It is iid exactly when every sigma is equal: with round-to-nearest,
+        sqrt(fl(s^2)) = s unless s^2 underflows, so distinct sigmas square to
+        distinct variances.
+        """
         mu = np.asarray(mu_B, dtype=float)
         sigma = _finite_sigmas(mu, sigma)
-        var = _common_variance(sigma**2)
-        iid_sigma = None if var is None else float(np.sqrt(var))
-        return cls(mu, np.diag(sigma**2), iid_sigma)
+        return cls(mu, np.diag(sigma**2))
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":

@@ -517,6 +517,79 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_only_numpy_and_stdlib():
+    # numpy is the one runtime dependency; jsonschema and scipy are test oracles
+    src = str(Path(rakeuq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import rakeuq.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(out.split())
+    assert {"numpy", "rakeuq"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "rakeuq"}
+
+
+HUGE = 10**400  # valid JSON, but no double holds it
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("measurements.0.0", -HUGE),
+        ("uncertainty.iid.sigma_b", HUGE),
+        ("geometry.r_outer", HUGE),
+        ("geometry.theta_deg.2", HUGE),
+        ("uncertainty.diagonal.sigma.5", HUGE),
+    ],
+)
+def test_fit_rejects_integer_too_large_for_double(tmp_path, capsys, field, value):
+    doc = campaign_doc()
+    doc["uncertainty"] = {"iid": {"sigma_b": SIGMA_B}, "diagonal": {"sigma": [SIGMA_B] * 42}}
+    del doc["uncertainty"]["diagonal" if "iid" in field else "iid"]
+    *parents, last = [int(key) if key.isdigit() else key for key in field.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        io.load_campaign(str(path))
+    assert err.value.field == field
+    assert main(["fit", str(path), "--harmonics", "1,4"]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_efficiency_rejects_integer_too_large_for_double(tmp_path, capsys):
+    state_doc = {
+        "means": {"T01": 1000.0, "T02": 800.0, "P01": HUGE, "P02": 2e5, "gamma": 1.4},
+        "sigmas": {"T01": 2.0, "T02": 2.0, "P01": 500.0, "P02": 500.0, "gamma": 0.001},
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_doc))
+    with pytest.raises(SchemaError) as err:
+        io.load_station_state(str(path))
+    assert err.value.field == "means.P01"
+    assert main(["efficiency", str(path), "--output", str(tmp_path / "eta.json")]) == 2
+    assert "means.P01" in capsys.readouterr().err
+
+
+def test_legacy_rejects_integer_too_large_for_double(tmp_path, capsys):
+    budget = {"components": [{"label": "probe", "value": 1.0}], "samples": [1.0, HUGE, 3.0]}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(budget))
+    with pytest.raises(SchemaError) as err:
+        io.load_budget(str(path))
+    assert err.value.field == "samples.1"
+    assert main(["legacy", str(path), "--output", str(tmp_path / "total.json")]) == 2
+    assert "samples.1" in capsys.readouterr().err
+    assert not (tmp_path / "total.json").exists()
+
+
 def test_fig1_demo_cli(tmp_path, capsys):
     out = tmp_path / "demo.csv"
     code = main(["fig1-demo", "--output", str(out)])

@@ -207,6 +207,23 @@ def test_iid_sigma_detection(engine_data):
     assert even.iid_sigma == pytest.approx(SIGMA_B)
 
 
+def test_iid_classification_is_exact(engine_data):
+    # one ulp apart is a different noise level: no tolerance makes it iid
+    sigma = np.full(42, SIGMA_B)
+    sigma[17] = np.nextafter(SIGMA_B, 1.0)
+    assert MeasurementDistribution.from_diagonal(engine_data, sigma).iid_sigma is None
+    var = np.full(42, SIGMA_B**2)
+    var[17] = np.nextafter(var[17], 1.0)
+    assert MeasurementDistribution(engine_data, np.diag(var)).iid_sigma is None
+    off = SIGMA_B**2 * np.eye(42)
+    off[3, 5] = off[5, 3] = 5e-324
+    assert MeasurementDistribution(engine_data, off).iid_sigma is None
+    # D I D is exactly sigma^2 I, so rho = I with equal sigmas stays iid
+    ident = MeasurementDistribution.from_correlation(engine_data, np.full(42, SIGMA_B), np.eye(42))
+    assert ident.iid_sigma == pytest.approx(SIGMA_B)
+    assert MeasurementDistribution(engine_data, SIGMA_B**2 * np.eye(42)).iid_sigma == pytest.approx(SIGMA_B)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_sigma_rejected(engine_data, bad):
     with pytest.raises(InvalidParams):
