@@ -19,10 +19,16 @@ angles) the fit walks a ladder of ridge penalties, solving
 argmin ||A X - B||_F^2 + lambda^2 ||X||_F^2 with increasing lambda until the
 coefficient spectral norm drops below the guard value beta.
 
+There is one ladder walk, ``_fit_batch``, over a stack of designs: ``fit``
+hands it a stack of one, and the harmonic scan and the rake-placement Monte
+Carlo hand it many. The plain solve (lambda = 0) is tried only for designs
+that are not numerically singular under ``_design_conditioning``; a singular
+design starts at the first rung, because its plain solve is meaningless even
+when it happens to pass the guard.
+
 Angles are degrees at every public interface and radians internally.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,36 +80,36 @@ def design_row(theta_deg, omega) -> np.ndarray:
 def qr_solve(A, B) -> np.ndarray:
     """Least-squares solve via reduced QR; A may be one design or a stack.
 
-    Raises numpy's LinAlgError when R is exactly singular; near-singular
-    designs come back with huge or non-finite entries and are left for the
+    numpy's R has exact zeros below the diagonal, so solving with it fails
+    exactly when a diagonal entry is exactly zero. Such a slice comes back as
+    NaN rather than raising, and the others are solved as usual. Near-singular
+    designs come back with huge or non-finite entries. Both are left for the
     caller's norm guard.
     """
     Q, R = np.linalg.qr(A)
-    return np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ B)
+    QtB = np.swapaxes(Q, -1, -2) @ B
+    singular = (np.diagonal(R, axis1=-2, axis2=-1) == 0.0).any(axis=-1)
+    if not singular.any():
+        return np.linalg.solve(R, QtB)
+    X = np.full(QtB.shape, np.nan)
+    X[~singular] = np.linalg.solve(R[~singular], QtB[~singular])
+    return X
 
 
 def ridge_solve(A, B, lam: float) -> np.ndarray:
     """Ridge least-squares solve min ||AX-B||_F^2 + lam^2 ||X||_F^2 via QR.
 
     Implemented by augmenting A with lam*I so the plain and ridge paths share
-    one factorization routine. Works on a single design or a stack.
+    one factorization routine. Works on a single design or a stack; B
+    broadcasts against the stack.
     """
     if lam == 0.0:
         return qr_solve(A, B)
-    ncoef = A.shape[-1]
-    eye = lam * np.eye(ncoef)
-    if A.ndim == 2:
-        A_aug = np.concatenate([A, eye], axis=0)
-    else:
-        A_aug = np.concatenate([A, np.broadcast_to(eye, A.shape[:-2] + eye.shape)], axis=-2)
-    pad = np.zeros((ncoef, B.shape[-1]))
-    if B.ndim > 2 or A.ndim > 2:
-        B = np.broadcast_to(B, A.shape[:-2] + B.shape[-2:]) if B.ndim == 2 else B
-        pad = np.broadcast_to(pad, B.shape[:-2] + pad.shape)
-        B_aug = np.concatenate([B, pad], axis=-2)
-    else:
-        B_aug = np.concatenate([B, pad], axis=0)
-    return qr_solve(A_aug, B_aug)
+    batch, ncoef = A.shape[:-2], A.shape[-1]
+    eye = np.broadcast_to(lam * np.eye(ncoef), batch + (ncoef, ncoef))
+    B = np.broadcast_to(B, batch + B.shape[-2:])
+    pad = np.zeros(batch + (ncoef, B.shape[-1]))
+    return qr_solve(np.concatenate([A, eye], axis=-2), np.concatenate([B, pad], axis=-2))
 
 
 def _natural_curvatures(s) -> np.ndarray:
@@ -218,6 +224,53 @@ def _design_conditioning(A):
     return ratio**2, singular
 
 
+def _spectral_norms(X: np.ndarray) -> np.ndarray:
+    """||X_i||_2 for every slice of a (b, K, M) stack; inf where non-finite.
+
+    ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T. Each
+    slice is first divided by the power of two just above its largest entry:
+    exact, and the Gram matrix cannot overflow.
+    """
+    norms = np.full(X.shape[0], np.inf)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if np.any(finite):
+        Xf = X[finite]
+        scale = np.ldexp(1.0, np.frexp(np.abs(Xf).max(axis=(1, 2)))[1])
+        Xs = Xf / scale[:, None, None]
+        top = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))[..., -1]
+        norms[finite] = scale * np.sqrt(np.maximum(top, 0.0))
+    return norms
+
+
+def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
+    """Fit every design in a stack, walking the ridge ladder rung by rung.
+
+    ``guard`` supplies ``lambda_ladder`` and ``beta``: a FourierModel, or a
+    ``_RidgeGuard``. ``plain`` (a bool, or a mask over the stack) marks the
+    slices that first try lambda = 0; the rest go straight to the ladder, as
+    a numerically singular design must. Each rung is one stacked
+    ``ridge_solve`` over the slices still failing, kept where the spectral
+    norm is below beta. Returns (X (b, K, M), lambdas (b,), ok mask (b,));
+    failed slices keep lambda 0 and NaN coefficients.
+    """
+    size = A_stack.shape[0]
+    X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
+    lambdas = np.zeros(size)
+    ok = np.zeros(size, dtype=bool)
+    rungs = [(0.0, np.broadcast_to(plain, (size,)))] + [(lam, True) for lam in guard.lambda_ladder]
+    for lam, allowed in rungs:
+        todo = allowed & ~ok
+        if not todo.any():
+            continue
+        cand = ridge_solve(A_stack[todo], B, lam)
+        good = _spectral_norms(cand) < guard.beta
+        idx = np.nonzero(todo)[0][good]
+        X[idx] = cand[good]
+        lambdas[idx] = lam
+        ok[idx] = True
+    return X, lambdas, ok
+
+
 @dataclass(frozen=True)
 class FourierModel:
     """Design matrix, pseudoinverse and fit configuration for one geometry.
@@ -298,24 +351,19 @@ class CoefficientMatrix:
 
     @property
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.X, 2))
-
-
-def coefficient_norm(X) -> float:
-    """Spectral norm used by the fit guard; non-finite inputs map to inf."""
-    X = np.asarray(X)
-    if not np.all(np.isfinite(X)):
-        return math.inf
-    return float(np.linalg.norm(X, 2))
+        """||X||_2, measured as the fit guard measures it."""
+        return float(_spectral_norms(self.X[None])[0])
 
 
 def fit(model: FourierModel, B) -> CoefficientMatrix:
     """Fit coefficients to an N x M measurement matrix.
 
-    Tries the plain least-squares solution first; if its spectral norm
-    reaches the model's beta guard (or the design is singular), walks the
-    ridge ladder and returns the first solution below the guard. Raises
-    RegularizationExhausted when no ladder entry succeeds.
+    Tries the plain least-squares solution first, unless the design is
+    numerically singular; if its spectral norm reaches the model's beta
+    guard, walks the ridge ladder and returns the first solution below the
+    guard. A rung whose R is exactly singular gives NaN coefficients, which
+    the guard rejects like any other failure. Raises RegularizationExhausted
+    when no ladder entry succeeds.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -324,20 +372,15 @@ def fit(model: FourierModel, B) -> CoefficientMatrix:
         raise DimensionMismatch(
             f"measurements must be {model.n_rakes} x {model.n_stations}, got {B.shape}"
         )
-    candidates = [0.0] if model.P is not None else []
-    candidates += list(model.lambda_ladder)
-    if not candidates:
+    plain = model.P is not None
+    if not plain and not model.lambda_ladder:
         raise SingularDesign("singular design and empty ladder")
-    for lam in candidates:
-        try:
-            X = ridge_solve(model.A, B, lam)
-        except np.linalg.LinAlgError:
-            continue
-        if coefficient_norm(X) < model.beta:
-            return CoefficientMatrix(X, lam)
-    raise RegularizationExhausted(
-        f"no ladder entry brought ||X||_2 below beta={model.beta}"
-    )
+    X, lambdas, ok = _fit_batch(model, model.A[None], B, plain=plain)
+    if not ok[0]:
+        raise RegularizationExhausted(
+            f"no ladder entry brought ||X||_2 below beta={model.beta}"
+        )
+    return CoefficientMatrix(X[0], float(lambdas[0]))
 
 
 def predict_point(model: FourierModel, X, r_frac, theta_deg):

@@ -17,9 +17,12 @@ Two sampling studies share the sampler:
 ``frequency_scan`` ranks every unordered harmonic pair by the expected
 sampling metric, in closed form: all pairs' designs are stacked into one
 (P, N, 5) array, and the exact mean comes from each pair's N x N residual
-map. The scan and the rake engine fit their stacks through one ridge-ladder
-walk, ``_fit_batch``: each rung is a single stacked ridge solve over the
-slices that still break the norm guard.
+map. The scan and the rake engine fit their stacks through the fit module's
+one ridge-ladder walk, ``fourier._fit_batch``, which ``fit`` also uses: each
+rung is a single stacked ridge solve over the slices that still break the
+norm guard. The scan skips lambda = 0 for each singular pair; the rake
+engine takes that rule from the nominal design, so every draw tries the
+same rungs as the deterministic fit.
 
 Neither sampling engine evaluates a grid per draw. Every grid value is
 linear in the draw's K x M coefficients X, so its sample mean and variance
@@ -55,6 +58,7 @@ from .fourier import (
     DEFAULT_LADDER,
     FourierModel,
     _design_conditioning,
+    _fit_batch,
     _ridge_guard,
     design_matrix,
     ridge_solve,
@@ -300,10 +304,11 @@ def frequency_scan(
     one design over the harmonics 1..max_freq. One batched SVD gives each
     pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
     tolerance, and ``_fit_batch`` fits the mean measurements for all pairs
-    in one rung-by-rung ladder walk, the one the rake engine uses; singular
-    pairs skip lambda = 0, as ``fit`` does. The exact mu(eps_p^2) under iid
-    noise sigma_b then needs only the N x N residual map K = A P(lambda) - I
-    of each pair, one stacked pseudoinverse per rung used:
+    in one rung-by-rung ladder walk, the one ``fit`` and the rake engine
+    use; singular pairs skip lambda = 0, as ``fit`` does. The exact
+    mu(eps_p^2) under iid noise sigma_b then needs only the N x N residual
+    map K = A P(lambda) - I of each pair, one stacked pseudoinverse per rung
+    used:
 
         mu(eps_p^2) = (sigma_b^2 M ||K||_F^2 + ||K mu_B||_F^2) / NM.
 
@@ -365,68 +370,6 @@ class RakeMCResult:
     n_failed: int
 
 
-def _spectral_norms(X: np.ndarray) -> np.ndarray:
-    """||X_i||_2 for every slice of a (b, K, M) stack; inf where non-finite.
-
-    ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T. Each
-    slice is first divided by the power of two just above its largest entry:
-    exact, and the Gram matrix cannot overflow.
-    """
-    norms = np.full(X.shape[0], np.inf)
-    finite = np.isfinite(X).all(axis=(1, 2))
-    if np.any(finite):
-        Xf = X[finite]
-        scale = np.ldexp(1.0, np.frexp(np.abs(Xf).max(axis=(1, 2)))[1])
-        Xs = Xf / scale[:, None, None]
-        top = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))[..., -1]
-        norms[finite] = scale * np.sqrt(np.maximum(top, 0.0))
-    return norms
-
-
-def _solve_stack(A_stack: np.ndarray, B: np.ndarray, lam: float) -> np.ndarray:
-    """ridge_solve over a stack; a slice whose R is exactly singular gets NaN."""
-    try:
-        return ridge_solve(A_stack, B, lam)
-    except np.linalg.LinAlgError:
-        out = np.full(A_stack.shape[:1] + (A_stack.shape[-1], B.shape[-1]), np.nan)
-        for i, A in enumerate(A_stack):
-            try:
-                out[i] = ridge_solve(A, B, lam)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=None):
-    """Fit every design in a stack, walking the ridge ladder rung by rung.
-
-    ``guard`` supplies ``lambda_ladder`` and ``beta``: a FourierModel, or a
-    ``_RidgeGuard``. Slices in the ``plain`` mask (default: all) first try
-    lambda = 0; the rest go straight to the ladder, as ``fit`` does with a
-    numerically singular design. Each rung is one stacked ``ridge_solve``
-    over the slices still failing, kept where the spectral norm is below
-    beta. Returns (X (b, K, M), lambdas (b,), ok mask (b,)); failed slices
-    keep lambda 0 and NaN coefficients.
-    """
-    size = A_stack.shape[0]
-    X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
-    lambdas = np.zeros(size)
-    ok = np.zeros(size, dtype=bool)
-    everyone = np.ones(size, dtype=bool)
-    plain = everyone if plain is None else np.asarray(plain, dtype=bool)
-    for lam, allowed in [(0.0, plain)] + [(lam, everyone) for lam in guard.lambda_ladder]:
-        todo = allowed & ~ok
-        if not todo.any():
-            continue
-        cand = _solve_stack(A_stack[todo], B, lam)
-        good = _spectral_norms(cand) < guard.beta
-        idx = np.nonzero(todo)[0][good]
-        X[idx] = cand[good]
-        lambdas[idx] = lam
-        ok[idx] = True
-    return X, lambdas, ok
-
-
 def rake_position_mc(
     model: FourierModel,
     B,
@@ -475,9 +418,12 @@ def rake_position_mc(
 
     # Fit at the nominal angles, the origin of the coefficient deviations.
     # These are exactly zero when Sigma_theta = 0, so the degenerate case
-    # reproduces the deterministic prediction grid bit for bit.
+    # reproduces the deterministic prediction grid bit for bit. The nominal
+    # design decides, as in ``fit``, whether any fit tries lambda = 0.
     K, M = model.n_coeffs, model.n_stations
-    X_nom, _, ok_nom = _fit_batch(model, design_matrix(mu_theta, omega)[None], B)
+    A_nom = design_matrix(mu_theta, omega)
+    plain = not _design_conditioning(A_nom)[1]
+    X_nom, _, ok_nom = _fit_batch(model, A_nom[None], B, plain=plain)
     X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
     G_ref = A_pred @ X_ref
 
@@ -486,7 +432,7 @@ def rake_position_mc(
         z = _standard_draws(rng, size, N, config.antithetic)
         thetas = np.mod(mu_theta + z @ L.T, 360.0)
         A_stack = design_matrix(thetas, omega)
-        X, lambdas, ok = _fit_batch(model, A_stack, B)
+        X, lambdas, ok = _fit_batch(model, A_stack, B, plain=plain)
         return X[ok], lambdas[ok], int(np.sum(~ok))
 
     children, sizes = _batch_plan(config)

@@ -16,6 +16,7 @@ from rakeuq import (
     predict_point,
     station_predictions,
 )
+from rakeuq.fourier import _fit_batch, qr_solve
 
 from conftest import BETA, ENGINE_THETA, STATIONS, coefficient_truth
 
@@ -124,6 +125,25 @@ def test_ridge_shrinks_toward_zero(engine_model, engine_data):
         P_lam = engine_model.pseudoinverse(lam)
         norms.append(np.linalg.norm(P_lam @ engine_data, 2))
     assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+def test_exactly_singular_slice_in_a_stack(engine_model, engine_data):
+    # slice 1 has an exactly zero column, so its R has an exactly zero
+    # diagonal entry: NaN from the plain solve, first rung from the ladder
+    A_stack = design_matrix(ENGINE_THETA + np.array([[0.0], [0.0], [1.0]]), (1, 4))
+    A_stack[1, :, 3] = 0.0
+    plain = qr_solve(A_stack, engine_data)
+    assert np.isnan(plain[1]).all()
+    assert np.isfinite(plain[[0, 2]]).all()
+    X, lambdas, ok = _fit_batch(engine_model, A_stack, engine_data)
+    assert ok.all()
+    assert lambdas.tolist() == [0.0, engine_model.lambda_ladder[0], 0.0]
+    for i in (0, 2):
+        np.testing.assert_array_equal(plain[i], qr_solve(A_stack[i], engine_data))
+        alone, lam, _ = _fit_batch(engine_model, A_stack[i : i + 1], engine_data)
+        np.testing.assert_array_equal(X[i], alone[0])
+        assert lambdas[i] == lam[0]
+    np.testing.assert_array_equal(X[0], fit(engine_model, engine_data).X)
 
 
 @given(

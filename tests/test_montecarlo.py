@@ -450,6 +450,24 @@ def test_rake_mc_zero_scatter_bit_exact(engine_model, engine_data):
     assert res.n_failed == 0
 
 
+def test_rake_mc_singular_nominal_design_follows_fit():
+    # (2, 8) aliases on the paper lattice: fit() skips lambda = 0, and so
+    # must the nominal fit and every draw, or the zero-scatter grid is the
+    # meaningless plain solve rather than the deterministic prediction
+    geometry = AnnulusGeometry(ENGINE_THETA, STATIONS, R_INNER, R_OUTER)
+    model = build_design_matrix(geometry, HarmonicSet((2, 8)), beta=BETA)
+    assert model.P is None
+    B = model.A @ np.random.default_rng(3).standard_normal((5, 7))
+    coeffs = fit(model, B)
+    assert coeffs.lambda_used == model.lambda_ladder[0]
+    res = rake_position_mc(model, B, 0.0, SamplerConfig(seed=5, n_samples=64))
+    assert res.n_failed == 0
+    assert (res.coefficients == coeffs.X).all()
+    assert (res.lambdas == coeffs.lambda_used).all()
+    det = station_predictions(coeffs.X, res.theta_pred_deg, (2, 8))
+    np.testing.assert_array_equal(res.grid_mean, det)
+
+
 def test_rake_mc_variance_grows_with_scatter(engine_model, engine_data):
     lo = rake_position_mc(
         engine_model,
