@@ -17,18 +17,24 @@ X = argmin ||A X - B||_F^2, where row n of the design matrix A is a(theta_n)^T.
 When A^T A is ill-conditioned (few rakes, aliased harmonics, nearly coincident
 angles) the fit walks a ladder of ridge penalties, solving
 argmin ||A X - B||_F^2 + lambda^2 ||X||_F^2 with increasing lambda until the
-coefficient spectral norm drops below the guard value beta.
+coefficient spectral norm drops below the guard value beta. The guard reads
+the Frobenius norm first, since ||X||_F / sqrt(min(K, M)) <= ||X||_2 <=
+||X||_F, and computes the exact spectral norm only for coefficients whose
+Frobenius norm leaves the decision open.
 
 There is one ladder walk, ``_fit_batch``, over a stack of designs: ``fit``
 hands it a stack of one, and the harmonic scan and the rake-placement Monte
-Carlo hand it many. The plain solve (lambda = 0) is tried only for designs
-that are not numerically singular under ``_design_conditioning``; a singular
-design starts at the first rung, because its plain solve is meaningless even
-when it happens to pass the guard.
+Carlo hand it many. Each rung is a stacked QR factorization followed by one
+back-substitution vectorised over the whole stack. The plain solve
+(lambda = 0) is tried only for designs that are not numerically singular
+under ``_design_conditioning``; a singular design starts at the first rung,
+because its plain solve is meaningless even when it happens to pass the
+guard.
 
 Angles are degrees at every public interface and radians internally.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,36 +86,59 @@ def design_row(theta_deg, omega) -> np.ndarray:
 def qr_solve(A, B) -> np.ndarray:
     """Least-squares solve via reduced QR; A may be one design or a stack.
 
-    numpy's R has exact zeros below the diagonal, so solving with it fails
-    exactly when a diagonal entry is exactly zero. Such a slice comes back as
-    NaN rather than raising, and the others are solved as usual. Near-singular
-    designs come back with huge or non-finite entries. Both are left for the
-    caller's norm guard.
+    R is solved by back-substitution with the stack axes moved last, so each
+    of its K steps is a few elementwise operations over the whole stack and
+    every slice equals the same design solved alone, bit for bit. numpy's R
+    has exact zeros below the diagonal, so the solve breaks down exactly when
+    a diagonal entry is exactly zero: such a slice comes back as NaN, and the
+    others are solved as usual. Near-singular designs come back with huge or
+    non-finite entries. Both are left for the caller's norm guard. B may
+    have fewer rows than A; its missing rows are read as zeros.
     """
+    if np.ndim(B) == 1:
+        return qr_solve(A, np.asarray(B)[:, None])[..., 0]
     Q, R = np.linalg.qr(A)
-    QtB = np.swapaxes(Q, -1, -2) @ B
-    singular = (np.diagonal(R, axis1=-2, axis2=-1) == 0.0).any(axis=-1)
-    if not singular.any():
-        return np.linalg.solve(R, QtB)
-    X = np.full(QtB.shape, np.nan)
-    X[~singular] = np.linalg.solve(R[~singular], QtB[~singular])
-    return X
+    QtB = np.swapaxes(Q[..., : B.shape[-2], :], -1, -2) @ B
+    n = R.ndim
+    stack_last = (n - 2, n - 1) + tuple(range(n - 2))
+    X = _back_substitute(R.transpose(stack_last).copy(), QtB.transpose(stack_last).copy())
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    if not diag.all():
+        X[..., (diag == 0.0).any(axis=-1)] = np.nan
+    return np.ascontiguousarray(X.transpose(tuple(range(2, n)) + (0, 1)))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _back_substitute(R, Y):
+    """Solve R X = Y in place, R upper triangular (K, K, ...), Y (K, m, ...).
+
+    Column by column from the last: x_k = y_k / r_kk, then r_ik x_k is
+    subtracted from every row i above. A zero r_kk gives inf or NaN without
+    a warning, as do overflowing near-singular slices; the caller masks the
+    former.
+    """
+    for k in range(R.shape[0] - 1, -1, -1):
+        Y[k] /= R[k, k]
+        if k:
+            Y[:k] -= R[:k, k, None] * Y[k]
+    return Y
 
 
 def ridge_solve(A, B, lam: float) -> np.ndarray:
     """Ridge least-squares solve min ||AX-B||_F^2 + lam^2 ||X||_F^2 via QR.
 
     Implemented by augmenting A with lam*I so the plain and ridge paths share
-    one factorization routine. Works on a single design or a stack; B
+    one factorization routine; B is not padded, since ``qr_solve`` reads its
+    missing rows as zeros. Works on a single design or a stack; B
     broadcasts against the stack.
     """
     if lam == 0.0:
         return qr_solve(A, B)
-    batch, ncoef = A.shape[:-2], A.shape[-1]
-    eye = np.broadcast_to(lam * np.eye(ncoef), batch + (ncoef, ncoef))
-    B = np.broadcast_to(B, batch + B.shape[-2:])
-    pad = np.zeros(batch + (ncoef, B.shape[-1]))
-    return qr_solve(np.concatenate([A, eye], axis=-2), np.concatenate([B, pad], axis=-2))
+    nrows, ncoef = A.shape[-2:]
+    augmented = np.zeros(A.shape[:-2] + (nrows + ncoef, ncoef))
+    augmented[..., :nrows, :] = A
+    augmented[..., nrows:, :] = lam * np.eye(ncoef)
+    return qr_solve(augmented, B)
 
 
 def _natural_curvatures(s) -> np.ndarray:
@@ -229,7 +258,8 @@ def _spectral_norms(X: np.ndarray) -> np.ndarray:
 
     ||X||_2^2 is the largest eigenvalue of the K x K Gram matrix X X^T. Each
     slice is first divided by the power of two just above its largest entry:
-    exact, and the Gram matrix cannot overflow.
+    exact, and the Gram matrix cannot overflow. The fit guard calls this only
+    for the slices its Frobenius screen cannot decide (``_below_beta``).
     """
     norms = np.full(X.shape[0], np.inf)
     finite = np.isfinite(X).all(axis=(1, 2))
@@ -242,6 +272,37 @@ def _spectral_norms(X: np.ndarray) -> np.ndarray:
     return norms
 
 
+# Relative margin of the Frobenius screen, far above the rounding error of
+# either norm (a few hundred ulps at K = 21), so the screen decides exactly
+# as the exact norm would.
+_SCREEN_MARGIN = 1e-12
+# Below this Frobenius norm the squared entries may have underflowed, so the
+# computed f can be far below the true one; such slices are accepted only
+# when beta exceeds the floor itself.
+_SCREEN_FLOOR = 1e-140
+
+
+def _below_beta(X: np.ndarray, beta: float) -> np.ndarray:
+    """The guard's accept mask, ``_spectral_norms(X) < beta``, screened.
+
+    With f = ||X||_F and r = min(K, M), f / sqrt(r) <= ||X||_2 <= f (Golub
+    & Van Loan, Matrix Computations, 2.3). A slice is accepted when
+    max(f, floor) (1 + margin) < beta and rejected when f is finite and
+    f / sqrt(r) >= beta (1 + margin); the margin exceeds the rounding error
+    of both norms, so either decision is the exact norm's. Only the slices
+    in between, those whose f overflowed and those holding NaN or inf go to
+    the exact ``_spectral_norms``.
+    """
+    beta = float(beta)  # a Python float: the bounds may overflow to inf quietly
+    f = np.sqrt(np.einsum("bij,bij->b", X, X))
+    accept = np.maximum(f, _SCREEN_FLOOR) < beta / (1.0 + _SCREEN_MARGIN)
+    reject = np.isfinite(f) & (f >= math.sqrt(min(X.shape[1:])) * beta * (1.0 + _SCREEN_MARGIN))
+    band = ~(accept | reject)
+    if band.any():
+        accept[band] = _spectral_norms(X[band]) < beta
+    return accept
+
+
 def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
     """Fit every design in a stack, walking the ridge ladder rung by rung.
 
@@ -250,8 +311,11 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
     slices that first try lambda = 0; the rest go straight to the ladder, as
     a numerically singular design must. Each rung is one stacked
     ``ridge_solve`` over the slices still failing, kept where the spectral
-    norm is below beta. Returns (X (b, K, M), lambdas (b,), ok mask (b,));
-    failed slices keep lambda 0 and NaN coefficients.
+    norm is below beta; ``_below_beta`` decides that by the Frobenius screen
+    and takes the exact norm only for the slices the screen cannot decide.
+    A rung over every slice skips the gathers. Returns (X (b, K, M),
+    lambdas (b,), ok mask (b,)); failed slices keep lambda 0 and NaN
+    coefficients.
     """
     size = A_stack.shape[0]
     X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
@@ -262,9 +326,10 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
         todo = allowed & ~ok
         if not todo.any():
             continue
-        cand = ridge_solve(A_stack[todo], B, lam)
-        good = _spectral_norms(cand) < guard.beta
-        idx = np.nonzero(todo)[0][good]
+        every = todo.all()
+        cand = ridge_solve(A_stack if every else A_stack[todo], B, lam)
+        good = _below_beta(cand, guard.beta)
+        idx = np.nonzero(good)[0] if every else np.nonzero(todo)[0][good]
         X[idx] = cand[good]
         lambdas[idx] = lam
         ok[idx] = True

@@ -20,7 +20,9 @@ sampling metric, in closed form: all pairs' designs are stacked into one
 map. The scan and the rake engine fit their stacks through the fit module's
 one ridge-ladder walk, ``fourier._fit_batch``, which ``fit`` also uses: each
 rung is a single stacked ridge solve over the slices that still break the
-norm guard. The scan skips lambda = 0 for each singular pair; the rake
+norm guard. The guard decides most slices from their Frobenius norm and
+takes the exact spectral norm only for those close to beta, so a stack of
+draws well inside the guard costs no per-slice eigenvalue call. The scan skips lambda = 0 for each singular pair; the rake
 engine takes that rule from the nominal design, so every draw tries the
 same rungs as the deterministic fit.
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, assume, strategies as st
@@ -16,7 +19,14 @@ from rakeuq import (
     predict_point,
     station_predictions,
 )
-from rakeuq.fourier import _fit_batch, qr_solve
+from rakeuq.fourier import (
+    _back_substitute,
+    _below_beta,
+    _fit_batch,
+    _spectral_norms,
+    qr_solve,
+    ridge_solve,
+)
 
 from conftest import BETA, ENGINE_THETA, STATIONS, coefficient_truth
 
@@ -144,6 +154,98 @@ def test_exactly_singular_slice_in_a_stack(engine_model, engine_data):
         np.testing.assert_array_equal(X[i], alone[0])
         assert lambdas[i] == lam[0]
     np.testing.assert_array_equal(X[0], fit(engine_model, engine_data).X)
+
+
+def _triangular_stack(rng, K, size):
+    """Well-conditioned upper-triangular K x K slices: diagonal entries of
+    magnitude 1 to 2 and either sign, off-diagonal entries below 1/K."""
+    R = np.triu(rng.uniform(-1.0, 1.0, (size, K, K))) / K
+    idx = np.arange(K)
+    R[:, idx, idx] = rng.choice([-1.0, 1.0], (size, K)) * rng.uniform(1.0, 2.0, (size, K))
+    return R
+
+
+@pytest.mark.parametrize("nrhs", [1, 4])
+@pytest.mark.parametrize("K", [1, 3, 5, 11, 21])
+def test_back_substitution_matches_lapack(K, nrhs):
+    rng = np.random.default_rng(100 * K + nrhs)
+    R = _triangular_stack(rng, K, 6)
+    Y = rng.standard_normal((6, K, nrhs))
+    ref = np.linalg.solve(R, Y)
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    # the kernel itself, stack axis last
+    X = _back_substitute(R.transpose(1, 2, 0).copy(), Y.transpose(1, 2, 0).copy())
+    assert np.abs(X.transpose(2, 0, 1) - ref).max(axis=(1, 2)).max() <= 1e-13 * scale.min()
+    # qr_solve on the triangular designs, as a stack and slice by slice
+    stacked = qr_solve(R, Y)
+    assert stacked.shape == ref.shape
+    assert np.all(np.abs(stacked - ref) <= 1e-13 * scale)
+    for i in range(6):
+        alone = qr_solve(R[i], Y[i])
+        assert alone.shape == (K, nrhs)
+        np.testing.assert_array_equal(alone, stacked[i])
+    np.testing.assert_array_equal(qr_solve(R[0], Y[0, :, 0]), stacked[0, :, 0])
+
+
+def test_back_substitution_zero_pivot_is_nan_without_warning():
+    rng = np.random.default_rng(7)
+    R = _triangular_stack(rng, 5, 4)
+    R[2, 3, 3] = 0.0  # a triangular design keeps its exact zero in QR's R
+    B = rng.standard_normal((5, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = qr_solve(R, B)
+        alone = qr_solve(R[2], B)
+    assert np.isnan(X[2]).all() and np.isnan(alone).all()
+    assert np.isfinite(X[[0, 1, 3]]).all()
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(X[i], qr_solve(R[i], B))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 0.1, 10.0])
+def test_ridge_solve_stack_matches_each_slice(lam):
+    rng = np.random.default_rng(11)
+    A_stack = design_matrix(ENGINE_THETA + rng.uniform(-2.0, 2.0, (5, 6)), (1, 4))
+    B = design_matrix(ENGINE_THETA, (1, 4)) @ coefficient_truth()
+    X = ridge_solve(A_stack, B, lam)
+    assert X.shape == (5, 5, STATIONS.size)
+    for i in range(5):
+        np.testing.assert_array_equal(X[i], ridge_solve(A_stack[i], B, lam))
+
+
+def _screen_stack(rng, K=5, M=7):
+    """Slices at the edges of the Frobenius screen, over 600 decades.
+
+    Rank-1 slices have ||X||_F = ||X||_2; slices with flat singular values
+    have ||X||_F = sqrt(min(K, M)) ||X||_2. Non-finite, zero and overflowing
+    slices close the stack."""
+    r = min(K, M)
+    u, v = rng.standard_normal(K), rng.standard_normal(M)
+    rank1 = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    Q1 = np.linalg.qr(rng.standard_normal((K, r)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((M, r)))[0]
+    flat = Q1 @ Q2.T
+    general = rng.standard_normal((K, M))
+    slices = [
+        10.0**e * shape for e in range(-300, 301, 50) for shape in (rank1, flat, general)
+    ]
+    nan, inf, one_inf = np.full((K, M), np.nan), np.full((K, M), np.inf), general.copy()
+    one_inf[1, 2] = -np.inf
+    slices += [np.zeros((K, M)), nan, inf, one_inf, 1e200 * general, 1.3e308 * rank1]
+    return np.stack(slices)
+
+
+def test_frobenius_screen_never_changes_a_guard_decision():
+    X = _screen_stack(np.random.default_rng(3))
+    exact = _spectral_norms(X)
+    f = np.sqrt(np.einsum("bij,bij->b", X, X))
+    r = math.sqrt(min(X.shape[1:]))
+    edges = [e for e in np.concatenate([exact, f, f / r]) if 0.0 < e < np.inf]
+    steps = [1.0 + k * np.finfo(float).eps for k in range(-4, 5)]
+    steps += [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 2e-12, 1.0 + 2e-12]
+    betas = sorted({e * s for e in edges for s in steps} | {5e-324, 1e-140, 1.0, np.inf})
+    for beta in betas:
+        np.testing.assert_array_equal(_below_beta(X, beta), exact < beta, err_msg=f"beta={beta!r}")
 
 
 @given(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rakeuq.fourier as fourier_mod
 import rakeuq.montecarlo as mc_mod
 from rakeuq import (
     AnnulusGeometry,
@@ -29,7 +30,7 @@ from rakeuq import (
     sample_mvn,
     station_predictions,
 )
-from rakeuq.fourier import _RidgeGuard
+from rakeuq.fourier import _RidgeGuard, _spectral_norms
 from rakeuq.residuals import _residual_power_moments
 
 from conftest import (
@@ -267,6 +268,28 @@ def test_scan_aliased_lattice_pairs_inflate(engine_geometry, engine_data):
         assert by_pair[pair].cond_AtA > 1e12
         assert by_pair[pair].lambda_used > 0.0
         assert by_pair[pair].mean_eps > 100.0 * clean.mean_eps
+
+
+def test_scan_aliased_pairs_tie_in_either_order(engine_geometry, engine_data):
+    # the engine rakes sit at 18 + 36 j degrees, ten lattice points per turn,
+    # so harmonic w and 10 - w give the same columns up to sign (w = 10 gives
+    # the intercept and a zero column): pairs whose harmonics fall in the
+    # same classes share a column space up to a signed column permutation,
+    # and their means agree in exact arithmetic. Rounding may rank them
+    # either way, so only the agreement and the exact sort key are asserted.
+    result = frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
+    groups = {}
+    for e in result.entries:
+        groups.setdefault(tuple(sorted(min(w % 10, -w % 10) for w in e.omega)), []).append(e)
+    tied = [g for g in groups.values() if len(g) > 1]
+    assert len(tied) >= 10
+    assert {(3, 10), (7, 10)} <= {e.omega for g in tied for e in g}
+    for g in tied:
+        assert len({e.lambda_used for e in g}) == 1
+        for e in g[1:]:
+            assert e.mean_eps == pytest.approx(g[0].mean_eps, rel=1e-12, abs=0.0)
+    keys = [(e.mean_eps, e.omega) for e in result.entries]
+    assert keys == sorted(keys)
 
 
 def test_scan_input_validation(scan_geometry):
@@ -565,6 +588,54 @@ def test_fit_batch_norm_guard_past_gram_overflow(engine_geometry, engine_data):
         X, lambdas, ok = mc_mod._fit_batch(model, A_stack, 1e200 * engine_data)
         assert ok.tolist() == [accepted, accepted]
         assert np.all(lambdas == 0.0)
+
+
+def test_rake_mc_screen_matches_exact_norm(engine_geometry, engine_data, monkeypatch):
+    # at 2 degrees of scatter the draws' spectral norms spread over about
+    # 1394 to 1397, so this beta accepts some plain fits, sends others up
+    # the ladder and lets a few exhaust it
+    model = build_design_matrix(
+        engine_geometry, HarmonicSet((1, 4)), beta=1396.0, lambda_ladder=(1e-3, 0.03)
+    )
+
+    def run():
+        return rake_position_mc(
+            model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=1000),
+            n_prediction=36, max_failure_fraction=0.5,
+        )
+
+    screened = run()
+    monkeypatch.setattr(fourier_mod, "_below_beta", lambda X, beta: _spectral_norms(X) < beta)
+    exact = run()
+    assert screened.n_failed == exact.n_failed > 0
+    assert set(exact.lambdas.tolist()) == {0.0, 1e-3, 0.03}
+    np.testing.assert_array_equal(screened.lambdas, exact.lambdas)
+    np.testing.assert_array_equal(screened.coefficients, exact.coefficients)
+    np.testing.assert_array_equal(screened.grid_var, exact.grid_var)
+
+
+def test_rake_mc_makes_no_per_slice_lapack_calls(engine_model, engine_data, monkeypatch):
+    # every draw's norm is far below beta, so the Frobenius screen decides
+    # them all, and the triangular solves are back-substitution
+    calls = {"solve": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    res = rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=4096))
+    assert res.n_failed == 0
+    assert calls == {"solve": 0, "eigvalsh": 0}
+    # the counters do see calls: the reported norm is the exact one
+    fit(engine_model, engine_data).spectral_norm
+    assert calls["eigvalsh"] == 1
 
 
 def test_rake_mc_aborts_when_fits_fail(engine_geometry, engine_data):
