@@ -12,23 +12,32 @@ vec(X) = (I_M kron P) vec(B), and first/second moments push through exactly:
 
 F is the fitted value at the rakes and R = F - B the fit residual.
 
-All three covariances come from one congruence primitive that works on the
-small block T in {P, A, AP - I} and never forms I_M kron T:
+Every covariance is carried in the block form of Sigma_B, read from
+Sigma_B itself when the MeasurementDistribution is built:
 
-- iid noise, Sigma_B = sigma_b^2 I: the result is sigma_b^2 (I_M kron T T^T),
-  built from the one small block T T^T;
-- any other Sigma: it is viewed as an (M, N, M, N) array and T is contracted
-  into its two N axes, at most O(N^3 M^2) work instead of O((NM)^3).
+- when every cross-station block of Sigma_B is exactly zero (iid noise,
+  diagonal noise, correlation within a station), as its M diagonal N x N
+  blocks S_m, and each congruence is the stack of small blocks T S_m T^T for
+  T in {P, AP - I}; for iid noise one sigma_b^2 I block stands for all M
+  stations (a broadcast, not a copy), so one T T^T is formed;
+- otherwise as one NM x NM block, viewed as an (M, N, M, N) array with T
+  contracted into its two N axes, O(N^3 M^2) work instead of O((NM)^3).
+
+No reported number needs a dense NM x NM matrix: the residual moments and
+the chi-square law read the blocks, and the area average and the predictive
+grid read the KM x KM Sigma_X, which is assembled at once. The dense
+Sigma_B, Sigma_F and Sigma_R are built on first read only.
 
 Only the user's Sigma_B is checked for PSD, when the MeasurementDistribution
 is built (Cholesky first, the eigenvalue check of ensure_psd as fallback;
 from_iid needs no check). A congruence of a PSD matrix is PSD, so the
-propagated covariances are only symmetrized. The outputs stay dense arrays.
+propagated covariances are only symmetrized.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,38 +133,86 @@ def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
     return sigma
 
 
+def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int) -> np.ndarray:
+    """sigma_b^2 I as station blocks: one N x N block broadcast M times."""
+    return np.broadcast_to(sigma_b**2 * np.eye(n_rakes), (n_stations, n_rakes, n_rakes))
+
+
+def _station_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
+    """Sigma's blocks: its M diagonal N x N blocks, or the whole of it.
+
+    Returns (M, N, N) when every cross-station block is exactly zero (the
+    diagonal blocks hold every nonzero entry; no tolerance), and
+    (1, NM, NM), a view of S, otherwise.
+    """
+    idx = np.arange(n_stations)
+    blocks = S.reshape(n_stations, n_rakes, n_stations, n_rakes)[idx, :, idx, :]
+    if np.count_nonzero(blocks) == np.count_nonzero(S):
+        return blocks
+    return S[None]
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The dense matrix with diagonal blocks (B, n, n) and zeros elsewhere."""
+    n_blocks, n, _ = blocks.shape
+    if n_blocks == 1:
+        return blocks[0]
+    out = np.zeros((n_blocks, n, n_blocks, n))
+    idx = np.arange(n_blocks)
+    out[idx, :, idx, :] = blocks
+    return out.reshape(n_blocks * n, n_blocks * n)
+
+
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
 
     ``iid_sigma`` is the scalar noise level when Sigma_B is exactly
-    sigma_b^2 I and None otherwise. When it is set, the propagation and the
-    closed forms that require iid noise take Sigma_B to be iid_sigma^2 I.
+    sigma_b^2 I and None otherwise. It is derived from Sigma_B; a value
+    passed in must equal it, or InvalidParams is raised.
+
+    ``station_blocks`` is Sigma_B as the propagation reads it: the M
+    diagonal N x N blocks, shape (M, N, N), when every cross-station block is
+    exactly zero (for iid noise one sigma_b^2 I block broadcast over the
+    stations), and the whole matrix as one block, shape (1, NM, NM),
+    otherwise. The dense ``Sigma_B`` passed to the constructor is kept;
+    ``from_iid`` builds it only when it is read.
     """
 
     mu_B: np.ndarray
-    Sigma_B: np.ndarray
-    iid_sigma: float = None
+    iid_sigma: float
+    station_blocks: np.ndarray
 
-    def __post_init__(self):
-        mu = _measurement_matrix(self.mu_B)
-        S = np.asarray(self.Sigma_B, dtype=float)
+    def __init__(self, mu_B, Sigma_B, iid_sigma: float = None):
+        mu = _measurement_matrix(mu_B)
+        S = np.asarray(Sigma_B, dtype=float)
         if S.shape != (mu.size, mu.size):
             raise DimensionMismatch(
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
         S = _checked_covariance(S)
+        exact = _exact_iid_sigma(S)
+        if iid_sigma is not None and (exact is None or float(iid_sigma) != exact):
+            raise InvalidParams(
+                f"iid_sigma {iid_sigma!r} disagrees with Sigma_B, which gives {exact!r}"
+            )
+        n_rakes, n_stations = mu.shape
+        if exact is None:
+            blocks = _station_blocks(S, n_rakes, n_stations)
+        else:
+            blocks = _iid_blocks(exact, n_rakes, n_stations)
         object.__setattr__(self, "mu_B", mu)
-        object.__setattr__(self, "Sigma_B", S)
-        if self.iid_sigma is None:
-            object.__setattr__(self, "iid_sigma", _exact_iid_sigma(S))
+        object.__setattr__(self, "iid_sigma", exact)
+        object.__setattr__(self, "station_blocks", blocks)
+        self.__dict__["Sigma_B"] = S
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
         """Independent identical noise sigma_b on every probe reading.
 
         sigma_b^2 I is PSD for every finite sigma_b >= 0, so the matrix
-        check of the plain constructor is skipped.
+        check of the plain constructor is skipped, and no NM x NM matrix is
+        built until Sigma_B is read.
         """
         sigma_b = float(sigma_b)
         if not math.isfinite(sigma_b):
@@ -165,8 +222,8 @@ class MeasurementDistribution:
         mu = _measurement_matrix(mu_B)
         meas = object.__new__(cls)
         object.__setattr__(meas, "mu_B", mu)
-        object.__setattr__(meas, "Sigma_B", sigma_b**2 * np.eye(mu.size))
         object.__setattr__(meas, "iid_sigma", sigma_b)
+        object.__setattr__(meas, "station_blocks", _iid_blocks(sigma_b, *mu.shape))
         return meas
 
     @classmethod
@@ -191,6 +248,11 @@ class MeasurementDistribution:
         rho = validate_correlation(np.asarray(rho, dtype=float), mu.size)
         return cls(mu, (sigma[:, None] * rho) * sigma[None, :])
 
+    @cached_property
+    def Sigma_B(self) -> np.ndarray:
+        """The dense NM x NM covariance of vec(B)."""
+        return _block_diagonal(self.station_blocks)
+
     @property
     def n_rakes(self) -> int:
         return self.mu_B.shape[0]
@@ -208,16 +270,13 @@ def _check_meas(model: FourierModel, meas: MeasurementDistribution):
         )
 
 
-def _congruence(T: np.ndarray, Sigma, n_stations: int) -> np.ndarray:
+def _congruence(T: np.ndarray, Sigma: np.ndarray, n_stations: int) -> np.ndarray:
     """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, for a k x N block T.
 
-    Sigma is either a scalar s, standing for s I, or a dense NM x NM array.
+    Sigma is a dense NM x NM array.
     """
     M = n_stations
     k, N = T.shape
-    if np.ndim(Sigma) == 0:
-        G = T @ T.T
-        return np.kron(np.eye(M), float(Sigma) * 0.5 * (G + G.T))
     S = np.asarray(Sigma, dtype=float)
     # Sigma (I kron T)^T: T contracts the rake axis of every column block.
     right = (S.reshape(M * N, M, N) @ T.T).reshape(M, N, M * k)
@@ -226,28 +285,38 @@ def _congruence(T: np.ndarray, Sigma, n_stations: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _input_covariance(meas: MeasurementDistribution):
-    """Sigma_B as _congruence takes it: the scalar variance for iid noise."""
-    return meas.Sigma_B if meas.iid_sigma is None else meas.iid_sigma**2
+def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
+    """The congruence of :func:`_congruence`, in the block form of Sigma.
+
+    Station blocks (M, N, N) give the stack of T S_m T^T, (M, k, k); a
+    broadcast stack (stride 0, iid noise) is mapped once and broadcast
+    again. One (1, NM, NM) block takes the dense contraction.
+    """
+    if blocks.shape[0] == 1:
+        return _congruence(T, blocks[0], n_stations)[None]
+    shared = blocks.strides[0] == 0
+    out = T @ (blocks[:1] if shared else blocks) @ T.T
+    out = 0.5 * (out + out.transpose(0, 2, 1))
+    return np.broadcast_to(out, (n_stations,) + out.shape[1:]) if shared else out
 
 
 def propagate_coefficients(model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0):
     """Moments of the fitted coefficients: (mu_X, Sigma_X)."""
     _check_meas(model, meas)
     P = model.pseudoinverse(lam)
-    mu_X = P @ meas.mu_B
-    Sigma_X = _congruence(P, _input_covariance(meas), model.n_stations)
-    return mu_X, Sigma_X
+    blocks = _block_congruence(P, meas.station_blocks, model.n_stations)
+    return P @ meas.mu_B, _block_diagonal(blocks)
 
 
 def propagate_field(model: FourierModel, mu_X, Sigma_X):
-    """Moments of the fitted values at the rake angles: (mu_F, Sigma_F)."""
+    """Moments of the fitted values at the rake angles: (mu_F, Sigma_F).
+
+    Sigma_X is the dense KM x KM coefficient covariance.
+    """
     mu_X = np.asarray(mu_X, dtype=float)
     if mu_X.shape != (model.n_coeffs, model.n_stations):
         raise DimensionMismatch("mu_X has the wrong shape for this model")
-    mu_F = model.A @ mu_X
-    Sigma_F = _congruence(model.A, Sigma_X, model.n_stations)
-    return mu_F, Sigma_F
+    return model.A @ mu_X, _congruence(model.A, Sigma_X, model.n_stations)
 
 
 def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, lam: float = 0.0):
@@ -257,32 +326,53 @@ def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, l
     if mu_F.shape != meas.mu_B.shape:
         raise DimensionMismatch("mu_F has the wrong shape for these measurements")
     K = model.A @ model.pseudoinverse(lam) - np.eye(model.n_rakes)
-    mu_R = mu_F - meas.mu_B
-    Sigma_R = _congruence(K, _input_covariance(meas), model.n_stations)
-    return mu_R, Sigma_R
+    blocks = _block_congruence(K, meas.station_blocks, model.n_stations)
+    return mu_F - meas.mu_B, _block_diagonal(blocks)
 
 
 @dataclass(frozen=True)
 class FieldDistribution:
-    """All propagated Gaussian moments for one model and measurement set."""
+    """All propagated Gaussian moments for one model and measurement set.
+
+    ``R_blocks`` is Sigma_R in the block form of the measurement covariance
+    (see MeasurementDistribution.station_blocks), and ``design`` the N x K
+    rake design A. Sigma_X (KM x KM) is assembled at once; the NM x NM
+    Sigma_F and Sigma_R are built on first read.
+    """
 
     mu_X: np.ndarray
     Sigma_X: np.ndarray
     mu_F: np.ndarray
-    Sigma_F: np.ndarray
     mu_R: np.ndarray
-    Sigma_R: np.ndarray
+    R_blocks: np.ndarray
     iid_sigma: float
     lambda_used: float
+    design: np.ndarray
 
     @classmethod
     def from_measurements(
         cls, model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0
     ) -> "FieldDistribution":
-        mu_X, Sigma_X = propagate_coefficients(model, meas, lam)
-        mu_F, Sigma_F = propagate_field(model, mu_X, Sigma_X)
-        mu_R, Sigma_R = residual_moments(model, meas, mu_F, lam)
-        return cls(mu_X, Sigma_X, mu_F, Sigma_F, mu_R, Sigma_R, meas.iid_sigma, lam)
+        _check_meas(model, meas)
+        M = model.n_stations
+        P = model.pseudoinverse(lam)
+        mu_X = P @ meas.mu_B
+        mu_F = model.A @ mu_X
+        X_blocks = _block_congruence(P, meas.station_blocks, M)
+        K = model.A @ P - np.eye(model.n_rakes)
+        R_blocks = _block_congruence(K, meas.station_blocks, M)
+        return cls(
+            mu_X, _block_diagonal(X_blocks), mu_F, mu_F - meas.mu_B, R_blocks,
+            meas.iid_sigma, lam, model.A,
+        )
+
+    @cached_property
+    def Sigma_F(self) -> np.ndarray:
+        return _congruence(self.design, self.Sigma_X, self.n_stations)
+
+    @cached_property
+    def Sigma_R(self) -> np.ndarray:
+        return _block_diagonal(self.R_blocks)
 
     @property
     def n_rakes(self) -> int:

@@ -81,7 +81,7 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
         )
     mu_R = np.asarray(field.mu_R, dtype=float)
     n_rakes, n_stations = mu_R.shape
-    block = np.asarray(field.Sigma_R, dtype=float)[:n_rakes, :n_rakes]
+    block = field.R_blocks[0][:n_rakes, :n_rakes]
     sv, U = np.linalg.eigh(block)
     sv = sv[::-1]
     U = U[:, ::-1]
@@ -116,12 +116,21 @@ def error_moments(params: ChiSquareParams, n_rakes: int, n_stations: int, sigma_
 
 
 def _residual_power_moments(field: FieldDistribution):
-    """Exact mean and variance of ||R||_F^2 / NM for Gaussian R, any Sigma_R."""
+    """Exact mean and variance of ||R||_F^2 / NM for Gaussian R, any Sigma_R.
+
+    Sigma_R is block diagonal with the blocks R_b of field.R_blocks, so
+    tr Sigma_R = sum_b tr R_b, ||Sigma_R||_F^2 = sum_b ||R_b||_F^2 and
+    mu^T Sigma_R mu = sum_b mu_b^T R_b mu_b, with mu_b the readings of block b.
+    """
+    R = field.R_blocks
     mu = vec(field.mu_R)
-    S = np.asarray(field.Sigma_R, dtype=float)
     n_meas = mu.size
-    mean = (np.trace(S) + mu @ mu) / n_meas
-    var = (2.0 * np.vdot(S, S) + 4.0 * (mu @ S @ mu)) / n_meas**2
+    mu_b = mu.reshape(R.shape[0], -1, 1)
+    trace = np.trace(R, axis1=1, axis2=2).sum()
+    frobenius_sq = np.einsum("bij,bij->", R, R)
+    quadratic = np.vdot(mu_b, R @ mu_b)
+    mean = (trace + mu @ mu) / n_meas
+    var = (2.0 * frobenius_sq + 4.0 * quadratic) / n_meas**2
     return float(mean), float(var)
 
 

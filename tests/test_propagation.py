@@ -1,14 +1,23 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rakeuq import (
+    AnnulusGeometry,
     DimensionMismatch,
     FieldDistribution,
+    HarmonicSet,
     InvalidCorrelation,
     InvalidParams,
     MeasurementDistribution,
     NotPSD,
+    area_average,
+    build_design_matrix,
+    compute_metrics,
     ensure_psd,
+    fit,
     predictive_grid,
     predictive_moments,
     propagate_coefficients,
@@ -18,7 +27,9 @@ from rakeuq import (
     vec,
 )
 
-from conftest import SIGMA_B, STATIONS, random_psd
+from rakeuq.propagation import _congruence
+
+from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
 
 
 def test_vec_is_column_major():
@@ -275,3 +286,124 @@ def test_ensure_psd_clips_roundoff():
 def test_ensure_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         ensure_psd(np.diag([1.0, -0.5, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "Sigma_B,iid_sigma",
+    [
+        (np.diag(np.linspace(0.1, 1.0, 42)), 0.5),  # not iid at all
+        (0.25 * np.eye(42), 0.4),  # iid, at another level
+        (0.25 * np.eye(42), np.nan),
+        (0.25 * np.eye(42), -0.5),
+    ],
+)
+def test_iid_sigma_contradicting_sigma_b_rejected(engine_data, Sigma_B, iid_sigma):
+    with pytest.raises(InvalidParams, match="iid_sigma"):
+        MeasurementDistribution(engine_data, Sigma_B, iid_sigma=iid_sigma)
+
+
+def test_iid_sigma_is_derived_from_sigma_b(engine_data):
+    assert MeasurementDistribution(engine_data, 0.25 * np.eye(42), iid_sigma=0.5).iid_sigma == 0.5
+    assert MeasurementDistribution(engine_data, 0.25 * np.eye(42)).iid_sigma == 0.5
+    diag = MeasurementDistribution(engine_data, np.diag(np.linspace(0.1, 1.0, 42)))
+    assert diag.iid_sigma is None
+
+
+def _sigma_b_cases(rng):
+    """The four structures of Sigma_B: iid, diagonal, per station, full."""
+    per_station = np.zeros((42, 42))
+    for m in range(7):
+        per_station[m * 6 : (m + 1) * 6, m * 6 : (m + 1) * 6] = random_psd(6, rng)
+    return {
+        "iid": SIGMA_B**2 * np.eye(42),
+        "diagonal": np.diag(np.linspace(0.1, 0.9, 42) ** 2),
+        "per_station": per_station,
+        "correlated": random_psd(42, rng),
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("case", ["iid", "diagonal", "per_station", "correlated"])
+def test_block_propagation_matches_dense_congruence(engine_model, truth, case, lam):
+    # every reported number from the block form against the dense
+    # (M, N, M, N) congruence of the whole Sigma_B, to 1e-12 relative
+    rng = np.random.default_rng(41)
+    Sigma_B = _sigma_b_cases(rng)[case]
+    data = engine_model.A @ truth + 0.3 * rng.standard_normal((6, 7))  # off the model span
+    if case == "iid":
+        meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+        assert meas.station_blocks.strides[0] == 0  # one block broadcast
+        np.testing.assert_array_equal(meas.Sigma_B, Sigma_B)
+    else:
+        meas = MeasurementDistribution(data, Sigma_B)
+        expected_blocks = 1 if case == "correlated" else 7
+        assert meas.station_blocks.shape[0] == expected_blocks
+    field = FieldDistribution.from_measurements(engine_model, meas, lam)
+
+    A, P = engine_model.A, engine_model.pseudoinverse(lam)
+    K = A @ P - np.eye(6)
+    Sigma_X = _congruence(P, Sigma_B, 7)
+    Sigma_R = _congruence(K, Sigma_B, 7)
+    dense = dataclasses.replace(field, Sigma_X=Sigma_X, R_blocks=Sigma_R[None])
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for got, want in (
+        (field.Sigma_X, Sigma_X),
+        (field.Sigma_F, _congruence(A, Sigma_X, 7)),
+        (field.Sigma_R, Sigma_R),
+    ):
+        close(got, want)
+        np.testing.assert_array_equal(got, got.T)
+
+    coeffs = fit(engine_model, data)
+    metrics = compute_metrics(engine_model, coeffs, meas, field)
+    mu = vec(field.mu_R)
+    n_meas = mu.size
+    close(metrics.mean_eps, (np.trace(Sigma_R) + mu @ mu) / n_meas)
+    close(metrics.var_eps, (2.0 * np.vdot(Sigma_R, Sigma_R) + 4.0 * (mu @ Sigma_R @ mu)) / n_meas**2)
+    reference_chi2 = compute_metrics(engine_model, coeffs, meas, dense).chi2
+    assert (metrics.chi2 is None) == (reference_chi2 is None) == (case != "iid" or lam > 0.0)
+    if metrics.chi2 is not None:
+        assert metrics.chi2.g == reference_chi2.g
+        close(metrics.chi2.phi, reference_chi2.phi)
+        assert metrics.chi2.scale == reference_chi2.scale
+
+    close(area_average(engine_model, field).variance, area_average(engine_model, dense).variance)
+    r, th = np.linspace(0.0, 1.0, 50), np.arange(0.0, 360.0, 1.0)
+    close(predictive_grid(engine_model, field, r, th)[1], predictive_grid(engine_model, dense, r, th)[1])
+    for point in [(0.37, 204.0), (0.2, 45.0, 0.8, 290.0)]:
+        close(
+            predictive_moments(engine_model, field, *point)[1],
+            predictive_moments(engine_model, dense, *point)[1],
+        )
+
+
+def test_iid_chain_builds_no_nm_by_nm_matrix():
+    # 60 x 40 (NM = 2400): one dense NM x NM float matrix is 46 MB, and the
+    # chain before block propagation peaked near 140 MB
+    rng = np.random.default_rng(3)
+    stations = np.linspace(0.05, 0.95, 40)
+    theta = np.sort(np.mod(6.0 * np.arange(60) + 3.0 + rng.uniform(-2.0, 2.0, 60), 360.0))
+    model = build_design_matrix(
+        AnnulusGeometry(theta, stations, 0.45, 0.75), HarmonicSet((1, 4)), beta=BETA
+    )
+    data = model.A @ coefficient_truth(stations) + SIGMA_B * rng.standard_normal((60, 40))
+    tracemalloc.start()
+    try:
+        meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+        coeffs = fit(model, data)
+        field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
+        metrics = compute_metrics(model, coeffs, meas, field)
+        area_average(model, field)
+        predictive_grid(model, field, np.linspace(0.0, 1.0, 50), np.arange(0.0, 360.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics.chi2 is not None
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+    # the dense covariances are cached properties that nothing above read
+    assert "Sigma_B" not in vars(meas)
+    assert "Sigma_F" not in vars(field) and "Sigma_R" not in vars(field)
