@@ -19,7 +19,7 @@ Sigma_B itself when the MeasurementDistribution is built:
   diagonal noise, correlation within a station), as its M diagonal N x N
   blocks S_m, and each congruence is the stack of small blocks T S_m T^T for
   T in {P, AP - I}; for iid noise one sigma_b^2 I block stands for all M
-  stations (a broadcast, not a copy), so one T T^T is formed;
+  stations (a broadcast, not a copy), so no NM x NM matrix is formed;
 - otherwise as one NM x NM block, viewed as an (M, N, M, N) array with T
   contracted into its two N axes, O(N^3 M^2) work instead of O((NM)^3).
 
@@ -177,6 +177,10 @@ class MeasurementDistribution:
     stations), and the whole matrix as one block, shape (1, NM, NM),
     otherwise. The dense ``Sigma_B`` passed to the constructor is kept;
     ``from_iid`` builds it only when it is read.
+
+    The constructor takes (mu_B, Sigma_B, iid_sigma) while the dataclass
+    fields are (mu_B, iid_sigma, station_blocks), so ``dataclasses.replace``
+    does not work on it; build a new one from ``Sigma_B`` instead.
     """
 
     mu_B: np.ndarray
@@ -288,24 +292,31 @@ def _congruence(T: np.ndarray, Sigma: np.ndarray, n_stations: int) -> np.ndarray
 def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
     """The congruence of :func:`_congruence`, in the block form of Sigma.
 
-    Station blocks (M, N, N) give the stack of T S_m T^T, (M, k, k); a
-    broadcast stack (stride 0, iid noise) is mapped once and broadcast
-    again. One (1, NM, NM) block takes the dense contraction.
+    Station blocks (M, N, N) give the stack of T S_m T^T, (M, k, k); one
+    (1, NM, NM) block takes the dense contraction.
     """
     if blocks.shape[0] == 1:
         return _congruence(T, blocks[0], n_stations)[None]
-    shared = blocks.strides[0] == 0
-    out = T @ (blocks[:1] if shared else blocks) @ T.T
-    out = 0.5 * (out + out.transpose(0, 2, 1))
-    return np.broadcast_to(out, (n_stations,) + out.shape[1:]) if shared else out
+    out = T @ blocks @ T.T
+    return 0.5 * (out + out.transpose(0, 2, 1))
+
+
+def _propagated_blocks(model: FourierModel, meas: MeasurementDistribution, lam: float):
+    """mu_X and Sigma_X, Sigma_R in the block form of meas.station_blocks.
+
+    Sigma_X is the congruence by P, Sigma_R by K = AP - I.
+    """
+    _check_meas(model, meas)
+    P = model.pseudoinverse(lam)
+    K = model.A @ P - np.eye(model.n_rakes)
+    blocks, M = meas.station_blocks, model.n_stations
+    return P @ meas.mu_B, _block_congruence(P, blocks, M), _block_congruence(K, blocks, M)
 
 
 def propagate_coefficients(model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0):
     """Moments of the fitted coefficients: (mu_X, Sigma_X)."""
-    _check_meas(model, meas)
-    P = model.pseudoinverse(lam)
-    blocks = _block_congruence(P, meas.station_blocks, model.n_stations)
-    return P @ meas.mu_B, _block_diagonal(blocks)
+    mu_X, X_blocks, _ = _propagated_blocks(model, meas, lam)
+    return mu_X, _block_diagonal(X_blocks)
 
 
 def propagate_field(model: FourierModel, mu_X, Sigma_X):
@@ -325,9 +336,8 @@ def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, l
     mu_F = np.asarray(mu_F, dtype=float)
     if mu_F.shape != meas.mu_B.shape:
         raise DimensionMismatch("mu_F has the wrong shape for these measurements")
-    K = model.A @ model.pseudoinverse(lam) - np.eye(model.n_rakes)
-    blocks = _block_congruence(K, meas.station_blocks, model.n_stations)
-    return mu_F - meas.mu_B, _block_diagonal(blocks)
+    _, _, R_blocks = _propagated_blocks(model, meas, lam)
+    return mu_F - meas.mu_B, _block_diagonal(R_blocks)
 
 
 @dataclass(frozen=True)
@@ -353,14 +363,8 @@ class FieldDistribution:
     def from_measurements(
         cls, model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0
     ) -> "FieldDistribution":
-        _check_meas(model, meas)
-        M = model.n_stations
-        P = model.pseudoinverse(lam)
-        mu_X = P @ meas.mu_B
+        mu_X, X_blocks, R_blocks = _propagated_blocks(model, meas, lam)
         mu_F = model.A @ mu_X
-        X_blocks = _block_congruence(P, meas.station_blocks, M)
-        K = model.A @ P - np.eye(model.n_rakes)
-        R_blocks = _block_congruence(K, meas.station_blocks, M)
         return cls(
             mu_X, _block_diagonal(X_blocks), mu_F, mu_F - meas.mu_B, R_blocks,
             meas.iid_sigma, lam, model.A,
