@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRatio, DimensionMismatch, InvalidCorrelation, InvalidParams
+from .propagation import _psd_factor
 
 PARAM_NAMES = ("T01", "T02", "P01", "P02", "gamma")
 
@@ -74,7 +75,8 @@ def efficiency_gradient(z) -> np.ndarray:
 
 
 def validate_correlation(rho, n: int) -> np.ndarray:
-    """Check a correlation matrix: square, symmetric, unit diagonal, PSD."""
+    """Check a correlation matrix: square, symmetric, unit diagonal, PSD
+    under the rule of ``ensure_psd``. Returns it as ensure_psd does."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (n, n):
         raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
@@ -84,10 +86,7 @@ def validate_correlation(rho, n: int) -> np.ndarray:
         raise InvalidCorrelation("correlation matrix needs a unit diagonal")
     if np.any(np.abs(rho) > 1.0 + 1e-12):
         raise InvalidCorrelation("correlations must lie in [-1, 1]")
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.T))
-    if evals[0] < -1e-10:
-        raise InvalidCorrelation("correlation matrix is not positive semidefinite")
-    return 0.5 * (rho + rho.T)
+    return _psd_factor(rho, "correlation matrix", InvalidCorrelation)[0]
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,8 @@ class StationState:
         sigma = np.asarray(self.sigma, dtype=float)
         if z.shape != (5,) or sigma.shape != (5,):
             raise DimensionMismatch("z and sigma must both have 5 entries")
-        if np.any(sigma < 0.0):
-            raise InvalidParams("standard deviations must be nonnegative")
+        if not np.all(np.isfinite(sigma)) or np.any(sigma < 0.0):
+            raise InvalidParams("standard deviations must be finite and nonnegative")
         efficiency(z)  # validates the mean state
         rho = np.eye(5) if self.rho is None else validate_correlation(self.rho, 5)
         object.__setattr__(self, "z", z)

@@ -49,12 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DrawFailed,
-    InvalidParams,
-    NotPSD,
-)
+from .errors import DimensionMismatch, DrawFailed, InvalidParams
 from .fourier import (
     DEFAULT_BETA,
     DEFAULT_LADDER,
@@ -70,6 +65,7 @@ from .propagation import (
     MeasurementDistribution,
     _congruence,
     _grid_moments,
+    _psd_factor,
     _row_quadratic_forms,
     unvec,
 )
@@ -122,19 +118,8 @@ def _batch_plan(config: SamplerConfig):
 
 def psd_factor(cov) -> np.ndarray:
     """Matrix L with cov = L L^T: Cholesky, or an eigen factor when cov is
-    only semidefinite. Raises NotPSD for meaningfully negative eigenvalues."""
-    cov = np.asarray(cov, dtype=float)
-    cov = 0.5 * (cov + cov.T)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(cov)
-        tol = 1e-10 * max(float(np.trace(cov)), 0.0)
-        if evals[0] < -max(tol, 1e-300):
-            raise NotPSD(
-                f"covariance eigenvalue {evals[0]:.3e} is negative beyond tolerance"
-            ) from None
-        return evecs * np.sqrt(np.maximum(evals, 0.0))
+    only semidefinite, under the PSD rule of ``ensure_psd``."""
+    return _psd_factor(cov)[1]
 
 
 def _standard_draws(rng, n: int, dim: int, antithetic: bool) -> np.ndarray:
@@ -206,7 +191,8 @@ def mc_propagate_model(
     maps = (P, H, resid)
     NM = N * M
     mu_vec = meas.mu_B.reshape(-1, order="F")
-    L = psd_factor(meas.Sigma_B)
+    L = meas.factor_blocks
+    n_blocks, n = L.shape[:2]
     if r_fracs is None:
         r_fracs = model.geometry.r_stations
     if theta_grid_deg is None:
@@ -219,7 +205,9 @@ def mc_propagate_model(
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
         z = _standard_draws(rng, size, NM, config.antithetic)
-        dB = z @ L.T
+        # Each block of L maps its own slice of z: one stacked product.
+        dB = z.reshape(size, n_blocks, n).transpose(1, 0, 2) @ L.transpose(0, 2, 1)
+        dB = dB.transpose(1, 0, 2).reshape(size, NM)
         # vec(B) is station-major with the rake fastest, so each row of the
         # (size * M, N) view is one station column of one draw.
         Rv = ((mu_vec + dB).reshape(size * M, N) @ resid.T).reshape(size, NM)
@@ -406,12 +394,13 @@ def rake_position_mc(
         raise DimensionMismatch("mu_theta_deg must have one angle per rake")
     Sigma_theta = np.asarray(sigma_theta, dtype=float)
     if Sigma_theta.ndim == 0:
-        if Sigma_theta < 0.0:
-            raise InvalidParams("sigma_theta must be nonnegative")
-        Sigma_theta = float(Sigma_theta) ** 2 * np.eye(N)
+        sigma = float(Sigma_theta)
+        if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
+            raise InvalidParams(f"sigma_theta {sigma} must be nonnegative with a finite square")
+        Sigma_theta = sigma**2 * np.eye(N)
     if Sigma_theta.shape != (N, N):
         raise DimensionMismatch("Sigma_theta must be N x N")
-    L = psd_factor(Sigma_theta)
+    L = _psd_factor(Sigma_theta, "Sigma_theta")[1]
     if n_prediction < 1:
         raise InvalidParams("need at least one prediction angle")
     theta_pred = np.arange(n_prediction) * (360.0 / n_prediction)

@@ -28,9 +28,12 @@ the chi-square law read the blocks, and the area average and the predictive
 grid read the KM x KM Sigma_X, which is assembled at once. The dense
 Sigma_B, Sigma_F and Sigma_R are built on first read only.
 
-Only the user's Sigma_B is checked for PSD, when the MeasurementDistribution
-is built (Cholesky first, the eigenvalue check of ensure_psd as fallback;
-from_iid needs no check). A congruence of a PSD matrix is PSD, so the
+Every PSD check in the package is one rule, ``_psd_factor``: non-finite
+input is refused, a Cholesky factor that exists is kept, and otherwise the
+eigenvalues decide against the mean diagonal entry s (refused below -1e-10 s,
+a RuntimeWarning below -1e3 eps s, negative ones clipped). Sigma_B's blocks
+are checked and factored once, when the MeasurementDistribution is built
+(iid noise needs neither). A congruence of a PSD matrix is PSD, so the
 propagated covariances are only symmetrized.
 """
 
@@ -55,50 +58,48 @@ def unvec(vector, n_rakes: int, n_stations: int) -> np.ndarray:
     return np.asarray(vector, dtype=float).reshape((n_rakes, n_stations), order="F")
 
 
-def ensure_psd(S, name: str = "covariance") -> np.ndarray:
-    """Symmetrize S and clip trace-relative negligible negative eigenvalues.
+def _psd_factor(S, name: str = "covariance", error=NotPSD):
+    """(S, L): S symmetrized and clipped if need be, and L with S = L L^T.
 
-    Rank-deficient covariances legitimately carry eigenvalues a few machine
-    epsilons below zero; those are clipped silently. Eigenvalues down to
-    -1e-10 * trace are clipped with a warning, and anything more negative
-    raises NotPSD.
+    S is (n, n) or a (B, n, n) stack of the diagonal blocks of one matrix.
+    Cholesky first; only if it fails do the eigenvalues decide, against the
+    mean diagonal entry s of the whole matrix: ``error`` below -1e-10 s, a
+    RuntimeWarning below -1e3 eps s, and clipping. Non-finite S raises
+    InvalidParams.
     """
     S = np.asarray(S, dtype=float)
-    S = 0.5 * (S + S.T)
-    tr = float(np.trace(S))
-    if tr < 0.0:
-        raise NotPSD(f"{name} has negative trace {tr}")
+    if not np.all(np.isfinite(S)):
+        raise InvalidParams(f"{name} must be finite")
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    try:
+        return S, np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        pass
+    scale = float(np.mean(np.diagonal(S, axis1=-2, axis2=-1)))
+    if scale < 0.0:
+        raise error(f"{name} has negative trace")
     evals, evecs = np.linalg.eigh(S)
-    if evals[0] >= 0.0:
-        return S
-    tol = 1e-10 * tr
-    if evals[0] < -tol:
-        raise NotPSD(f"{name} has eigenvalue {evals[0]:.3e} below -1e-10*trace")
-    roundoff = 1e3 * np.finfo(float).eps * tr
-    if evals[0] < -roundoff:
+    low = float(evals.min())
+    if low < -1e-10 * scale:
+        raise error(f"{name} has eigenvalue {low:.3e} below -1e-10 * mean diagonal")
+    if low < -1e3 * np.finfo(float).eps * scale:
         warnings.warn(
             f"clipping {np.sum(evals < 0.0)} negative eigenvalue(s) of {name}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    S = (evecs * np.maximum(evals, 0.0)) @ evecs.T
-    return 0.5 * (S + S.T)
+    L = evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    if low < 0.0:
+        S = L @ np.swapaxes(L, -1, -2)
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    return S, L
 
 
-def _checked_covariance(S: np.ndarray) -> np.ndarray:
-    """Symmetrized Sigma_B once it is known to be PSD.
-
-    A successful Cholesky factorization proves positive definiteness; a
-    singular or slightly indefinite input falls back to ensure_psd.
-    """
-    if not np.all(np.isfinite(S)):
-        raise InvalidParams("Sigma_B must be finite")
-    S = 0.5 * (S + S.T)
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return ensure_psd(S, "Sigma_B")
-    return S
+def ensure_psd(S, name: str = "covariance") -> np.ndarray:
+    """S symmetrized, negative eigenvalues down to -1e-10 times the mean
+    diagonal entry clipped (with a RuntimeWarning beyond roundoff), NotPSD
+    below that: the rule of ``_psd_factor``."""
+    return _psd_factor(S, name)[0]
 
 
 def _exact_iid_sigma(Sigma_B: np.ndarray):
@@ -108,7 +109,9 @@ def _exact_iid_sigma(Sigma_B: np.ndarray):
     the first. No tolerance, so a Sigma_B one ulp away is not iid.
     """
     d = np.diag(Sigma_B)
-    if d.size == 0 or np.any(d != d[0]) or np.count_nonzero(Sigma_B) > np.count_nonzero(d):
+    if d.size == 0 or not 0.0 <= d[0] < math.inf or np.any(d != d[0]):
+        return None
+    if np.count_nonzero(Sigma_B) > np.count_nonzero(d):
         return None
     return float(np.sqrt(d[0]))
 
@@ -133,9 +136,11 @@ def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
     return sigma
 
 
-def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int) -> np.ndarray:
-    """sigma_b^2 I as station blocks: one N x N block broadcast M times."""
-    return np.broadcast_to(sigma_b**2 * np.eye(n_rakes), (n_stations, n_rakes, n_rakes))
+def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int):
+    """sigma_b^2 I and its factor sigma_b I as station blocks: one N x N
+    block each, broadcast M times."""
+    eye, shape = np.eye(n_rakes), (n_stations, n_rakes, n_rakes)
+    return np.broadcast_to(sigma_b**2 * eye, shape), np.broadcast_to(sigma_b * eye, shape)
 
 
 def _station_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
@@ -175,17 +180,20 @@ class MeasurementDistribution:
     diagonal N x N blocks, shape (M, N, N), when every cross-station block is
     exactly zero (for iid noise one sigma_b^2 I block broadcast over the
     stations), and the whole matrix as one block, shape (1, NM, NM),
-    otherwise. The dense ``Sigma_B`` passed to the constructor is kept;
-    ``from_iid`` builds it only when it is read.
+    otherwise. ``factor_blocks`` holds L_b with block b = L_b L_b^T, from the
+    one PSD check (sigma_b I for iid noise, unchecked); if it clipped, both
+    describe the clipped matrix, and so does ``Sigma_B``, built when read.
 
     The constructor takes (mu_B, Sigma_B, iid_sigma) while the dataclass
-    fields are (mu_B, iid_sigma, station_blocks), so ``dataclasses.replace``
-    does not work on it; build a new one from ``Sigma_B`` instead.
+    fields are (mu_B, iid_sigma, station_blocks, factor_blocks), so
+    ``dataclasses.replace`` does not work on it; build a new one from
+    ``Sigma_B`` instead.
     """
 
     mu_B: np.ndarray
     iid_sigma: float
     station_blocks: np.ndarray
+    factor_blocks: np.ndarray
 
     def __init__(self, mu_B, Sigma_B, iid_sigma: float = None):
         mu = _measurement_matrix(mu_B)
@@ -194,29 +202,30 @@ class MeasurementDistribution:
             raise DimensionMismatch(
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
-        S = _checked_covariance(S)
         exact = _exact_iid_sigma(S)
+        if exact is None:
+            blocks, factor = _psd_factor(_station_blocks(S, *mu.shape), "Sigma_B")
+        else:
+            blocks, factor = _iid_blocks(exact, *mu.shape)
         if iid_sigma is not None and (exact is None or float(iid_sigma) != exact):
             raise InvalidParams(
                 f"iid_sigma {iid_sigma!r} disagrees with Sigma_B, which gives {exact!r}"
             )
-        n_rakes, n_stations = mu.shape
-        if exact is None:
-            blocks = _station_blocks(S, n_rakes, n_stations)
-        else:
-            blocks = _iid_blocks(exact, n_rakes, n_stations)
+        self._fill(mu, exact, blocks, factor)
+
+    def _fill(self, mu, iid_sigma, station_blocks, factor_blocks):
         object.__setattr__(self, "mu_B", mu)
-        object.__setattr__(self, "iid_sigma", exact)
-        object.__setattr__(self, "station_blocks", blocks)
-        self.__dict__["Sigma_B"] = S
+        object.__setattr__(self, "iid_sigma", iid_sigma)
+        object.__setattr__(self, "station_blocks", station_blocks)
+        object.__setattr__(self, "factor_blocks", factor_blocks)
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
         """Independent identical noise sigma_b on every probe reading.
 
-        sigma_b^2 I is PSD for every finite sigma_b >= 0, so the matrix
-        check of the plain constructor is skipped, and no NM x NM matrix is
-        built until Sigma_B is read.
+        sigma_b^2 I is PSD for every finite sigma_b >= 0 with factor
+        sigma_b I, so nothing is checked or factored, and no NM x NM matrix
+        is built until Sigma_B is read.
         """
         sigma_b = float(sigma_b)
         if not math.isfinite(sigma_b):
@@ -225,9 +234,7 @@ class MeasurementDistribution:
             raise InvalidParams("sigma_b must be nonnegative")
         mu = _measurement_matrix(mu_B)
         meas = object.__new__(cls)
-        object.__setattr__(meas, "mu_B", mu)
-        object.__setattr__(meas, "iid_sigma", sigma_b)
-        object.__setattr__(meas, "station_blocks", _iid_blocks(sigma_b, *mu.shape))
+        meas._fill(mu, sigma_b, *_iid_blocks(sigma_b, *mu.shape))
         return meas
 
     @classmethod

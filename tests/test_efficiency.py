@@ -155,6 +155,11 @@ def test_validate_correlation_rejects_bad_matrices():
     bad[1, 2] = bad[2, 1] = -0.9
     with pytest.raises(InvalidCorrelation):
         validate_correlation(bad, 5)
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[0, 4] = bad[4, 0] = value
+        with pytest.raises(InvalidCorrelation):
+            validate_correlation(bad, 5)
 
 
 def test_station_state_validation():
@@ -162,6 +167,11 @@ def test_station_state_validation():
         StationState(np.array([1000.0, 800.0, 8e5, 2e5]), DEFAULT_SIGMAS)
     with pytest.raises(InvalidParams):
         StationState(DEFAULT_STATE.z, -DEFAULT_SIGMAS)
+    for value in (np.nan, np.inf):
+        sigma = DEFAULT_SIGMAS.copy()
+        sigma[2] = value
+        with pytest.raises(InvalidParams, match="finite"):
+            StationState(DEFAULT_STATE.z, sigma)
 
 
 def test_linearization_against_monte_carlo():

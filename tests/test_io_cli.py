@@ -324,6 +324,16 @@ def test_scan_exit_code_when_every_pair_exhausted(campaign_path, tmp_path, capsy
     assert all(row[2] == "" and row[3] == "inf" for row in rows[1:])
 
 
+def test_rake_mc_cli_rejects_nan_scatter(campaign_path, tmp_path, capsys):
+    code = main(
+        ["rake-mc", campaign_path, "--harmonics", "1,4", "--sigma-theta", "nan",
+         "--draws", "64", "--output", str(tmp_path / "rake.csv")]
+    )
+    assert code == 3
+    assert "sigma_theta" in capsys.readouterr().err
+    assert not (tmp_path / "rake.csv").exists()
+
+
 def test_rake_mc_cli_zero_scatter_matches_fit(campaign_path, tmp_path):
     out = tmp_path / "rake.csv"
     code = main(

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import block_diag
 
 import rakeuq.fourier as fourier_mod
 import rakeuq.montecarlo as mc_mod
@@ -80,6 +81,13 @@ def test_sample_mvn_semidefinite_covariance():
 def test_sample_mvn_rejects_indefinite():
     with pytest.raises(NotPSD):
         sample_mvn(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), SamplerConfig(1, 10))
+    for value in (np.nan, np.inf):
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = value
+        with pytest.raises(InvalidParams, match="finite"):
+            sample_mvn(np.zeros(2), cov, SamplerConfig(1, 10))
+        with pytest.raises(InvalidParams, match="finite"):
+            mc_mod.psd_factor(cov)
 
 
 def test_antithetic_mirror_pairs():
@@ -186,17 +194,31 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
 
 
-def test_mc_covariances_match_per_draw_samples(engine_model, engine_data):
+# One noise model per block shape of MeasurementDistribution.factor_blocks:
+# one (1, NM, NM) block, (M, N, N) station blocks, diagonal blocks, and one
+# sigma_b I block broadcast over the stations.
+NOISE = {
+    "dense": lambda mu: MeasurementDistribution(mu, random_psd(42, np.random.default_rng(37))),
+    "station blocks": lambda mu: MeasurementDistribution(
+        mu, block_diag(*(random_psd(6, np.random.default_rng(s)) for s in range(7)))
+    ),
+    "diagonal": lambda mu: MeasurementDistribution.from_diagonal(mu, np.linspace(0.3, 0.7, 42)),
+    "iid": lambda mu: MeasurementDistribution.from_iid(mu, SIGMA_B),
+}
+
+
+@pytest.mark.parametrize("noise", list(NOISE))
+def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise):
     # one batch rebuilt draw by draw: X = P B, F = A X and R = F - B
     lam = 0.1
-    Sigma_B = random_psd(42, np.random.default_rng(37))
-    meas = MeasurementDistribution(engine_data, Sigma_B)
+    meas = NOISE[noise](engine_data)
+    assert meas.factor_blocks.shape[0] == (1 if noise == "dense" else 7)
     cfg = SamplerConfig(seed=43, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [512]
     z = mc_mod._standard_draws(np.random.default_rng(children[0]), 512, 42, False)
-    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(Sigma_B).T
+    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(meas.Sigma_B).T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.pseudoinverse(lam) @ B
     F = engine_model.A @ X
@@ -209,6 +231,40 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data):
         assert np.linalg.norm(cov - ref) <= 1e-10 * np.linalg.norm(ref)
         ref_mean = draws.mean(axis=0)
         assert np.linalg.norm(mean - ref_mean) <= 1e-10 * np.linalg.norm(ref_mean)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(name, input shape) of every cholesky, eigh and eigvalsh call."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "noise,calls",
+    [
+        ("iid", []),
+        ("dense", [("cholesky", (1, 42, 42))]),
+        ("station blocks", [("cholesky", (7, 6, 6))]),
+        ("diagonal", [("cholesky", (7, 6, 6))]),
+    ],
+)
+def test_sampling_factors_sigma_b_at_most_once(
+    engine_model, engine_data, factorizations, noise, calls
+):
+    # the constructor's one check of Sigma_B is the factor the draws use
+    meas = NOISE[noise](engine_data)
+    mc_propagate_model(engine_model, meas, SamplerConfig(seed=2, n_samples=64))
+    assert factorizations == calls
+    assert "Sigma_B" not in meas.__dict__
 
 
 def test_mc_correlated_noise_shrinks_peak_band(engine_model, engine_data):
@@ -636,6 +692,18 @@ def test_rake_mc_makes_no_per_slice_lapack_calls(engine_model, engine_data, monk
     # the counters do see calls: the reported norm is the exact one
     fit(engine_model, engine_data).spectral_norm
     assert calls["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize("sigma_theta", [np.nan, np.inf, -0.5, 1e200])
+def test_rake_mc_rejects_bad_scatter(engine_model, engine_data, sigma_theta):
+    cfg = SamplerConfig(seed=2, n_samples=16)
+    with pytest.raises(InvalidParams, match="sigma_theta"):
+        rake_position_mc(engine_model, engine_data, sigma_theta, cfg)
+    if not math.isfinite(sigma_theta):
+        Sigma_theta = 0.25 * np.eye(6)
+        Sigma_theta[0, 1] = Sigma_theta[1, 0] = sigma_theta
+        with pytest.raises(InvalidParams, match="Sigma_theta"):
+            rake_position_mc(engine_model, engine_data, Sigma_theta, cfg)
 
 
 def test_rake_mc_aborts_when_fits_fail(engine_geometry, engine_data):

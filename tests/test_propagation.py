@@ -1,10 +1,12 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from rakeuq import (
+    DEFAULT_STATE,
     AnnulusGeometry,
     DimensionMismatch,
     FieldDistribution,
@@ -13,6 +15,8 @@ from rakeuq import (
     InvalidParams,
     MeasurementDistribution,
     NotPSD,
+    SamplerConfig,
+    StationState,
     area_average,
     build_design_matrix,
     compute_metrics,
@@ -23,10 +27,12 @@ from rakeuq import (
     propagate_coefficients,
     propagate_field,
     residual_moments,
+    sample_mvn,
     unvec,
     vec,
 )
 
+from rakeuq.montecarlo import psd_factor
 from rakeuq.propagation import _congruence
 
 from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
@@ -247,6 +253,20 @@ def test_non_finite_sigma_rejected(engine_data, bad):
     Sigma[3, 3] = bad
     with pytest.raises(InvalidParams):
         MeasurementDistribution(engine_data, Sigma)
+    with pytest.raises(InvalidParams):
+        ensure_psd(Sigma)
+    # off the diagonal, across stations: the dense (1, NM, NM) block
+    Sigma = np.eye(42)
+    Sigma[3, 40] = Sigma[40, 3] = bad
+    with pytest.raises(InvalidParams, match="Sigma_B must be finite"):
+        MeasurementDistribution(engine_data, Sigma)
+    # on every diagonal entry: no longer an exact iid level
+    with pytest.raises(InvalidParams):
+        MeasurementDistribution(engine_data, np.diag(np.full(42, bad)))
+    rho = np.eye(42)
+    rho[3, 40] = rho[40, 3] = bad
+    with pytest.raises(InvalidCorrelation):
+        MeasurementDistribution.from_correlation(engine_data, np.ones(42), rho)
 
 
 def test_from_correlation_assembles_covariance(engine_data):
@@ -286,6 +306,84 @@ def test_ensure_psd_clips_roundoff():
 def test_ensure_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         ensure_psd(np.diag([1.0, -0.5, 2.0]))
+
+
+def equicorrelation(n, low):
+    """Unit-diagonal n x n matrix whose smallest eigenvalue is ``low``.
+
+    (1 - c) I + c 11^T has eigenvalues 1 - c (n - 1 times) and 1 + (n - 1) c.
+    """
+    c = (low - 1.0) / (n - 1)
+    return (1.0 - c) * np.eye(n) + c
+
+
+# Every entry point that checks a covariance for PSD, fed a matrix whose mean
+# diagonal entry is s and whose smallest eigenvalue is low * s, with the error
+# type that it raises.
+PSD_ENTRY_POINTS = {
+    "ensure_psd": (lambda mu, low: ensure_psd(2.5 * equicorrelation(6, low)), NotPSD),
+    "psd_factor": (lambda mu, low: psd_factor(2.5 * equicorrelation(6, low)), NotPSD),
+    "sample_mvn": (
+        lambda mu, low: sample_mvn(
+            np.zeros(6), 2.5 * equicorrelation(6, low), SamplerConfig(1, 10)
+        ),
+        NotPSD,
+    ),
+    "MeasurementDistribution dense": (
+        lambda mu, low: MeasurementDistribution(mu, 2.5 * equicorrelation(42, low)),
+        NotPSD,
+    ),
+    "MeasurementDistribution station blocks": (
+        lambda mu, low: MeasurementDistribution(
+            mu, np.kron(np.eye(7), 2.5 * equicorrelation(6, low))
+        ),
+        NotPSD,
+    ),
+    "from_correlation": (
+        lambda mu, low: MeasurementDistribution.from_correlation(
+            mu, np.linspace(0.2, 1.0, 42), equicorrelation(42, low)
+        ),
+        InvalidCorrelation,
+    ),
+    "StationState": (
+        lambda mu, low: StationState(
+            DEFAULT_STATE.z, DEFAULT_STATE.sigma, equicorrelation(5, low)
+        ),
+        InvalidCorrelation,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(PSD_ENTRY_POINTS))
+@pytest.mark.parametrize("low,outcome", [(-1e-14, "silent"), (-5e-11, "warn"), (-2e-10, "refuse")])
+def test_psd_boundary_is_one_rule(engine_data, entry, low, outcome):
+    # relative to the mean diagonal entry: silent below 1e3 eps, a warning
+    # up to 1e-10, refusal beyond
+    call, error = PSD_ENTRY_POINTS[entry]
+    if outcome == "silent":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(engine_data, low)
+    elif outcome == "warn":
+        with pytest.warns(RuntimeWarning, match="clipping"):
+            call(engine_data, low)
+    else:
+        with pytest.raises(error):
+            call(engine_data, low)
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+def test_clipped_sigma_b_and_its_factor_agree(engine_data, blocks):
+    # one (1, 42, 42) block or seven (6, 6) station blocks, each with an
+    # eigenvalue of -1.25e-10 that the check clips to zero
+    n = 42 // blocks
+    Sigma = np.kron(np.eye(blocks), 2.5 * equicorrelation(n, -5e-11))
+    with pytest.warns(RuntimeWarning, match="clipping"):
+        meas = MeasurementDistribution(engine_data, Sigma)
+    L = meas.factor_blocks
+    assert L.shape == (blocks, n, n)
+    np.testing.assert_allclose(meas.station_blocks, L @ L.transpose(0, 2, 1), rtol=0, atol=1e-14)
+    assert np.linalg.eigvalsh(meas.Sigma_B).min() > -1e-14
 
 
 @pytest.mark.parametrize(
