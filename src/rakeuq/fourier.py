@@ -313,12 +313,12 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
     ``ridge_solve`` over the slices still failing, kept where the spectral
     norm is below beta; ``_below_beta`` decides that by the Frobenius screen
     and takes the exact norm only for the slices the screen cannot decide.
-    A rung over every slice skips the gathers. Returns (X (b, K, M),
-    lambdas (b,), ok mask (b,)); failed slices keep lambda 0 and NaN
-    coefficients.
+    A rung over every slice skips the gathers, and when nothing has passed
+    yet its candidates become the output. Returns (X (b, K, M), lambdas
+    (b,), ok mask (b,)); failed slices keep lambda 0 and NaN coefficients.
     """
     size = A_stack.shape[0]
-    X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
+    X = None
     lambdas = np.zeros(size)
     ok = np.zeros(size, dtype=bool)
     rungs = [(0.0, np.broadcast_to(plain, (size,)))] + [(lam, True) for lam in guard.lambda_ladder]
@@ -329,10 +329,19 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
         every = todo.all()
         cand = ridge_solve(A_stack if every else A_stack[todo], B, lam)
         good = _below_beta(cand, guard.beta)
-        idx = np.nonzero(good)[0] if every else np.nonzero(todo)[0][good]
-        X[idx] = cand[good]
+        if every:
+            X, idx = cand, np.nonzero(good)[0]
+        else:
+            if X is None:
+                X = np.full((size,) + cand.shape[1:], np.nan)
+            idx = np.nonzero(todo)[0][good]
+            X[idx] = cand[good]
         lambdas[idx] = lam
         ok[idx] = True
+    if X is None:
+        X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
+    elif not ok.all():
+        X[~ok] = np.nan
     return X, lambdas, ok
 
 

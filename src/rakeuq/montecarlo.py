@@ -31,20 +31,28 @@ linear in the draw's K x M coefficients X, so its sample mean and variance
 follow exactly from the coefficients' sample moments, taken as deviations
 from a reference fit of the mean input:
 
-* ``mc_propagate_model`` sums only the draws' NM x NM sample covariance
-  and maps it to the sample Sigma_X, Sigma_F and Sigma_R; the value at
-  (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean
-  G mu_X and variance diag(G Sigma_X G^T), taken by the same contraction
-  as ``predictive_grid``.
-* ``rake_position_mc`` sums, per station m, the kept draws' deviations
-  (a K-vector) and their K x K cross products once, after all batches, so the variance at
-  prediction angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
+* ``mc_propagate_model`` works in the coordinates of the noise factor L
+  (``MeasurementDistribution.factor_blocks``): a draw is vec(B) =
+  vec(mu_B) + L z, and X, F and R are T mu_B + (I_M kron T) L z for
+  T = P, AP, AP - I. Those maps of z, G_X, G_F and G_R, are kept in L's
+  block form. A batch forms only the residuals (one stacked product with
+  G_R) for the sampling metric, and the sums of z and z z^T; no draw of B
+  is formed. After all batches the sums are mapped by G_X for Sigma_X, and
+  by G_F and G_R for Sigma_F and Sigma_R when those are read. The grid
+  value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid has
+  mean G mu_X and variance diag(G Sigma_X G^T), taken by the same
+  contraction as ``predictive_grid``.
+* ``rake_position_mc`` sums the kept draws' deviations once, after all
+  batches: per station m a K-vector, and the K x K cross products, read off
+  the block diagonal of one (n, KM) product. The variance at prediction
+  angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -63,7 +71,6 @@ from .fourier import (
 from .geometry import AnnulusGeometry
 from .propagation import (
     MeasurementDistribution,
-    _congruence,
     _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
@@ -141,17 +148,59 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     return mean + z @ L.T
 
 
+def _factor_map(T: np.ndarray, L: np.ndarray, n_stations: int) -> np.ndarray:
+    """(I_M kron T) L in the block form of L, for a k x N block T.
+
+    Station blocks (M, N, N) give the (M, k, N) stack of T L_m; one
+    (1, NM, NM) block gives one (1, Mk, NM) block, T applied to the rake
+    axis of every station's rows.
+    """
+    if L.shape[0] > 1:
+        return T @ L
+    k, N = T.shape
+    return (T @ L[0].reshape(n_stations, N, -1)).reshape(1, n_stations * k, -1)
+
+
+def _block_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G v for G block diagonal with (B, k, w) blocks, in vec order."""
+    n_blocks, _, w = G.shape
+    return (G @ v.reshape(n_blocks, w, 1)).ravel()
+
+
+def _mapped_covariance(G: np.ndarray, z_sum: np.ndarray, z_cross: np.ndarray, n: int):
+    """Sample covariance of G z over n draws z, from their sums.
+
+    G is block diagonal with (B, k, w) blocks, z_sum is the sum of the draws
+    and z_cross the sum of z z^T (Bw x Bw). The covariance is
+    (G z_cross G^T - g g^T / n) / (n - 1) with g = G z_sum: the mean comes
+    off after the mapping, so no Bw x Bw outer product is formed. Block b of
+    G maps row block b of z_cross, then each column block is mapped by its
+    own block: two stacked products.
+    """
+    n_blocks, k, w = G.shape
+    left = (G @ z_cross.reshape(n_blocks, w, n_blocks * w)).reshape(n_blocks * k, n_blocks, w)
+    out = (left.transpose(1, 0, 2) @ G.transpose(0, 2, 1)).transpose(1, 0, 2)
+    out = out.reshape(n_blocks * k, n_blocks * k)
+    g = _block_apply(G, z_sum)
+    out = 0.5 * (out + out.T) - np.outer(g, g / n)
+    out /= n - 1
+    return out
+
+
 @dataclass(frozen=True)
 class McPropagation:
-    """Empirical moments from sampling the measurement distribution."""
+    """Empirical moments from sampling the measurement distribution.
+
+    Sigma_X (KM x KM) is assembled at once; the NM x NM Sigma_F and Sigma_R
+    are built on first read, from the sums of the standard draws z and the
+    maps (I_M kron T) L of the noise factor L.
+    """
 
     n_samples: int
     mu_X: np.ndarray
     Sigma_X: np.ndarray
     mu_F: np.ndarray
-    Sigma_F: np.ndarray
     mu_R: np.ndarray
-    Sigma_R: np.ndarray
     eps_mean: float
     eps_var: float
     eps_mean_se: float
@@ -162,6 +211,18 @@ class McPropagation:
     grid_mean: np.ndarray
     grid_var: np.ndarray
     grid_mean_se: np.ndarray
+    _z_sum: np.ndarray = field(repr=False)
+    _z_cross: np.ndarray = field(repr=False)
+    _F_map: np.ndarray = field(repr=False)
+    _R_map: np.ndarray = field(repr=False)
+
+    @cached_property
+    def Sigma_F(self) -> np.ndarray:
+        return _mapped_covariance(self._F_map, self._z_sum, self._z_cross, self.n_samples)
+
+    @cached_property
+    def Sigma_R(self) -> np.ndarray:
+        return _mapped_covariance(self._R_map, self._z_sum, self._z_cross, self.n_samples)
 
 
 def mc_propagate_model(
@@ -184,15 +245,18 @@ def mc_propagate_model(
     if config.n_samples < 2:
         raise InvalidParams("empirical covariances need at least two samples")
     N, M = model.n_rakes, model.n_stations
+    NM = N * M
     P = model.pseudoinverse(lam)
     H = model.A @ P
     resid = H - np.eye(N)
-    # X, F and R act on each station column of B through these N-column blocks.
-    maps = (P, H, resid)
-    NM = N * M
-    mu_vec = meas.mu_B.reshape(-1, order="F")
+    # A draw of vec(B) is vec(mu_B) + L z, so X, F and R (the maps I_M kron T
+    # of B, T in {P, AP, AP - I}) are T mu_B plus G_T z, G_T = (I_M kron T) L
+    # in the block form of L.
     L = meas.factor_blocks
-    n_blocks, n = L.shape[:2]
+    n_blocks, width = L.shape[:2]
+    G_X, G_F, G_R = (_factor_map(T, L, M) for T in (P, H, resid))
+    R_mapT = G_R.transpose(0, 2, 1)
+    mu_R0 = (resid @ meas.mu_B).T.reshape(n_blocks, 1, width)
     if r_fracs is None:
         r_fracs = model.geometry.r_stations
     if theta_grid_deg is None:
@@ -205,42 +269,41 @@ def mc_propagate_model(
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
         z = _standard_draws(rng, size, NM, config.antithetic)
-        # Each block of L maps its own slice of z: one stacked product.
-        dB = z.reshape(size, n_blocks, n).transpose(1, 0, 2) @ L.transpose(0, 2, 1)
-        dB = dB.transpose(1, 0, 2).reshape(size, NM)
-        # vec(B) is station-major with the rake fastest, so each row of the
-        # (size * M, N) view is one station column of one draw.
-        Rv = ((mu_vec + dB).reshape(size * M, N) @ resid.T).reshape(size, NM)
-        eps = np.einsum("bi,bi->b", Rv, Rv) / NM
-        return dB.sum(axis=0), dB.T @ dB, eps
+        # Each block of G_R maps its own slice of z: one stacked product.
+        r = z.reshape(size, n_blocks, width).transpose(1, 0, 2) @ R_mapT
+        r += mu_R0
+        eps = np.einsum("bsi,bsi->s", r, r) / NM
+        return z.sum(axis=0), z.T @ z, eps
 
     children, sizes = _batch_plan(config)
     results = _map_batches(run_batch, list(zip(children, sizes)))
 
     n = config.n_samples
-    s1 = sum(res[0] for res in results)
-    s2 = sum(res[1] for res in results)
+    # sum() and concatenate() copy even a single batch's arrays, on purpose:
+    # arrays the result keeps, allocated once the batches' temporaries are
+    # freed, sit low in the heap. Keeping a batch's own arrays pins the top
+    # of the heap and raised the peak RSS of repeated runs on the paper
+    # campaign by up to 2.5 MB.
+    z_sum = sum(res[0] for res in results)
+    z_cross = sum(res[1] for res in results)
     eps = np.concatenate([res[2] for res in results])
-    # X, F and R are the fixed maps I_M kron T of the draw, so their sample
-    # moments are the draws' sample moments pushed through the same maps.
-    # Deviations from mu_B keep the sums well conditioned, and Sigma_B = 0
-    # gives exact zeros.
-    mean_B = meas.mu_B + unvec(s1 / n, N, M)
-    cov_B = (s2 - np.outer(s1, s1) / n) / (n - 1)
-    mu_X, mu_F, mu_R = (T @ mean_B for T in maps)
-    cov_x, cov_f, cov_r = (_congruence(T, cov_B, M) for T in maps)
+    # Sigma_B = 0 makes every G_T zero, and so every covariance exactly zero.
+    mu_X, mu_F, mu_R = (
+        T @ meas.mu_B + unvec(_block_apply(G, z_sum) / n, T.shape[0], M)
+        for T, G in ((P, G_X), (H, G_F), (resid, G_R))
+    )
+    cov_x = _mapped_covariance(G_X, z_sum, z_cross, n)
     # Every grid value is linear in X, so its sample moments follow exactly
     # from the sample moments of the coefficients.
     grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x)
     eps_mean = float(eps.mean())
     eps_var = float(eps.var(ddof=1))
-    centered = eps - eps_mean
-    m4 = float((centered**4).mean())
+    sq = eps - eps_mean
+    sq *= sq
+    m4 = float(np.mean(sq * sq))
     return McPropagation(
         n_samples=n,
-        mu_X=mu_X, Sigma_X=cov_x,
-        mu_F=mu_F, Sigma_F=cov_f,
-        mu_R=mu_R, Sigma_R=cov_r,
+        mu_X=mu_X, Sigma_X=cov_x, mu_F=mu_F, mu_R=mu_R,
         eps_mean=eps_mean,
         eps_var=eps_var,
         eps_mean_se=float(np.sqrt(eps_var / n)),
@@ -251,6 +314,7 @@ def mc_propagate_model(
         grid_mean=grid_mean,
         grid_var=grid_var,
         grid_mean_se=np.sqrt(grid_var / n),
+        _z_sum=z_sum, _z_cross=z_cross, _F_map=G_F, _R_map=G_R,
     )
 
 
@@ -360,6 +424,17 @@ class RakeMCResult:
     n_failed: int
 
 
+def _wrap_degrees(theta: np.ndarray) -> np.ndarray:
+    """np.mod(theta, 360.0) bit for bit, at a quarter of its cost.
+
+    np.mod is fmod with 360 added where the remainder is negative, and +0.0
+    where it is zero; adding 0.0 elsewhere turns fmod's -0.0 into +0.0.
+    """
+    out = np.fmod(theta, 360.0)
+    out += np.where(out < 0.0, 360.0, 0.0)
+    return out
+
+
 def rake_position_mc(
     model: FourierModel,
     B,
@@ -421,9 +496,11 @@ def rake_position_mc(
     def run_batch(seed_child, size):
         rng = np.random.default_rng(seed_child)
         z = _standard_draws(rng, size, N, config.antithetic)
-        thetas = np.mod(mu_theta + z @ L.T, 360.0)
+        thetas = _wrap_degrees(mu_theta + z @ L.T)
         A_stack = design_matrix(thetas, omega)
         X, lambdas, ok = _fit_batch(model, A_stack, B, plain=plain)
+        if ok.all():
+            return X, lambdas, 0
         return X[ok], lambdas[ok], int(np.sum(~ok))
 
     children, sizes = _batch_plan(config)
@@ -439,11 +516,15 @@ def rake_position_mc(
             f"(> {max_failure_fraction:.0%})"
         )
     n_ok = n - n_failed
-    coeffs = np.concatenate(slices, axis=0) if slices else np.empty((0, K, M))
+    # A copy even for one batch, as in mc_propagate_model.
+    coeffs = np.concatenate(slices, axis=0)
     # Per station m: mean a_p^T mean(dX) about G_ref, variance a_p^T S_m a_p.
-    dX = (coeffs - X_ref).transpose(2, 0, 1)  # (M, n_ok, K)
-    s1 = dX.sum(axis=1)
-    s2 = dX.transpose(0, 2, 1) @ dX
+    # One (n_ok, KM) cross product holds every station's K x K sums on its
+    # block diagonal.
+    dX = (coeffs - X_ref).reshape(n_ok, K * M)
+    s1 = dX.sum(axis=0).reshape(K, M).T
+    idx = np.arange(M)
+    s2 = (dX.T @ dX).reshape(K, M, K, M)[:, idx, :, idx]
     cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / max(n_ok - 1, 1)
     grid_mean = G_ref + A_pred @ (s1.T / n_ok)
     grid_var = np.maximum(_row_quadratic_forms(A_pred, cov).T, 0.0)

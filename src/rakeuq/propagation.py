@@ -102,6 +102,14 @@ def ensure_psd(S, name: str = "covariance") -> np.ndarray:
     return _psd_factor(S, name)[0]
 
 
+def _equal_variance_sigma(d: np.ndarray):
+    """sqrt(d[0]) if every variance in d equals the first, a finite
+    nonnegative number, else None. No tolerance."""
+    if d.size == 0 or not 0.0 <= d[0] < math.inf or np.any(d != d[0]):
+        return None
+    return float(np.sqrt(d[0]))
+
+
 def _exact_iid_sigma(Sigma_B: np.ndarray):
     """sigma_b if Sigma_B is exactly sigma_b^2 I, else None.
 
@@ -109,11 +117,10 @@ def _exact_iid_sigma(Sigma_B: np.ndarray):
     the first. No tolerance, so a Sigma_B one ulp away is not iid.
     """
     d = np.diag(Sigma_B)
-    if d.size == 0 or not 0.0 <= d[0] < math.inf or np.any(d != d[0]):
+    sigma = _equal_variance_sigma(d)
+    if sigma is None or np.count_nonzero(Sigma_B) > np.count_nonzero(d):
         return None
-    if np.count_nonzero(Sigma_B) > np.count_nonzero(d):
-        return None
-    return float(np.sqrt(d[0]))
+    return sigma
 
 
 def _measurement_matrix(mu_B) -> np.ndarray:
@@ -220,6 +227,12 @@ class MeasurementDistribution:
         object.__setattr__(self, "factor_blocks", factor_blocks)
 
     @classmethod
+    def _from_blocks(cls, mu, iid_sigma, station_blocks, factor_blocks):
+        meas = object.__new__(cls)
+        meas._fill(mu, iid_sigma, station_blocks, factor_blocks)
+        return meas
+
+    @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
         """Independent identical noise sigma_b on every probe reading.
 
@@ -233,9 +246,7 @@ class MeasurementDistribution:
         if sigma_b < 0.0:
             raise InvalidParams("sigma_b must be nonnegative")
         mu = _measurement_matrix(mu_B)
-        meas = object.__new__(cls)
-        meas._fill(mu, sigma_b, *_iid_blocks(sigma_b, *mu.shape))
-        return meas
+        return cls._from_blocks(mu, sigma_b, *_iid_blocks(sigma_b, *mu.shape))
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
@@ -243,11 +254,19 @@ class MeasurementDistribution:
 
         It is iid exactly when every sigma is equal: with round-to-nearest,
         sqrt(fl(s^2)) = s unless s^2 underflows, so distinct sigmas square to
-        distinct variances.
+        distinct variances. Otherwise the M diagonal N x N station blocks
+        are built from the variances directly and checked and factored as
+        one stack; no NM x NM matrix is formed.
         """
-        mu = np.asarray(mu_B, dtype=float)
-        sigma = _finite_sigmas(mu, sigma)
-        return cls(mu, np.diag(sigma**2))
+        mu = _measurement_matrix(mu_B)
+        var = _finite_sigmas(mu, sigma) ** 2
+        exact = _equal_variance_sigma(var)
+        if exact is not None:
+            return cls._from_blocks(mu, exact, *_iid_blocks(exact, *mu.shape))
+        N, M = mu.shape
+        blocks = np.zeros((M, N, N))
+        blocks[:, np.arange(N), np.arange(N)] = var.reshape(M, N)
+        return cls._from_blocks(mu, None, *_psd_factor(blocks, "Sigma_B"))
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":

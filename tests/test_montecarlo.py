@@ -267,6 +267,65 @@ def test_sampling_factors_sigma_b_at_most_once(
     assert "Sigma_B" not in meas.__dict__
 
 
+def _per_draw_fits(model, meas, cfg, lam):
+    """X, F, R and eps of every draw, rebuilt batch by batch from _batch_plan."""
+    L = mc_mod.psd_factor(meas.Sigma_B)
+    children, sizes = mc_mod._batch_plan(cfg)
+    z = np.concatenate([
+        mc_mod._standard_draws(np.random.default_rng(child), size, 42, cfg.antithetic)
+        for child, size in zip(children, sizes)
+    ])
+    B = (meas.mu_B.reshape(-1, order="F") + z @ L.T).reshape(-1, 7, 6).transpose(0, 2, 1)
+    X = model.pseudoinverse(lam) @ B
+    F = model.A @ X
+    R = F - B
+    return X, F, R, np.einsum("bij,bij->b", R, R) / 42
+
+
+@pytest.mark.parametrize("noise", ["dense", "station blocks"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SamplerConfig(seed=47, n_samples=mc_mod.BATCH + 3),
+        SamplerConfig(seed=53, n_samples=1001, antithetic=True),
+        SamplerConfig(seed=59, n_samples=mc_mod.BATCH + 3, antithetic=True),
+    ],
+    ids=["two batches", "antithetic", "antithetic, two batches"],
+)
+def test_mc_multi_batch_and_antithetic_match_per_draw_samples(
+    engine_model, engine_data, noise, cfg
+):
+    lam = 0.1
+    meas = NOISE[noise](engine_data)
+    res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
+    X, F, R, eps = _per_draw_fits(engine_model, meas, cfg, lam)
+    assert res.n_samples == eps.size == cfg.n_samples
+    np.testing.assert_allclose(res.eps_samples, eps, rtol=1e-10)
+    for draws, mean, cov in (
+        (X, res.mu_X, res.Sigma_X),
+        (F, res.mu_F, res.Sigma_F),
+        (R, res.mu_R, res.Sigma_R),
+    ):
+        ref = np.cov(draws.transpose(0, 2, 1).reshape(cfg.n_samples, -1), rowvar=False)
+        assert np.linalg.norm(cov - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref_mean = draws.mean(axis=0)
+        assert np.linalg.norm(mean - ref_mean) <= 1e-10 * np.linalg.norm(ref_mean)
+
+
+@pytest.mark.parametrize("noise", list(NOISE))
+def test_mc_field_and_residual_covariances_built_on_read(engine_model, engine_data, noise):
+    meas = NOISE[noise](engine_data)
+    cfg = SamplerConfig(seed=61, n_samples=600)
+    res = mc_propagate_model(engine_model, meas, cfg)
+    res.eps_mean, res.eps_var, res.eps_var_se, res.grid_var, res.grid_mean_se, res.Sigma_X
+    assert "Sigma_F" not in res.__dict__ and "Sigma_R" not in res.__dict__
+    _, F, R, _ = _per_draw_fits(engine_model, meas, cfg, 0.0)
+    for draws, cov in ((F, res.Sigma_F), (R, res.Sigma_R)):
+        ref = np.cov(draws.transpose(0, 2, 1).reshape(cfg.n_samples, -1), rowvar=False)
+        assert np.linalg.norm(cov - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert "Sigma_F" in res.__dict__ and "Sigma_R" in res.__dict__
+
+
 def test_mc_correlated_noise_shrinks_peak_band(engine_model, engine_data):
     rho = np.full((42, 42), 0.95)
     np.fill_diagonal(rho, 1.0)
@@ -692,6 +751,15 @@ def test_rake_mc_makes_no_per_slice_lapack_calls(engine_model, engine_data, monk
     # the counters do see calls: the reported norm is the exact one
     fit(engine_model, engine_data).spectral_norm
     assert calls["eigvalsh"] == 1
+
+
+def test_wrap_degrees_is_np_mod_bit_for_bit():
+    rng = np.random.default_rng(71)
+    edges = [0.0, -0.0, 360.0, -360.0, 720.0, -720.0, 5e-324, -5e-324, -1e-17,
+             np.nextafter(360.0, 0.0), -np.nextafter(360.0, 0.0), 1e300, -1e300]
+    theta = np.concatenate([rng.standard_normal(20_000) * s for s in (1.0, 400.0, 1e9)] + [edges])
+    wrapped = mc_mod._wrap_degrees(theta)
+    np.testing.assert_array_equal(wrapped.view(np.int64), np.mod(theta, 360.0).view(np.int64))
 
 
 @pytest.mark.parametrize("sigma_theta", [np.nan, np.inf, -0.5, 1e200])
