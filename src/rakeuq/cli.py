@@ -65,6 +65,17 @@ def _build_model(campaign, args):
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a grid size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid_centers(n_r: int, n_theta: int):
     r = (np.arange(n_r) + 0.5) / n_r
     t = (np.arange(n_theta) + 0.5) * (360.0 / n_theta)
@@ -282,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--n-theta", type=int, default=360)
-    p.add_argument("--n-r", type=int, default=50)
+    p.add_argument("--n-theta", type=_positive_int, default=360)
+    p.add_argument("--n-r", type=_positive_int, default=50)
     p.add_argument("--coefficients", default=None,
                    help="path for the fitted-coefficient JSON")
     p.set_defaults(func=cmd_fit)
@@ -292,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--n-theta", type=int, default=360)
-    p.add_argument("--n-r", type=int, default=50)
+    p.add_argument("--n-theta", type=_positive_int, default=360)
+    p.add_argument("--n-r", type=_positive_int, default=50)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("scan", help="rank harmonic pairs by expected misfit")

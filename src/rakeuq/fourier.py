@@ -230,13 +230,16 @@ class _RidgeGuard(NamedTuple):
 
 
 def _ridge_guard(lambda_ladder, beta: float) -> _RidgeGuard:
-    """Checked guard settings: beta and every ladder entry must be positive."""
-    if beta <= 0.0:
-        raise InvalidParams("beta must be positive")
+    """Checked guard settings: beta must be positive (+inf turns the guard
+    off), and every ladder entry positive and finite. The comparisons are
+    written so that NaN fails them."""
+    beta = float(beta)
+    if not beta > 0.0:
+        raise InvalidParams(f"beta must be positive, got {beta}")
     ladder = tuple(float(l) for l in (lambda_ladder or ()))
-    if any(l <= 0.0 for l in ladder):
-        raise InvalidParams("ladder entries must be positive")
-    return _RidgeGuard(ladder, float(beta))
+    if not all(0.0 < l < math.inf for l in ladder):
+        raise InvalidParams(f"lambda_ladder entries must be positive and finite, got {ladder}")
+    return _RidgeGuard(ladder, beta)
 
 
 def _design_conditioning(A):
@@ -303,7 +306,7 @@ def _below_beta(X: np.ndarray, beta: float) -> np.ndarray:
     return accept
 
 
-def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
+def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True, *, carry=None):
     """Fit every design in a stack, walking the ridge ladder rung by rung.
 
     ``guard`` supplies ``lambda_ladder`` and ``beta``: a FourierModel, or a
@@ -316,8 +319,17 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
     A rung over every slice skips the gathers, and when nothing has passed
     yet its candidates become the output. Returns (X (b, K, M), lambdas
     (b,), ok mask (b,)); failed slices keep lambda 0 and NaN coefficients.
+
+    ``carry``, an N x C array, rides along: each rung solves its columns
+    beside B's in the same factorization, the guard reads only B's M
+    columns, and X comes back (b, K, M + C), each slice's carried block
+    solved at the lambda its fit was accepted at. Carrying the identity
+    gives every accepted slice its pseudoinverse without a second QR.
     """
     size = A_stack.shape[0]
+    n_guarded = B.shape[-1]
+    if carry is not None:
+        B = np.concatenate([B, carry], axis=-1)
     X = None
     lambdas = np.zeros(size)
     ok = np.zeros(size, dtype=bool)
@@ -328,7 +340,7 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True):
             continue
         every = todo.all()
         cand = ridge_solve(A_stack if every else A_stack[todo], B, lam)
-        good = _below_beta(cand, guard.beta)
+        good = _below_beta(cand[..., :n_guarded], guard.beta)
         if every:
             X, idx = cand, np.nonzero(good)[0]
         else:

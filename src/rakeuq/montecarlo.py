@@ -20,11 +20,14 @@ sampling metric, in closed form: all pairs' designs are stacked into one
 map. The scan and the rake engine fit their stacks through the fit module's
 one ridge-ladder walk, ``fourier._fit_batch``, which ``fit`` also uses: each
 rung is a single stacked ridge solve over the slices that still break the
-norm guard. The guard decides most slices from their Frobenius norm and
-takes the exact spectral norm only for those close to beta, so a stack of
-draws well inside the guard costs no per-slice eigenvalue call. The scan skips lambda = 0 for each singular pair; the rake
-engine takes that rule from the nominal design, so every draw tries the
-same rungs as the deterministic fit.
+norm guard. The scan hands the walk [mu_B | I_N], so each rung's one
+factorization also solves for every pair's pseudoinverse, and no pair is
+factored again for its residual map. The guard reads only the data columns;
+it decides most slices from their Frobenius norm and takes the exact
+spectral norm only for those close to beta, so a stack of draws well inside
+the guard costs no per-slice eigenvalue call. The scan skips lambda = 0 for
+each singular pair; the rake engine takes that rule from the nominal
+design, so every draw tries the same rungs as the deterministic fit.
 
 Neither sampling engine evaluates a grid per draw. Every grid value is
 linear in the draw's K x M coefficients X, so its sample mean and variance
@@ -66,7 +69,6 @@ from .fourier import (
     _fit_batch,
     _ridge_guard,
     design_matrix,
-    ridge_solve,
 )
 from .geometry import AnnulusGeometry
 from .propagation import (
@@ -359,10 +361,12 @@ def frequency_scan(
     pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
     tolerance, and ``_fit_batch`` fits the mean measurements for all pairs
     in one rung-by-rung ladder walk, the one ``fit`` and the rake engine
-    use; singular pairs skip lambda = 0, as ``fit`` does. The exact
-    mu(eps_p^2) under iid noise sigma_b then needs only the N x N residual
-    map K = A P(lambda) - I of each pair, one stacked pseudoinverse per rung
-    used:
+    use; singular pairs skip lambda = 0, as ``fit`` does. The walk carries
+    the identity beside mu_B, so each rung's one stacked factorization also
+    yields the pseudoinverse P(lambda) of every pair it accepts: one stacked
+    pseudoinverse per rung used, with no second QR. The exact mu(eps_p^2)
+    under iid noise sigma_b then needs only each pair's N x N residual map
+    K = A P(lambda) - I, formed for all accepted pairs in one pass:
 
         mu(eps_p^2) = (sigma_b^2 M ||K||_F^2 + ||K mu_B||_F^2) / NM.
 
@@ -391,16 +395,17 @@ def frequency_scan(
     A_full = design_matrix(geometry.theta_deg, range(1, max_freq + 1))
     A_stack = np.ascontiguousarray(A_full[:, cols].transpose(1, 0, 2))
     cond, singular = _design_conditioning(A_stack)
-    _, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular)
+    X, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular, carry=np.eye(N))
+    A = A_stack[ok]
+    P = X[ok, :, M:]
+    # K mu_B as A (P mu_B) - mu_B, not A X - mu_B: where the fit nearly
+    # reproduces the data the residual is all cancellation, and on four
+    # rakes the two orders put mean_eps about 1e-7 relative apart.
+    resid = A @ (P @ mu_B) - mu_B
+    K = A @ P - np.eye(N)
+    noise = sigma_b**2 * M * np.einsum("pij,pij->p", K, K)
     mean_eps = np.full(len(pairs), math.inf)
-    for lam in np.unique(lambdas[ok]):
-        idx = np.nonzero(ok & (lambdas == lam))[0]
-        A = A_stack[idx]
-        P = ridge_solve(A, np.eye(N), lam)
-        resid = A @ (P @ mu_B) - mu_B
-        K = A @ P - np.eye(N)
-        noise = sigma_b**2 * M * np.einsum("pij,pij->p", K, K)
-        mean_eps[idx] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
+    mean_eps[ok] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
     entries = [
         ScanEntry(pair, float(lambdas[i]), float(mean_eps[i]), float(cond[i]), False)
         if ok[i]

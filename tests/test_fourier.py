@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 from rakeuq import (
     AnnulusGeometry,
     HarmonicSet,
+    InvalidParams,
     OutOfDomain,
     RadialBasis,
     RegularizationExhausted,
@@ -79,6 +80,28 @@ def test_singular_design_still_fits_through_ladder():
     coeffs = fit(model, np.array([[300.0], [310.0], [290.0]]))
     assert coeffs.lambda_used > 0.0
     assert coeffs.lambda_used in model.lambda_ladder
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"beta": math.nan}, "beta"),
+        ({"lambda_ladder": (math.nan,)}, "lambda_ladder"),
+        ({"lambda_ladder": (0.1, math.inf)}, "lambda_ladder"),
+        ({"lambda_ladder": (-math.inf,)}, "lambda_ladder"),
+    ],
+    ids=["nan-beta", "nan-rung", "inf-rung", "minus-inf-rung"],
+)
+def test_build_rejects_nan_and_infinite_guard_settings(engine_model, kwargs, name):
+    with pytest.raises(InvalidParams, match=name):
+        build_design_matrix(engine_model.geometry, HarmonicSet((1, 4)), **kwargs)
+
+
+def test_infinite_beta_turns_the_guard_off(engine_model, engine_data):
+    model = build_design_matrix(engine_model.geometry, HarmonicSet((1, 4)), beta=math.inf)
+    coeffs = fit(model, 1e200 * engine_data)
+    assert coeffs.lambda_used == 0.0
+    np.testing.assert_array_equal(coeffs.X, qr_solve(model.A, 1e200 * engine_data))
 
 
 def test_fit_matches_normal_equations():

@@ -225,6 +225,49 @@ def test_fit_rejects_monte_carlo_options(campaign_path, capsys, option, value):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["scan", "--beta", "nan"], "beta"),
+        (["fit", "--harmonics", "1,4", "--beta", "nan"], "beta"),
+        (["fit", "--harmonics", "1,4", "--lambda-ladder", "nan"], "lambda_ladder"),
+        (["fit", "--harmonics", "1,4", "--lambda-ladder", "0.1,inf"], "lambda_ladder"),
+    ],
+    ids=["scan-nan-beta", "fit-nan-beta", "fit-nan-rung", "fit-inf-rung"],
+)
+def test_cli_rejects_nan_and_infinite_guard_settings(campaign_path, tmp_path, capsys, args, name):
+    out = tmp_path / "out"
+    code = main([args[0], campaign_path, *args[1:], "--output", str(out)])
+    assert code == 3
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_cli_accepts_infinite_beta(campaign_path, tmp_path, capsys):
+    code = main(["scan", campaign_path, "--beta", "inf", "--output", str(tmp_path / "scan.csv")])
+    assert code == 0
+    assert "best pair" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("fit", "--n-theta", "0"),
+        ("grid", "--n-theta", "0"),
+        ("fit", "--n-r", "0"),
+        ("grid", "--n-r", "0"),
+        ("grid", "--n-theta", "-3"),
+    ],
+)
+def test_grid_sizes_below_one_rejected(campaign_path, tmp_path, capsys, command, option, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, campaign_path, "--harmonics", "1,4", option, value, "--output", str(out)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_writes_coefficient_file(campaign_path, tmp_path):
     out = tmp_path / "report.json"
     code = main(

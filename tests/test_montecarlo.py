@@ -31,7 +31,7 @@ from rakeuq import (
     sample_mvn,
     station_predictions,
 )
-from rakeuq.fourier import _RidgeGuard, _spectral_norms
+from rakeuq.fourier import _RidgeGuard, _spectral_norms, ridge_solve
 from rakeuq.residuals import _residual_power_moments
 
 from conftest import (
@@ -528,6 +528,29 @@ def test_scan_rejects_bad_inputs(scan_geometry, sigma_b, kwargs, error):
         frequency_scan(scan_geometry, mu_B, sigma_b, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"beta": math.nan}, "beta"),
+        ({"lambda_ladder": (math.nan,)}, "lambda_ladder"),
+        ({"lambda_ladder": (0.1, math.inf)}, "lambda_ladder"),
+        ({"lambda_ladder": (-math.inf,)}, "lambda_ladder"),
+    ],
+    ids=["nan-beta", "nan-rung", "inf-rung", "minus-inf-rung"],
+)
+def test_scan_rejects_nan_and_infinite_guard_settings(scan_geometry, kwargs, name):
+    mu_B = design_matrix(SCAN_THETA, (1, 4)) @ coefficient_truth()
+    with pytest.raises(InvalidParams, match=name):
+        frequency_scan(scan_geometry, mu_B, SIGMA_B, **kwargs)
+
+
+def test_scan_accepts_infinite_beta(scan_geometry):
+    mu_B = design_matrix(SCAN_THETA, (1, 4)) @ coefficient_truth()
+    result = frequency_scan(scan_geometry, mu_B, SIGMA_B, beta=math.inf)
+    assert result.best.omega == (1, 4)
+    assert not any(e.flagged for e in result.entries)
+
+
 def test_fit_batch_walks_ladder_rung_by_rung():
     # one stack, four slices, each leaving the ladder at a different place;
     # the data lie in the span of the aliased (2, 8) lattice design
@@ -567,6 +590,56 @@ def test_fit_batch_walks_ladder_rung_by_rung():
     # meaningless but happens to pass the guard
     _, unmasked, _ = mc_mod._fit_batch(guard, A_stack, B)
     assert unmasked.tolist() == [0.0, 0.0, 1e-4, 0.0]
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "plain-everywhere"])
+def test_fit_batch_carried_columns_ride_the_walk(masked):
+    # the four slices of the rung-by-rung test: well posed, aliased (first
+    # rung when masked), second rung, exhausted; unmasked, lambda = 0 is a
+    # whole-stack rung, whose candidates become the output
+    B = design_matrix(ENGINE_THETA, (2, 8)) @ coefficient_truth()
+    nudge2 = ENGINE_THETA + np.array([1e-5, -1e-5, 0, 0, 0, 0])
+    nudge1 = ENGINE_THETA + np.array([1e-3, 0, 0, 0, 0, 0])
+    A_stack = np.stack([
+        design_matrix(theta, pair)
+        for theta, pair in [(ENGINE_THETA, (1, 4)), (ENGINE_THETA, (2, 8)),
+                            (nudge2, (1, 9)), (nudge1, (1, 9))]
+    ])
+    guard = _RidgeGuard((1e-5, 1e-4), BETA)
+    plain = np.array([True, False, True, False]) if masked else True
+    N, M = B.shape
+    X, lambdas, ok = mc_mod._fit_batch(guard, A_stack, B, plain=plain)
+    XC, lambdas_c, ok_c = mc_mod._fit_batch(guard, A_stack, B, plain=plain, carry=np.eye(N))
+    assert ok.tolist() == [True, True, True, False]
+    assert XC.shape == (4, 5, M + N)
+    np.testing.assert_array_equal(lambdas_c, lambdas)
+    np.testing.assert_array_equal(ok_c, ok)
+    np.testing.assert_array_equal(XC[..., :M], X)
+    for i in range(4):
+        if ok[i]:
+            P = ridge_solve(A_stack[i], np.eye(N), lambdas[i])
+            np.testing.assert_array_equal(XC[i, :, M:], P)
+        else:
+            assert np.isnan(XC[i]).all()
+
+
+def test_scan_factors_each_rung_once(engine_geometry, engine_data, monkeypatch):
+    # the lattice's nonsingular pairs pass at lambda = 0 and its singular
+    # pairs at the first rung: two rungs walked, and each pair's
+    # pseudoinverse comes out of the same factorizations
+    calls = []
+    original = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    result = frequency_scan(
+        engine_geometry, engine_data, SIGMA_B, beta=BETA, lambda_ladder=(0.1, 10.0)
+    )
+    assert {e.lambda_used for e in result.entries} == {0.0, 0.1}
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
