@@ -11,7 +11,7 @@ Subcommands mirror the library's capabilities:
     rakeuq fig1-demo  --frequency 2 --rake-counts 3,8,300 --output demo.csv
 
 Exit codes: 0 success, 2 input schema error, 3 numeric failure, 4 ridge
-ladder exhausted. RAKEUQ_THREADS caps Monte Carlo thread parallelism.
+ladder exhausted.
 """
 
 import argparse
@@ -65,15 +65,19 @@ def _build_model(campaign, args):
     )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a grid size: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer of at least ``low``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
 
 
 def _grid_centers(n_r: int, n_theta: int):
@@ -263,7 +267,7 @@ def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
     """Attach --output plus the ridge (--lambda-ladder, --beta), --seed and
     --samples options, each only where the subcommand reads it."""
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+        parser.add_argument("--seed", type=_int_at_least(0), default=0, help="Monte Carlo seed")
     if samples_default is not None:
         parser.add_argument("--samples", type=int, default=samples_default,
                             help="Monte Carlo sample count")
@@ -293,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--n-theta", type=_positive_int, default=360)
-    p.add_argument("--n-r", type=_positive_int, default=50)
+    p.add_argument("--n-theta", type=_int_at_least(1), default=360)
+    p.add_argument("--n-r", type=_int_at_least(1), default=50)
     p.add_argument("--coefficients", default=None,
                    help="path for the fitted-coefficient JSON")
     p.set_defaults(func=cmd_fit)
@@ -303,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--n-theta", type=_positive_int, default=360)
-    p.add_argument("--n-r", type=_positive_int, default=50)
+    p.add_argument("--n-theta", type=_int_at_least(1), default=360)
+    p.add_argument("--n-r", type=_int_at_least(1), default=50)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("scan", help="rank harmonic pairs by expected misfit")
@@ -319,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.add_argument("--sigma-theta", type=float, required=True,
                    help="angle scatter std dev in degrees")
-    p.add_argument("--draws", type=int, default=50000)
-    p.add_argument("--n-prediction", type=int, default=360)
+    p.add_argument("--draws", type=_int_at_least(2), default=50000)
+    p.add_argument("--n-prediction", type=_int_at_least(1), default=360)
     p.set_defaults(func=cmd_rake_mc)
 
     p = sub.add_parser("efficiency", help="efficiency uncertainty budget")
@@ -350,9 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommands whose result exists only as the CSV they write.
+_CSV_COMMANDS = ("grid", "scan", "rake-mc")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _CSV_COMMANDS and not args.output:
+        parser.error(f"{args.command} writes a CSV and needs --output")
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -98,25 +98,25 @@ def fig1_demo(
     rake_counts=(3, 8, 300),
     *,
     offset_deg: float = 0.0,
-    beta: float = None,
 ) -> list:
     """Legacy scatter versus model misfit across uniformly spaced rake counts.
 
-    Rakes are placed at offset + i * 360/K degrees. Counts below 2k+1 = 3
-    cannot capture the harmonic and raise through the fit; the default
-    frequency-2 field needs K >= 3.
+    Rakes are placed at offset + i * 360/K degrees. Every count must be at
+    least 1. Counts below 2k+1 = 3 cannot capture the harmonic and raise
+    through the fit; the default frequency-2 field needs K >= 3.
     """
     field = HarmonicField() if field is None else field
+    counts = [int(count) for count in rake_counts]
+    if any(count < 1 for count in counts):
+        raise InvalidParams(f"rake_counts must all be at least 1, got {counts}")
     harmonics = HarmonicSet((field.frequency,))
+    # keep the guard clear of the coefficient scale itself
+    beta = max(DEFAULT_BETA, 10.0 * (abs(field.mean) + field.amplitude))
     rows = []
-    for count in rake_counts:
-        count = int(count)
+    for count in counts:
         theta = np.mod(offset_deg + np.arange(count) * (360.0 / count), 360.0)
         readings = field.sample(theta)
         geometry = AnnulusGeometry(theta, np.array([0.5]), 0.0, 1.0)
-        if beta is None:
-            # keep the guard clear of the coefficient scale itself
-            beta = max(DEFAULT_BETA, 10.0 * (abs(field.mean) + field.amplitude))
         model = build_design_matrix(geometry, harmonics, beta=beta)
         coeffs = fit(model, readings[:, None])
         rows.append(

@@ -1,9 +1,8 @@
 """Seeded Monte Carlo engine and the two sampling studies built on it.
 
-Everything here is deterministic for a fixed seed and sample count: batches
-draw from generators spawned off one seed sequence and are reduced in a fixed
-order, so results are bit-identical whether batches run serially or on the
-thread pool capped by the RAKEUQ_THREADS environment variable.
+Everything here is deterministic for a fixed seed and sample count: draws
+come in batches of at most BATCH, each from its own generator spawned off one
+seed sequence, and the batches run and are reduced in order.
 
 Two sampling studies share the sampler:
 
@@ -26,8 +25,8 @@ factored again for its residual map. The guard reads only the data columns;
 it decides most slices from their Frobenius norm and takes the exact
 spectral norm only for those close to beta, so a stack of draws well inside
 the guard costs no per-slice eigenvalue call. The scan skips lambda = 0 for
-each singular pair; the rake engine takes that rule from the nominal
-design, so every draw tries the same rungs as the deterministic fit.
+each singular pair; the rake engine takes that rule from the model, as
+``fit`` does, so every draw tries the same rungs as the deterministic fit.
 
 Neither sampling engine evaluates a grid per draw. Every grid value is
 linear in the draw's K x M coefficients X, so its sample mean and variance
@@ -52,8 +51,6 @@ from a reference fit of the mean input:
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -99,25 +96,8 @@ class SamplerConfig:
         object.__setattr__(self, "n_samples", int(self.n_samples))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RAKEUQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_batches(fn, args_list):
-    """Evaluate batches, possibly concurrently, preserving batch order."""
-    workers = _worker_count()
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
-
-
 def _batch_plan(config: SamplerConfig):
-    """Spawned child seeds and batch sizes; independent of thread count."""
+    """Spawned child seeds and batch sizes: the random stream of a run."""
     n = config.n_samples
     n_batches = max(1, math.ceil(n / BATCH))
     sizes = [BATCH] * (n_batches - 1) + [n - BATCH * (n_batches - 1)]
@@ -233,14 +213,13 @@ def mc_propagate_model(
     config: SamplerConfig,
     *,
     lam: float = 0.0,
-    r_fracs=None,
-    theta_grid_deg=None,
 ) -> McPropagation:
     """Sample measurements and push each draw through the fixed fit map.
 
     Every draw uses the pseudoinverse for the given lambda (default the
     unregularized fit), matching the linear map behind the closed forms this
     function cross-checks; the ridge ladder is deliberately not walked here.
+    The predictive grid is taken at the model's stations, every 10 degrees.
     """
     if (meas.n_rakes, meas.n_stations) != (model.n_rakes, model.n_stations):
         raise DimensionMismatch("measurement shape does not match the model")
@@ -259,12 +238,8 @@ def mc_propagate_model(
     G_X, G_F, G_R = (_factor_map(T, L, M) for T in (P, H, resid))
     R_mapT = G_R.transpose(0, 2, 1)
     mu_R0 = (resid @ meas.mu_B).T.reshape(n_blocks, 1, width)
-    if r_fracs is None:
-        r_fracs = model.geometry.r_stations
-    if theta_grid_deg is None:
-        theta_grid_deg = np.arange(0.0, 360.0, 10.0)
-    r_fracs = np.atleast_1d(np.asarray(r_fracs, dtype=float))
-    theta_grid_deg = np.atleast_1d(np.asarray(theta_grid_deg, dtype=float))
+    r_fracs = model.geometry.r_stations
+    theta_grid_deg = np.arange(0.0, 360.0, 10.0)
     W = np.atleast_2d(model.radial.blend(r_fracs))
     A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
@@ -277,8 +252,7 @@ def mc_propagate_model(
         eps = np.einsum("bsi,bsi->s", r, r) / NM
         return z.sum(axis=0), z.T @ z, eps
 
-    children, sizes = _batch_plan(config)
-    results = _map_batches(run_batch, list(zip(children, sizes)))
+    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config))]
 
     n = config.n_samples
     # sum() and concatenate() copy even a single batch's arrays, on purpose:
@@ -446,18 +420,19 @@ def rake_position_mc(
     sigma_theta,
     config: SamplerConfig,
     *,
-    mu_theta_deg=None,
     n_prediction: int = 360,
     max_failure_fraction: float = 0.01,
 ) -> RakeMCResult:
     """Propagate rake-placement scatter by refitting perturbed angle draws.
 
-    ``sigma_theta`` is either a scalar standard deviation in degrees (iid
-    across rakes) or a full N x N covariance. Each draw wraps its angles into
-    [0, 360), rebuilds the design matrix and fits the fixed measurement
-    matrix B through the usual norm guard and ridge ladder; draws whose
-    ladder is exhausted are dropped and counted, and the run aborts with
-    DrawFailed when more than ``max_failure_fraction`` of draws fail.
+    The draws scatter the model's own rake angles. ``sigma_theta`` is either
+    a scalar standard deviation in degrees (iid across rakes) or a full
+    N x N covariance. Each draw wraps its angles into [0, 360), rebuilds the
+    design matrix and fits the fixed measurement matrix B through ``fit``'s
+    norm guard and ridge ladder, trying lambda = 0 only where ``fit`` does;
+    draws whose ladder is exhausted are dropped and counted, and the run
+    aborts with DrawFailed when more than ``max_failure_fraction`` of draws
+    fail.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -465,13 +440,7 @@ def rake_position_mc(
     if B.shape != (model.n_rakes, model.n_stations):
         raise DimensionMismatch("B must be N x M for this model")
     N = model.n_rakes
-    mu_theta = (
-        model.geometry.theta_deg
-        if mu_theta_deg is None
-        else np.asarray(mu_theta_deg, dtype=float)
-    )
-    if mu_theta.shape != (N,):
-        raise DimensionMismatch("mu_theta_deg must have one angle per rake")
+    mu_theta = model.geometry.theta_deg
     Sigma_theta = np.asarray(sigma_theta, dtype=float)
     if Sigma_theta.ndim == 0:
         sigma = float(Sigma_theta)
@@ -487,14 +456,13 @@ def rake_position_mc(
     omega = model.harmonics.omega
     A_pred = design_matrix(theta_pred, omega)
 
-    # Fit at the nominal angles, the origin of the coefficient deviations.
-    # These are exactly zero when Sigma_theta = 0, so the degenerate case
-    # reproduces the deterministic prediction grid bit for bit. The nominal
-    # design decides, as in ``fit``, whether any fit tries lambda = 0.
+    # Fit at the nominal angles, as ``fit`` does: the origin of the
+    # coefficient deviations. These are exactly zero when Sigma_theta = 0, so
+    # the degenerate case reproduces the deterministic prediction grid bit
+    # for bit.
     K, M = model.n_coeffs, model.n_stations
-    A_nom = design_matrix(mu_theta, omega)
-    plain = not _design_conditioning(A_nom)[1]
-    X_nom, _, ok_nom = _fit_batch(model, A_nom[None], B, plain=plain)
+    plain = model.P is not None
+    X_nom, _, ok_nom = _fit_batch(model, model.A[None], B, plain=plain)
     X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
     G_ref = A_pred @ X_ref
 
@@ -508,8 +476,7 @@ def rake_position_mc(
             return X, lambdas, 0
         return X[ok], lambdas[ok], int(np.sum(~ok))
 
-    children, sizes = _batch_plan(config)
-    results = _map_batches(run_batch, list(zip(children, sizes)))
+    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config))]
 
     slices = [r[0] for r in results]
     lambdas = np.concatenate([r[1] for r in results])

@@ -401,6 +401,44 @@ def test_rake_mc_cli_zero_scatter_matches_fit(campaign_path, tmp_path):
     assert (var == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["grid", "--harmonics", "1,4"],
+        ["scan"],
+        ["rake-mc", "--harmonics", "1,4", "--sigma-theta", "0.5", "--draws", "64"],
+    ],
+    ids=["grid", "scan", "rake-mc"],
+)
+def test_csv_commands_need_output(campaign_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], campaign_path, *args[1:]])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["rake-mc", "--draws", "1"], "--draws"),
+        (["rake-mc", "--draws", "-5"], "--draws"),
+        (["rake-mc", "--n-prediction", "0"], "--n-prediction"),
+        (["rake-mc", "--seed", "-1"], "--seed"),
+        (["efficiency", "--seed", "-1"], "--seed"),
+    ],
+    ids=["one-draw", "negative-draws", "no-prediction-angle", "rake-mc-seed", "efficiency-seed"],
+)
+def test_monte_carlo_integer_options_rejected(campaign_path, tmp_path, capsys, args, option):
+    out = tmp_path / "out"
+    if args[0] == "rake-mc":
+        args = ["rake-mc", campaign_path, "--harmonics", "1,4", "--sigma-theta", "0.5", *args[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--output", str(out)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_exit_code_on_missing_file(tmp_path):
     code = main(["fit", str(tmp_path / "nope.json"), "--harmonics", "1,4"])
     assert code == 2
@@ -653,6 +691,15 @@ def test_fig1_demo_cli(tmp_path, capsys):
         rows = list(csv.reader(handle))
     assert rows[0] == ["n_rakes", "legacy", "model_eps_p_sq"]
     assert [r[0] for r in rows[1:]] == ["3", "8", "300"]
+
+
+@pytest.mark.parametrize("counts", ["0", "3,-2"])
+def test_fig1_demo_cli_rejects_counts_below_one(tmp_path, capsys, counts):
+    out = tmp_path / "demo.csv"
+    code = main(["fig1-demo", "--rake-counts", counts, "--output", str(out)])
+    assert code == 3
+    assert "rake_counts" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_and_read_json_round_trip(tmp_path):

@@ -129,6 +129,18 @@ def test_demo_flat_field_is_silent():
         assert row.model_eps_p_sq == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("counts", [(0,), (3, -2)])
+def test_demo_rejects_counts_below_one(monkeypatch, counts):
+    import rakeuq.legacy as legacy_mod
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the counts were checked")
+
+    monkeypatch.setattr(legacy_mod, "fit", no_fit)
+    with pytest.raises(InvalidParams, match="rake_counts"):
+        fig1_demo(rake_counts=counts)
+
+
 def test_demo_kelvin_scale_field():
     # the default norm guard must clear kelvin-scale intercepts
     field = HarmonicField(mean=1500.0, amplitude=2.0)

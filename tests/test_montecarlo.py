@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -743,6 +744,43 @@ def test_rake_mc_thread_invariant(engine_model, engine_data, monkeypatch):
     np.testing.assert_array_equal(a.grid_mean, b.grid_mean)
     np.testing.assert_array_equal(a.grid_var, b.grid_var)
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+
+def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
+    # rebuild each draw's angles from the batch plan, then fit every draw
+    # alone with fit() on a model built at that draw's angles
+    cfg = SamplerConfig(seed=23, n_samples=mc_mod.BATCH + 3)
+    res = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
+    assert res.n_failed == 0
+    children, sizes = mc_mod._batch_plan(cfg)
+    assert sizes == [mc_mod.BATCH, 3]
+    N = engine_model.n_rakes
+    L = mc_mod.psd_factor(np.eye(N))
+    thetas = np.concatenate([
+        mc_mod._wrap_degrees(
+            engine_model.geometry.theta_deg
+            + mc_mod._standard_draws(np.random.default_rng(child), size, N, False) @ L.T
+        )
+        for child, size in zip(children, sizes)
+    ])
+    fits = [
+        fit(
+            build_design_matrix(
+                replace(engine_model.geometry, theta_deg=theta),
+                engine_model.harmonics,
+                lambda_ladder=engine_model.lambda_ladder,
+                beta=engine_model.beta,
+            ),
+            engine_data,
+        )
+        for theta in thetas
+    ]
+    X = np.stack([f.X for f in fits])
+    np.testing.assert_array_equal(res.coefficients, X)
+    np.testing.assert_array_equal(res.lambdas, [f.lambda_used for f in fits])
+    grids = design_matrix(res.theta_pred_deg, engine_model.harmonics.omega) @ X
+    np.testing.assert_allclose(res.grid_mean, grids.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
 
 
 def test_rake_mc_seed_stability(engine_model, engine_data):
