@@ -22,7 +22,6 @@ from .efficiency import (
     efficiency,
     efficiency_gradient,
     taylor_variance,
-    validate_correlation,
 )
 from .errors import (
     DegenerateRatio,
@@ -86,6 +85,7 @@ from .propagation import (
     propagate_field,
     residual_moments,
     unvec,
+    validate_correlation,
     vec,
 )
 from .residuals import (

@@ -222,8 +222,6 @@ def cmd_efficiency(args) -> int:
     if args.rho_values:
         rho_values = _parse_floats(args.rho_values)
         sigmas = correlation_sweep(state, rho_values)
-        if not args.output:
-            raise RakeUqError("--rho-values needs --output for the sweep CSV")
         io.write_csv(args.output, ["rho", "sigma_eta"], zip(rho_values, sigmas))
         print(f"wrote sweep of {len(rho_values)} correlation values")
         return 0
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="rank harmonic pairs by expected misfit")
     p.add_argument("campaign")
     _add_common(p)
-    p.add_argument("--max-freq", type=int, default=10)
+    p.add_argument("--max-freq", type=_int_at_least(2), default=10)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("rake-mc", help="Monte Carlo over rake placement scatter")
@@ -363,6 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in _CSV_COMMANDS and not args.output:
         parser.error(f"{args.command} writes a CSV and needs --output")
+    if args.command == "efficiency" and args.rho_values and not args.output:
+        parser.error("efficiency --rho-values writes a CSV and needs --output")
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRatio, DimensionMismatch, InvalidCorrelation, InvalidParams
-from .propagation import _psd_factor
+from .propagation import validate_correlation
 
 PARAM_NAMES = ("T01", "T02", "P01", "P02", "gamma")
 
@@ -72,21 +72,6 @@ def efficiency_gradient(z) -> np.ndarray:
             num * pr * np.log(P02 / P01) / (T01 * D**2 * gamma**2),
         ]
     )
-
-
-def validate_correlation(rho, n: int) -> np.ndarray:
-    """Check a correlation matrix: square, symmetric, unit diagonal, PSD
-    under the rule of ``ensure_psd``. Returns it as ensure_psd does."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (n, n):
-        raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
-    if not np.allclose(rho, rho.T, atol=1e-12):
-        raise InvalidCorrelation("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
-        raise InvalidCorrelation("correlation matrix needs a unit diagonal")
-    if np.any(np.abs(rho) > 1.0 + 1e-12):
-        raise InvalidCorrelation("correlations must lie in [-1, 1]")
-    return _psd_factor(rho, "correlation matrix", InvalidCorrelation)[0]
 
 
 @dataclass(frozen=True)

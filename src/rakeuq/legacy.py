@@ -101,15 +101,17 @@ def fig1_demo(
 ) -> list:
     """Legacy scatter versus model misfit across uniformly spaced rake counts.
 
-    Rakes are placed at offset + i * 360/K degrees. Every count must be at
-    least 1. Counts below 2k+1 = 3 cannot capture the harmonic and raise
-    through the fit; the default frequency-2 field needs K >= 3.
+    Rakes are placed at offset + i * 360/K degrees. The one-harmonic model
+    has 2k+1 = 3 coefficients, so counts below 3 cannot determine it and are
+    refused with InvalidParams before any fit.
     """
     field = HarmonicField() if field is None else field
     counts = [int(count) for count in rake_counts]
-    if any(count < 1 for count in counts):
-        raise InvalidParams(f"rake_counts must all be at least 1, got {counts}")
     harmonics = HarmonicSet((field.frequency,))
+    if any(count < harmonics.n_coeffs for count in counts):
+        raise InvalidParams(
+            f"rake_counts must all be at least 2k+1 = {harmonics.n_coeffs}, got {counts}"
+        )
     # keep the guard clear of the coefficient scale itself
     beta = max(DEFAULT_BETA, 10.0 * (abs(field.mean) + field.amplitude))
     rows = []

@@ -35,15 +35,17 @@ from a reference fit of the mean input:
 
 * ``mc_propagate_model`` works in the coordinates of the noise factor L
   (``MeasurementDistribution.factor_blocks``): a draw is vec(B) =
-  vec(mu_B) + L z, and X, F and R are T mu_B + (I_M kron T) L z for
-  T = P, AP, AP - I. Those maps of z, G_X, G_F and G_R, are kept in L's
-  block form. A batch forms only the residuals (one stacked product with
-  G_R) for the sampling metric, and the sums of z and z z^T; no draw of B
-  is formed. After all batches the sums are mapped by G_X for Sigma_X, and
-  by G_F and G_R for Sigma_F and Sigma_R when those are read. The grid
-  value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t], so the grid has
-  mean G mu_X and variance diag(G Sigma_X G^T), taken by the same
-  contraction as ``predictive_grid``.
+  vec(mu_B) + L z, and X and R are T mu_B + (I_M kron T) L z for T = P and
+  AP - I. Those maps of z, G_X and G_R, are kept in L's block form by the
+  propagation module's ``_station_map``. A batch forms only the residuals
+  (one stacked product with G_R) for the sampling metric, and the sums of
+  z and z z^T; no draw of B is formed. After all batches the sums are
+  mapped by G_X for Sigma_X, and by G_R for Sigma_R when that is read.
+  Every draw has F = A X exactly, so, as in the closed form, mu_F = A mu_X
+  and Sigma_F is the congruence of Sigma_X by A. The grid value at (r, t)
+  is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean G mu_X and
+  variance diag(G Sigma_X G^T), taken by the same contraction as
+  ``predictive_grid``.
 * ``rake_position_mc`` sums the kept draws' deviations once, after all
   batches: per station m a K-vector, and the K x K cross products, read off
   the block diagonal of one (n, KM) product. The variance at prediction
@@ -70,9 +72,13 @@ from .fourier import (
 from .geometry import AnnulusGeometry
 from .propagation import (
     MeasurementDistribution,
+    _block_left,
+    _check_meas,
+    _congruence,
     _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
+    _station_map,
     unvec,
 )
 
@@ -130,40 +136,17 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     return mean + z @ L.T
 
 
-def _factor_map(T: np.ndarray, L: np.ndarray, n_stations: int) -> np.ndarray:
-    """(I_M kron T) L in the block form of L, for a k x N block T.
-
-    Station blocks (M, N, N) give the (M, k, N) stack of T L_m; one
-    (1, NM, NM) block gives one (1, Mk, NM) block, T applied to the rake
-    axis of every station's rows.
-    """
-    if L.shape[0] > 1:
-        return T @ L
-    k, N = T.shape
-    return (T @ L[0].reshape(n_stations, N, -1)).reshape(1, n_stations * k, -1)
-
-
-def _block_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G v for G block diagonal with (B, k, w) blocks, in vec order."""
-    n_blocks, _, w = G.shape
-    return (G @ v.reshape(n_blocks, w, 1)).ravel()
-
-
 def _mapped_covariance(G: np.ndarray, z_sum: np.ndarray, z_cross: np.ndarray, n: int):
     """Sample covariance of G z over n draws z, from their sums.
 
     G is block diagonal with (B, k, w) blocks, z_sum is the sum of the draws
-    and z_cross the sum of z z^T (Bw x Bw). The covariance is
+    and z_cross the sum of z z^T (Bw x Bw, symmetric). The covariance is
     (G z_cross G^T - g g^T / n) / (n - 1) with g = G z_sum: the mean comes
-    off after the mapping, so no Bw x Bw outer product is formed. Block b of
-    G maps row block b of z_cross, then each column block is mapped by its
-    own block: two stacked products.
+    off after the mapping, so no Bw x Bw outer product is formed, and
+    G z_cross G^T is G (G z_cross)^T, two block maps.
     """
-    n_blocks, k, w = G.shape
-    left = (G @ z_cross.reshape(n_blocks, w, n_blocks * w)).reshape(n_blocks * k, n_blocks, w)
-    out = (left.transpose(1, 0, 2) @ G.transpose(0, 2, 1)).transpose(1, 0, 2)
-    out = out.reshape(n_blocks * k, n_blocks * k)
-    g = _block_apply(G, z_sum)
+    out = _block_left(G, _block_left(G, z_cross).T)
+    g = _block_left(G, z_sum)
     out = 0.5 * (out + out.T) - np.outer(g, g / n)
     out /= n - 1
     return out
@@ -173,9 +156,10 @@ def _mapped_covariance(G: np.ndarray, z_sum: np.ndarray, z_cross: np.ndarray, n:
 class McPropagation:
     """Empirical moments from sampling the measurement distribution.
 
-    Sigma_X (KM x KM) is assembled at once; the NM x NM Sigma_F and Sigma_R
-    are built on first read, from the sums of the standard draws z and the
-    maps (I_M kron T) L of the noise factor L.
+    Sigma_X (KM x KM) is assembled at once. The NM x NM Sigma_F and Sigma_R
+    are built on first read: Sigma_F as the congruence of Sigma_X by the
+    rake design, and Sigma_R from the sums of the standard draws z and the
+    map (I_M kron (AP - I)) L of the noise factor L.
     """
 
     n_samples: int
@@ -195,12 +179,12 @@ class McPropagation:
     grid_mean_se: np.ndarray
     _z_sum: np.ndarray = field(repr=False)
     _z_cross: np.ndarray = field(repr=False)
-    _F_map: np.ndarray = field(repr=False)
     _R_map: np.ndarray = field(repr=False)
+    _design: np.ndarray = field(repr=False)
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _mapped_covariance(self._F_map, self._z_sum, self._z_cross, self.n_samples)
+        return _congruence(self._design, self.Sigma_X, self.mu_F.shape[1])
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:
@@ -221,21 +205,17 @@ def mc_propagate_model(
     function cross-checks; the ridge ladder is deliberately not walked here.
     The predictive grid is taken at the model's stations, every 10 degrees.
     """
-    if (meas.n_rakes, meas.n_stations) != (model.n_rakes, model.n_stations):
-        raise DimensionMismatch("measurement shape does not match the model")
-    if config.n_samples < 2:
-        raise InvalidParams("empirical covariances need at least two samples")
+    _check_meas(model, meas)
     N, M = model.n_rakes, model.n_stations
     NM = N * M
     P = model.pseudoinverse(lam)
-    H = model.A @ P
-    resid = H - np.eye(N)
-    # A draw of vec(B) is vec(mu_B) + L z, so X, F and R (the maps I_M kron T
-    # of B, T in {P, AP, AP - I}) are T mu_B plus G_T z, G_T = (I_M kron T) L
-    # in the block form of L.
+    resid = model.A @ P - np.eye(N)
+    # A draw of vec(B) is vec(mu_B) + L z, so X and R (the maps I_M kron T of
+    # B, T in {P, AP - I}) are T mu_B plus G_T z, G_T = (I_M kron T) L in the
+    # block form of L. F = A X exactly, so it needs no map of its own.
     L = meas.factor_blocks
     n_blocks, width = L.shape[:2]
-    G_X, G_F, G_R = (_factor_map(T, L, M) for T in (P, H, resid))
+    G_X, G_R = (_station_map(T, L, M) for T in (P, resid))
     R_mapT = G_R.transpose(0, 2, 1)
     mu_R0 = (resid @ meas.mu_B).T.reshape(n_blocks, 1, width)
     r_fracs = model.geometry.r_stations
@@ -264,9 +244,9 @@ def mc_propagate_model(
     z_cross = sum(res[1] for res in results)
     eps = np.concatenate([res[2] for res in results])
     # Sigma_B = 0 makes every G_T zero, and so every covariance exactly zero.
-    mu_X, mu_F, mu_R = (
-        T @ meas.mu_B + unvec(_block_apply(G, z_sum) / n, T.shape[0], M)
-        for T, G in ((P, G_X), (H, G_F), (resid, G_R))
+    mu_X, mu_R = (
+        T @ meas.mu_B + unvec(_block_left(G, z_sum) / n, T.shape[0], M)
+        for T, G in ((P, G_X), (resid, G_R))
     )
     cov_x = _mapped_covariance(G_X, z_sum, z_cross, n)
     # Every grid value is linear in X, so its sample moments follow exactly
@@ -279,7 +259,7 @@ def mc_propagate_model(
     m4 = float(np.mean(sq * sq))
     return McPropagation(
         n_samples=n,
-        mu_X=mu_X, Sigma_X=cov_x, mu_F=mu_F, mu_R=mu_R,
+        mu_X=mu_X, Sigma_X=cov_x, mu_F=model.A @ mu_X, mu_R=mu_R,
         eps_mean=eps_mean,
         eps_var=eps_var,
         eps_mean_se=float(np.sqrt(eps_var / n)),
@@ -290,7 +270,7 @@ def mc_propagate_model(
         grid_mean=grid_mean,
         grid_var=grid_var,
         grid_mean_se=np.sqrt(grid_var / n),
-        _z_sum=z_sum, _z_cross=z_cross, _F_map=G_F, _R_map=G_R,
+        _z_sum=z_sum, _z_cross=z_cross, _R_map=G_R, _design=model.A,
     )
 
 

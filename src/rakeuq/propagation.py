@@ -12,17 +12,20 @@ vec(X) = (I_M kron P) vec(B), and first/second moments push through exactly:
 
 F is the fitted value at the rakes and R = F - B the fit residual.
 
-Every covariance is carried in the block form of Sigma_B, read from
-Sigma_B itself when the MeasurementDistribution is built:
+Every covariance is a congruence by I_M kron T, T in {P, A, AP - I}, taken
+by ``_station_map`` in the block form of Sigma_B, which is read from Sigma_B
+itself when the MeasurementDistribution is built:
 
 - when every cross-station block of Sigma_B is exactly zero (iid noise,
   diagonal noise, correlation within a station), as its M diagonal N x N
-  blocks S_m, and each congruence is the stack of small blocks T S_m T^T for
-  T in {P, AP - I}; for iid noise one sigma_b^2 I block stands for all M
-  stations (a broadcast, not a copy), so no NM x NM matrix is formed;
-- otherwise as one NM x NM block, viewed as an (M, N, M, N) array with T
-  contracted into its two N axes, O(N^3 M^2) work instead of O((NM)^3).
+  blocks S_m, and each congruence is the stack of small blocks T S_m T^T; for
+  iid noise one sigma_b^2 I block stands for all M stations (a broadcast,
+  not a copy), so no NM x NM matrix is formed;
+- otherwise as one NM x NM block, mapped from both sides by two station
+  maps, O(N^3 M^2) work instead of O((NM)^3). Sigma_F, the congruence of
+  the KM x KM Sigma_X by A, takes this path.
 
+The Monte Carlo engine maps its noise factor with ``_station_map`` too.
 No reported number needs a dense NM x NM matrix: the residual moments and
 the chi-square law read the blocks, and the area average and the predictive
 grid read the KM x KM Sigma_X, which is assembled at once. The dense
@@ -44,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NotPSD
+from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
 from .fourier import FourierModel, design_row
 
 
@@ -102,6 +105,21 @@ def ensure_psd(S, name: str = "covariance") -> np.ndarray:
     return _psd_factor(S, name)[0]
 
 
+def validate_correlation(rho, n: int) -> np.ndarray:
+    """Check a correlation matrix: square, symmetric, unit diagonal, PSD
+    under the rule of ``ensure_psd``. Returns it as ensure_psd does."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (n, n):
+        raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
+    if not np.allclose(rho, rho.T, atol=1e-12):
+        raise InvalidCorrelation("correlation matrix must be symmetric")
+    if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
+        raise InvalidCorrelation("correlation matrix needs a unit diagonal")
+    if np.any(np.abs(rho) > 1.0 + 1e-12):
+        raise InvalidCorrelation("correlations must lie in [-1, 1]")
+    return _psd_factor(rho, "correlation matrix", InvalidCorrelation)[0]
+
+
 def _equal_variance_sigma(d: np.ndarray):
     """sqrt(d[0]) if every variance in d equals the first, a finite
     nonnegative number, else None. No tolerance."""
@@ -133,9 +151,16 @@ def _measurement_matrix(mu_B) -> np.ndarray:
 
 
 def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float).ravel()
-    if sigma.size != mu.size:
-        raise DimensionMismatch("need one sigma per measurement")
+    """One sigma per reading in vec order: a flat NM vector as given, or an
+    N x M array like mu read column by column. Any other shape is refused."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape == mu.shape:
+        sigma = vec(sigma)
+    elif sigma.shape != (mu.size,):
+        raise DimensionMismatch(
+            f"sigma must be a vector of {mu.size} in vec order or an "
+            f"{mu.shape[0]} x {mu.shape[1]} array, got shape {sigma.shape}"
+        )
     if not np.all(np.isfinite(sigma)):
         raise InvalidParams("sigmas must be finite")
     if np.any(sigma < 0.0):
@@ -250,7 +275,8 @@ class MeasurementDistribution:
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
-        """Independent noise with one sigma per probe, in vec (column) order.
+        """Independent noise with one sigma per probe: a flat vector in vec
+        (column) order, or an N x M array like mu_B.
 
         It is iid exactly when every sigma is equal: with round-to-nearest,
         sqrt(fl(s^2)) = s unless s^2 underflows, so distinct sigmas square to
@@ -270,10 +296,11 @@ class MeasurementDistribution:
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":
-        """Correlated noise Sigma_B = D rho D with D = diag(sigma)."""
-        from .efficiency import validate_correlation  # shared validator
+        """Correlated noise Sigma_B = D rho D with D = diag(vec(sigma)).
 
-        mu = np.asarray(mu_B, dtype=float)
+        sigma is read as in :meth:`from_diagonal`; rho is NM x NM in vec order.
+        """
+        mu = _measurement_matrix(mu_B)
         sigma = _finite_sigmas(mu, sigma)
         rho = validate_correlation(np.asarray(rho, dtype=float), mu.size)
         return cls(mu, (sigma[:, None] * rho) * sigma[None, :])
@@ -300,31 +327,37 @@ def _check_meas(model: FourierModel, meas: MeasurementDistribution):
         )
 
 
-def _congruence(T: np.ndarray, Sigma: np.ndarray, n_stations: int) -> np.ndarray:
-    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, for a k x N block T.
+def _block_left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D X for D block diagonal with (B, k, w) blocks; X has B w rows."""
+    n_blocks, k, w = blocks.shape
+    return (blocks @ X.reshape(n_blocks, w, -1)).reshape(n_blocks * k, *X.shape[1:])
 
-    Sigma is a dense NM x NM array.
-    """
-    M = n_stations
-    k, N = T.shape
-    S = np.asarray(Sigma, dtype=float)
-    # Sigma (I kron T)^T: T contracts the rake axis of every column block.
-    right = (S.reshape(M * N, M, N) @ T.T).reshape(M, N, M * k)
-    # (I kron T) times that: the same on the rake axis of every row block.
-    out = (T @ right).reshape(M * k, M * k)
-    return 0.5 * (out + out.T)
+
+def _station_map(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
+    """(I_M kron T) X for a k x N block T, in the block form of X: station
+    blocks (M, N, w) give the (M, k, w) stack of T X_m, one (1, NM, w) block
+    one (1, Mk, w) block."""
+    if blocks.shape[0] > 1:
+        return T @ blocks
+    return _block_left(np.broadcast_to(T, (n_stations, *T.shape)), blocks[0])[None]
 
 
 def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
-    """The congruence of :func:`_congruence`, in the block form of Sigma.
+    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, in the block form of Sigma.
 
     Station blocks (M, N, N) give the stack of T S_m T^T, (M, k, k); one
-    (1, NM, NM) block takes the dense contraction.
+    (1, NM, NM) block is mapped from both sides by two station maps.
     """
-    if blocks.shape[0] == 1:
-        return _congruence(T, blocks[0], n_stations)[None]
-    out = T @ blocks @ T.T
+    if blocks.shape[0] > 1:
+        out = T @ blocks @ T.T
+    else:
+        out = _station_map(T, _station_map(T, blocks, n_stations).transpose(0, 2, 1), n_stations)
     return 0.5 * (out + out.transpose(0, 2, 1))
+
+
+def _congruence(T: np.ndarray, Sigma: np.ndarray, n_stations: int) -> np.ndarray:
+    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, for a dense NM x NM Sigma."""
+    return _block_congruence(T, np.asarray(Sigma, dtype=float)[None], n_stations)[0]
 
 
 def _propagated_blocks(model: FourierModel, meas: MeasurementDistribution, lam: float):

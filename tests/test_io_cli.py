@@ -708,3 +708,35 @@ def test_write_and_read_json_round_trip(tmp_path):
     io.write_json(doc, path)
     again = io.read_json(path)
     assert again == doc
+
+
+@pytest.mark.parametrize("counts", ["1", "2", "3,2"])
+def test_fig1_demo_cli_rejects_counts_below_three(tmp_path, capsys, counts):
+    out = tmp_path / "demo.csv"
+    assert main(["fig1-demo", "--rake-counts", counts, "--output", str(out)]) == 3
+    assert "rake_counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_scan_max_freq_below_two_rejected_by_parser(campaign_path, tmp_path, capsys, value):
+    out = tmp_path / "scan.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", campaign_path, "--max-freq", value, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--max-freq" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_efficiency_sweep_without_output_refused_before_any_work(monkeypatch, capsys):
+    import rakeuq.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --output was checked")
+
+    for name in ("taylor_variance", "efficiency_mc", "correlation_sweep"):
+        monkeypatch.setattr(cli_mod, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--samples", "1000", "--rho-values", "0,0.5"])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err

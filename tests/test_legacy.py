@@ -146,3 +146,16 @@ def test_demo_kelvin_scale_field():
     field = HarmonicField(mean=1500.0, amplitude=2.0)
     rows = fig1_demo(field, rake_counts=(6,))
     assert rows[0].model_eps_p_sq < 1e-12
+
+
+@pytest.mark.parametrize("counts", [(2,), (8, 1)])
+def test_demo_rejects_counts_below_two_k_plus_one(monkeypatch, counts):
+    # one harmonic has 2k+1 = 3 coefficients; fewer rakes cannot fix them
+    import rakeuq.legacy as legacy_mod
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the counts were checked")
+
+    monkeypatch.setattr(legacy_mod, "fit", no_fit)
+    with pytest.raises(InvalidParams, match="rake_counts"):
+        fig1_demo(rake_counts=counts)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from rakeuq import (
     DEFAULT_STATE,
@@ -33,7 +34,7 @@ from rakeuq import (
 )
 
 from rakeuq.montecarlo import psd_factor
-from rakeuq.propagation import _congruence
+from rakeuq.propagation import _block_congruence, _congruence, _station_map
 
 from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
 
@@ -505,3 +506,51 @@ def test_iid_chain_builds_no_nm_by_nm_matrix():
     # the dense covariances are cached properties that nothing above read
     assert "Sigma_B" not in vars(meas)
     assert "Sigma_F" not in vars(field) and "Sigma_R" not in vars(field)
+
+
+@pytest.mark.parametrize("M", [7, 1])
+@pytest.mark.parametrize("layout", ["station blocks", "one block"])
+def test_station_map_and_congruence_match_explicit_kron(M, layout):
+    # the block forms against explicit products with I_M kron T
+    rng = np.random.default_rng(M)
+    N, k, w = 6, 5, 4
+    T = rng.standard_normal((k, N))
+    kron = np.kron(np.eye(M), T)
+    if layout == "station blocks":
+        X = rng.standard_normal((M, N, w))
+        S = np.stack([random_psd(N, rng) for _ in range(M)])
+        X_dense, S_dense = block_diag(*X), block_diag(*S)
+        mapped = block_diag(*_station_map(T, X, M))
+        congruent = block_diag(*_block_congruence(T, S, M))
+    else:
+        X_dense, S_dense = rng.standard_normal((N * M, w)), random_psd(N * M, rng)
+        (mapped,) = _station_map(T, X_dense[None], M)
+        (congruent,) = _block_congruence(T, S_dense[None], M)
+        np.testing.assert_array_equal(_congruence(T, S_dense, M), congruent)
+    for got, want in ((mapped, kron @ X_dense), (congruent, kron @ S_dense @ kron.T)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_array_equal(congruent, congruent.T)
+
+
+def test_sigma_matrix_is_read_column_by_column():
+    # sigma[n, m] = 1..6 row by row; vec order puts the rake index fastest
+    mu = np.zeros((3, 2))
+    sigma = np.arange(1.0, 7.0).reshape(3, 2)
+    expected = np.array([1.0, 9.0, 25.0, 4.0, 16.0, 36.0])
+    diagonal = MeasurementDistribution.from_diagonal(mu, sigma)
+    np.testing.assert_array_equal(np.diag(diagonal.Sigma_B), expected)
+    correlated = MeasurementDistribution.from_correlation(mu, sigma, np.eye(6))
+    np.testing.assert_array_equal(np.diag(correlated.Sigma_B), expected)
+    flat = MeasurementDistribution.from_diagonal(mu, vec(sigma))
+    np.testing.assert_array_equal(flat.Sigma_B, diagonal.Sigma_B)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (6, 1), (1, 6), (1, 3, 2)])
+def test_sigma_of_any_other_shape_refused(shape):
+    mu = np.zeros((3, 2))
+    sigma = np.arange(1.0, 7.0).reshape(shape)
+    with pytest.raises(DimensionMismatch, match="sigma"):
+        MeasurementDistribution.from_diagonal(mu, sigma)
+    with pytest.raises(DimensionMismatch, match="sigma"):
+        MeasurementDistribution.from_correlation(mu, sigma, np.eye(6))
