@@ -64,13 +64,10 @@ from .legacy import (
     rss_total,
 )
 from .montecarlo import (
-    FrequencyScanResult,
     McPropagation,
     RakeMCResult,
     SamplerConfig,
-    ScanEntry,
     efficiency_mc,
-    frequency_scan,
     mc_propagate_model,
     rake_position_mc,
     sample_mvn,
@@ -90,10 +87,13 @@ from .propagation import (
 )
 from .residuals import (
     ChiSquareParams,
+    FrequencyScanResult,
+    ScanEntry,
     UncertaintyMetrics,
     chi_square_params,
     compute_metrics,
     error_moments,
+    frequency_scan,
     imprecision_metric,
     noncentral_chisq_pdf,
     sampling_metric,

@@ -16,6 +16,7 @@ ladder exhausted.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,54 +28,59 @@ from .errors import RakeUqError, RegularizationExhausted, SchemaError
 from .fourier import DEFAULT_BETA, DEFAULT_LADDER, build_design_matrix, fit
 from .geometry import HarmonicSet
 from .legacy import HarmonicField, fig1_demo, legacy_sampling_uncertainty, rss_total
-from .montecarlo import SamplerConfig, efficiency_mc, frequency_scan, rake_position_mc
+from .montecarlo import SamplerConfig, efficiency_mc, rake_position_mc
 from .propagation import FieldDistribution, predictive_grid
-from .residuals import compute_metrics
+from .residuals import compute_metrics, frequency_scan
 
 
-def _parse_harmonics(text: str) -> HarmonicSet:
-    try:
-        return HarmonicSet(tuple(int(tok) for tok in text.split(",") if tok.strip()))
-    except ValueError:
-        raise RakeUqError(f"cannot parse harmonics {text!r}") from None
+def _parsed(parse):
+    """argparse type that reports ``parse``'s ValueError or library error as
+    a bad value of the option, so the parser names the option and exits 2."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, RakeUqError) as exc:
+            raise argparse.ArgumentTypeError(f"{exc} (got {text!r})") from None
+
+    return convert
 
 
-def _parse_floats(text: str):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise RakeUqError(f"cannot parse float list {text!r}") from None
+_floats = _parsed(lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()))
+_ints = _parsed(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()))
+_harmonics = _parsed(lambda text: HarmonicSet(_ints(text)))
 
 
-def _parse_ints(text: str):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise RakeUqError(f"cannot parse integer list {text!r}") from None
+def _output_path(text: str) -> str:
+    """argparse type for a file to write: its directory must exist, so a
+    bad path is refused before any work rather than after it."""
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"no directory to write {text!r} in")
+    return text
 
 
 def _build_model(campaign, args):
-    harmonics = _parse_harmonics(args.harmonics)
-    ladder = _parse_floats(args.lambda_ladder) if args.lambda_ladder else DEFAULT_LADDER
     return build_design_matrix(
         campaign.geometry,
-        harmonics,
-        lambda_ladder=ladder,
+        args.harmonics,
+        lambda_ladder=args.lambda_ladder,
         beta=args.beta,
         radial_basis=args.radial_basis,
     )
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer of at least ``low``."""
+def _int_at_least(low: int, or_zero: bool = False):
+    """argparse type for an integer of at least ``low``, or 0 with ``or_zero``."""
 
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value < low and not (or_zero and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'0 or ' if or_zero else ''}at least {low}, got {value}"
+            )
         return value
 
     return convert
@@ -146,17 +152,12 @@ def cmd_grid(args) -> int:
 
 def cmd_scan(args) -> int:
     campaign = io.load_campaign(args.campaign)
-    sigma_b = campaign.meas.iid_sigma
-    if sigma_b is None:
-        raise RakeUqError("the frequency scan needs an iid uncertainty block")
-    ladder = _parse_floats(args.lambda_ladder) if args.lambda_ladder else None
     result = frequency_scan(
         campaign.geometry,
-        campaign.measurements,
-        sigma_b,
+        campaign.meas,
         max_freq=args.max_freq,
         beta=args.beta,
-        lambda_ladder=ladder,
+        lambda_ladder=args.lambda_ladder,
     )
     # flagged pairs carry an empty lambda and mean_eps = inf
     rows = ((*e.omega, "" if e.lambda_used is None else float(e.lambda_used), float(e.mean_eps))
@@ -198,6 +199,11 @@ def cmd_rake_mc(args) -> int:
 
 def cmd_efficiency(args) -> int:
     state = io.load_station_state(args.state) if args.state else DEFAULT_STATE
+    if args.rho_values is not None:
+        sigmas = correlation_sweep(state, args.rho_values)
+        io.write_csv(args.output, ["rho", "sigma_eta"], zip(args.rho_values, sigmas))
+        print(f"wrote sweep of {len(args.rho_values)} correlation values")
+        return 0
     report = taylor_variance(state)
     doc = {
         "eta_mean": report.eta_mean,
@@ -219,12 +225,6 @@ def cmd_efficiency(args) -> int:
             "seed": args.seed,
             "samples": args.samples,
         }
-    if args.rho_values:
-        rho_values = _parse_floats(args.rho_values)
-        sigmas = correlation_sweep(state, rho_values)
-        io.write_csv(args.output, ["rho", "sigma_eta"], zip(rho_values, sigmas))
-        print(f"wrote sweep of {len(rho_values)} correlation values")
-        return 0
     io.assert_finite(doc)
     _emit(doc, args.output)
     return 0
@@ -250,7 +250,7 @@ def cmd_fig1_demo(args) -> int:
         frequency=args.frequency,
         phase_deg=args.phase,
     )
-    rows = fig1_demo(field, _parse_ints(args.rake_counts), offset_deg=args.offset)
+    rows = fig1_demo(field, args.rake_counts, offset_deg=args.offset)
     if args.output:
         io.write_csv(args.output, ["n_rakes", "legacy", "model_eps_p_sq"],
                      ((row.n_rakes, row.legacy, row.model_eps_p_sq) for row in rows))
@@ -267,18 +267,19 @@ def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
     if seed:
         parser.add_argument("--seed", type=_int_at_least(0), default=0, help="Monte Carlo seed")
     if samples_default is not None:
-        parser.add_argument("--samples", type=int, default=samples_default,
-                            help="Monte Carlo sample count")
+        parser.add_argument("--samples", type=_int_at_least(2, or_zero=True),
+                            default=samples_default,
+                            help="Monte Carlo sample count (0: no check)")
     if ridge:
-        parser.add_argument("--lambda-ladder", default="",
+        parser.add_argument("--lambda-ladder", type=_floats, default=DEFAULT_LADDER,
                             help="comma-separated ridge penalties")
         parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
                             help="coefficient norm guard")
-    parser.add_argument("--output", default=None, help="output path")
+    parser.add_argument("--output", type=_output_path, default=None, help="output path")
 
 
 def _add_model_args(parser):
-    parser.add_argument("--harmonics", required=True,
+    parser.add_argument("--harmonics", type=_harmonics, required=True,
                         help="comma-separated harmonic orders, e.g. 1,4")
     parser.add_argument("--radial-basis", choices=("cubic", "linear"),
                         default="cubic", help="radial blending basis")
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n-theta", type=_int_at_least(1), default=360)
     p.add_argument("--n-r", type=_int_at_least(1), default=50)
-    p.add_argument("--coefficients", default=None,
+    p.add_argument("--coefficients", type=_output_path, default=None,
                    help="path for the fitted-coefficient JSON")
     p.set_defaults(func=cmd_fit)
 
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", nargs="?", default=None,
                    help="state JSON (defaults to a synthetic representative state)")
     _add_common(p, ridge=False, seed=True, samples_default=0)
-    p.add_argument("--rho-values", default="",
+    p.add_argument("--rho-values", type=_floats, default=None,
                    help="comma-separated correlations for a sweep CSV")
     p.set_defaults(func=cmd_efficiency)
 
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--offset", type=float, default=0.0,
                    help="rake placement phase offset in degrees")
-    p.add_argument("--rake-counts", default="3,8,300")
+    p.add_argument("--rake-counts", type=_ints, default="3,8,300")
     p.set_defaults(func=cmd_fig1_demo)
 
     return parser
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in _CSV_COMMANDS and not args.output:
         parser.error(f"{args.command} writes a CSV and needs --output")
-    if args.command == "efficiency" and args.rho_values and not args.output:
+    if args.command == "efficiency" and args.rho_values is not None and not args.output:
         parser.error("efficiency --rho-values writes a CSV and needs --output")
     try:
         return args.func(args)

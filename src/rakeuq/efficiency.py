@@ -143,7 +143,7 @@ def block_correlation(rho_value: float) -> np.ndarray:
     """5x5 correlation with rho between the temperatures and between the
     pressures, gamma independent."""
     if not -1.0 <= rho_value <= 1.0:
-        raise InvalidCorrelation(f"correlation {rho_value} outside [-1, 1]")
+        raise InvalidCorrelation(f"rho_value {rho_value} outside [-1, 1]")
     rho = np.eye(5)
     rho[0, 1] = rho[1, 0] = rho_value
     rho[2, 3] = rho[3, 2] = rho_value

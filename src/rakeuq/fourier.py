@@ -441,6 +441,19 @@ class CoefficientMatrix:
         return float(_spectral_norms(self.X[None])[0])
 
 
+def _readings(model, B) -> np.ndarray:
+    """B as the N x M measurement matrix that ``model`` (a FourierModel or an
+    AnnulusGeometry) expects; a vector is one station's readings."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    if B.shape != (model.n_rakes, model.n_stations):
+        raise DimensionMismatch(
+            f"measurements must be {model.n_rakes} x {model.n_stations}, got {B.shape}"
+        )
+    return B
+
+
 def fit(model: FourierModel, B) -> CoefficientMatrix:
     """Fit coefficients to an N x M measurement matrix.
 
@@ -451,13 +464,7 @@ def fit(model: FourierModel, B) -> CoefficientMatrix:
     the guard rejects like any other failure. Raises RegularizationExhausted
     when no ladder entry succeeds.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.shape != (model.n_rakes, model.n_stations):
-        raise DimensionMismatch(
-            f"measurements must be {model.n_rakes} x {model.n_stations}, got {B.shape}"
-        )
+    B = _readings(model, B)
     plain = model.P is not None
     if not plain and not model.lambda_ladder:
         raise SingularDesign("singular design and empty ladder")

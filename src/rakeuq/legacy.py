@@ -106,6 +106,9 @@ def fig1_demo(
     refused with InvalidParams before any fit.
     """
     field = HarmonicField() if field is None else field
+    for name, value in {**vars(field), "offset_deg": offset_deg}.items():
+        if not np.isfinite(value):
+            raise InvalidParams(f"{name} must be finite")
     counts = [int(count) for count in rake_counts]
     harmonics = HarmonicSet((field.frequency,))
     if any(count < harmonics.n_coeffs for count in counts):

@@ -13,20 +13,16 @@ Two sampling studies share the sampler:
 * ``rake_position_mc`` perturbs the rake angles themselves, refitting every
   draw, to expose how uncertain rake placement moves the reconstruction.
 
-``frequency_scan`` ranks every unordered harmonic pair by the expected
-sampling metric, in closed form: all pairs' designs are stacked into one
-(P, N, 5) array, and the exact mean comes from each pair's N x N residual
-map. The scan and the rake engine fit their stacks through the fit module's
-one ridge-ladder walk, ``fourier._fit_batch``, which ``fit`` also uses: each
-rung is a single stacked ridge solve over the slices that still break the
-norm guard. The scan hands the walk [mu_B | I_N], so each rung's one
-factorization also solves for every pair's pseudoinverse, and no pair is
-factored again for its residual map. The guard reads only the data columns;
-it decides most slices from their Frobenius norm and takes the exact
-spectral norm only for those close to beta, so a stack of draws well inside
-the guard costs no per-slice eigenvalue call. The scan skips lambda = 0 for
-each singular pair; the rake engine takes that rule from the model, as
-``fit`` does, so every draw tries the same rungs as the deterministic fit.
+The module only samples: the harmonic scan, a closed form, lives with the
+metric it ranks by in ``residuals``. The rake engine fits its stack of
+draws through the fit module's one ridge-ladder walk, ``fourier._fit_batch``,
+which ``fit`` and the scan also use: each rung is a single stacked ridge
+solve over the draws that still break the norm guard. The guard decides
+most draws from their Frobenius norm and takes the exact spectral norm only
+for those close to beta, so a stack of draws well inside the guard costs no
+per-draw eigenvalue call. The engine tries lambda = 0 only where the
+model's own design is nonsingular, as ``fit`` does, so every draw tries the
+same rungs as the deterministic fit.
 
 Neither sampling engine evaluates a grid per draw. Every grid value is
 linear in the draw's K x M coefficients X, so its sample mean and variance
@@ -55,25 +51,14 @@ from a reference fit of the mean input:
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatch, DrawFailed, InvalidParams
-from .fourier import (
-    DEFAULT_BETA,
-    DEFAULT_LADDER,
-    FourierModel,
-    _design_conditioning,
-    _fit_batch,
-    _ridge_guard,
-    design_matrix,
-)
-from .geometry import AnnulusGeometry
+from .fourier import FourierModel, _fit_batch, _readings, design_matrix
 from .propagation import (
     MeasurementDistribution,
     _block_left,
-    _check_meas,
     _congruence,
     _grid_moments,
     _psd_factor,
@@ -205,7 +190,7 @@ def mc_propagate_model(
     function cross-checks; the ridge ladder is deliberately not walked here.
     The predictive grid is taken at the model's stations, every 10 degrees.
     """
-    _check_meas(model, meas)
+    _readings(model, meas.mu_B)
     N, M = model.n_rakes, model.n_stations
     NM = N * M
     P = model.pseudoinverse(lam)
@@ -275,102 +260,6 @@ def mc_propagate_model(
 
 
 @dataclass(frozen=True)
-class ScanEntry:
-    """One harmonic pair's expected sampling metric under iid noise."""
-
-    omega: tuple
-    lambda_used: float
-    mean_eps: float
-    cond_AtA: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class FrequencyScanResult:
-    """All unordered harmonic pairs, best (smallest mean_eps) first."""
-
-    entries: tuple
-    sigma_b: float
-    max_freq: int
-
-    @property
-    def best(self) -> ScanEntry:
-        return self.entries[0]
-
-
-def frequency_scan(
-    geometry: AnnulusGeometry,
-    mu_B,
-    sigma_b: float,
-    *,
-    max_freq: int = 10,
-    beta: float = None,
-    lambda_ladder=None,
-) -> FrequencyScanResult:
-    """Rank every unordered harmonic pair by expected sampling metric.
-
-    Every pair (w1, w2), w1 < w2 <= max_freq, has a K = 5 design, so all of
-    them are stacked into one (P, N, 5) array, sliced from the columns of
-    one design over the harmonics 1..max_freq. One batched SVD gives each
-    pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
-    tolerance, and ``_fit_batch`` fits the mean measurements for all pairs
-    in one rung-by-rung ladder walk, the one ``fit`` and the rake engine
-    use; singular pairs skip lambda = 0, as ``fit`` does. The walk carries
-    the identity beside mu_B, so each rung's one stacked factorization also
-    yields the pseudoinverse P(lambda) of every pair it accepts: one stacked
-    pseudoinverse per rung used, with no second QR. The exact mu(eps_p^2)
-    under iid noise sigma_b then needs only each pair's N x N residual map
-    K = A P(lambda) - I, formed for all accepted pairs in one pass:
-
-        mu(eps_p^2) = (sigma_b^2 M ||K||_F^2 + ||K mu_B||_F^2) / NM.
-
-    Pairs whose ladder is exhausted are flagged and sort last with
-    mean_eps = inf rather than being dropped. The radial basis does not
-    enter: the metric lives at the rakes.
-    """
-    if max_freq < 2:
-        raise InvalidParams("max_freq must be at least 2")
-    sigma_b = float(sigma_b)
-    if not 0.0 < sigma_b < math.inf:
-        raise InvalidParams("sigma_b must be positive and finite")
-    guard = _ridge_guard(
-        DEFAULT_LADDER if lambda_ladder is None else lambda_ladder,
-        DEFAULT_BETA if beta is None else beta,
-    )
-    mu_B = np.asarray(mu_B, dtype=float)
-    if mu_B.ndim == 1:
-        mu_B = mu_B[:, None]
-    N, M = geometry.n_rakes, geometry.n_stations
-    if mu_B.shape != (N, M):
-        raise DimensionMismatch(f"measurements must be {N} x {M}, got {mu_B.shape}")
-    pairs = list(combinations(range(1, max_freq + 1), 2))
-    # Columns [1, cos w1, sin w1, cos w2, sin w2] of the all-harmonics design.
-    cols = np.array([[0, 2 * w1 - 1, 2 * w1, 2 * w2 - 1, 2 * w2] for w1, w2 in pairs])
-    A_full = design_matrix(geometry.theta_deg, range(1, max_freq + 1))
-    A_stack = np.ascontiguousarray(A_full[:, cols].transpose(1, 0, 2))
-    cond, singular = _design_conditioning(A_stack)
-    X, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular, carry=np.eye(N))
-    A = A_stack[ok]
-    P = X[ok, :, M:]
-    # K mu_B as A (P mu_B) - mu_B, not A X - mu_B: where the fit nearly
-    # reproduces the data the residual is all cancellation, and on four
-    # rakes the two orders put mean_eps about 1e-7 relative apart.
-    resid = A @ (P @ mu_B) - mu_B
-    K = A @ P - np.eye(N)
-    noise = sigma_b**2 * M * np.einsum("pij,pij->p", K, K)
-    mean_eps = np.full(len(pairs), math.inf)
-    mean_eps[ok] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
-    entries = [
-        ScanEntry(pair, float(lambdas[i]), float(mean_eps[i]), float(cond[i]), False)
-        if ok[i]
-        else ScanEntry(pair, None, math.inf, float(cond[i]), True)
-        for i, pair in enumerate(pairs)
-    ]
-    entries.sort(key=lambda e: (e.mean_eps, e.omega))
-    return FrequencyScanResult(tuple(entries), sigma_b, int(max_freq))
-
-
-@dataclass(frozen=True)
 class RakeMCResult:
     """Per-draw fits and grid statistics under rake-placement scatter."""
 
@@ -414,11 +303,7 @@ def rake_position_mc(
     aborts with DrawFailed when more than ``max_failure_fraction`` of draws
     fail.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.shape != (model.n_rakes, model.n_stations):
-        raise DimensionMismatch("B must be N x M for this model")
+    B = _readings(model, B)
     N = model.n_rakes
     mu_theta = model.geometry.theta_deg
     Sigma_theta = np.asarray(sigma_theta, dtype=float)

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
-from .fourier import FourierModel, design_row
+from .fourier import FourierModel, _readings, design_row
 
 
 def vec(matrix) -> np.ndarray:
@@ -175,6 +175,12 @@ def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int):
     return np.broadcast_to(sigma_b**2 * eye, shape), np.broadcast_to(sigma_b * eye, shape)
 
 
+def _diagonal_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
+    """The M diagonal N x N blocks of an NM x NM matrix S, shape (M, N, N)."""
+    idx = np.arange(n_stations)
+    return S.reshape(n_stations, n_rakes, n_stations, n_rakes)[idx, :, idx, :]
+
+
 def _station_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
     """Sigma's blocks: its M diagonal N x N blocks, or the whole of it.
 
@@ -182,8 +188,7 @@ def _station_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
     diagonal blocks hold every nonzero entry; no tolerance), and
     (1, NM, NM), a view of S, otherwise.
     """
-    idx = np.arange(n_stations)
-    blocks = S.reshape(n_stations, n_rakes, n_stations, n_rakes)[idx, :, idx, :]
+    blocks = _diagonal_blocks(S, n_rakes, n_stations)
     if np.count_nonzero(blocks) == np.count_nonzero(S):
         return blocks
     return S[None]
@@ -319,14 +324,6 @@ class MeasurementDistribution:
         return self.mu_B.shape[1]
 
 
-def _check_meas(model: FourierModel, meas: MeasurementDistribution):
-    if (meas.n_rakes, meas.n_stations) != (model.n_rakes, model.n_stations):
-        raise DimensionMismatch(
-            f"measurements are {meas.n_rakes} x {meas.n_stations}, model expects "
-            f"{model.n_rakes} x {model.n_stations}"
-        )
-
-
 def _block_left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
     """D X for D block diagonal with (B, k, w) blocks; X has B w rows."""
     n_blocks, k, w = blocks.shape
@@ -345,13 +342,11 @@ def _station_map(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarr
 def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
     """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, in the block form of Sigma.
 
-    Station blocks (M, N, N) give the stack of T S_m T^T, (M, k, k); one
-    (1, NM, NM) block is mapped from both sides by two station maps.
+    Two station maps, one from each side: station blocks (M, N, N) give the
+    stack of T (T S_m)^T = T S_m T^T, (M, k, k), and one (1, NM, NM) block
+    gives one (1, Mk, Mk) block.
     """
-    if blocks.shape[0] > 1:
-        out = T @ blocks @ T.T
-    else:
-        out = _station_map(T, _station_map(T, blocks, n_stations).transpose(0, 2, 1), n_stations)
+    out = _station_map(T, _station_map(T, blocks, n_stations).transpose(0, 2, 1), n_stations)
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
@@ -365,7 +360,7 @@ def _propagated_blocks(model: FourierModel, meas: MeasurementDistribution, lam: 
 
     Sigma_X is the congruence by P, Sigma_R by K = AP - I.
     """
-    _check_meas(model, meas)
+    _readings(model, meas.mu_B)
     P = model.pseudoinverse(lam)
     K = model.A @ P - np.eye(model.n_rakes)
     blocks, M = meas.station_blocks, model.n_stations
@@ -391,7 +386,7 @@ def propagate_field(model: FourierModel, mu_X, Sigma_X):
 
 def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, lam: float = 0.0):
     """Moments of the fit residual R = F - B: (mu_R, Sigma_R)."""
-    _check_meas(model, meas)
+    _readings(model, meas.mu_B)
     mu_F = np.asarray(mu_F, dtype=float)
     if mu_F.shape != meas.mu_B.shape:
         raise DimensionMismatch("mu_F has the wrong shape for these measurements")

@@ -26,16 +26,40 @@ Note the two divisors: the metric itself uses NM-1, the moments use NM.
 Both are reported so the mixed convention stays auditable. The measurement
 imprecision metric is the gap eps_m^2 = mu(eps_p^2) - eps_p^2, which
 vanishes as sigma_b -> 0 for data inside the model span.
+
+``frequency_scan`` ranks every harmonic pair by that exact mean, for every
+noise structure. With R = K B, K = A P(lambda) - I, only the M diagonal
+N x N blocks S_mm of Sigma_B enter it:
+
+    tr Sigma_R = sum_m tr(K S_mm K^T) = <K^T K, S_sum>,   S_sum = sum_m S_mm
+
+so one N x N matrix, formed once per scan from the measurement
+distribution's station blocks, carries the noise of every pair; for iid
+noise S_sum = M sigma_b^2 I. The pairs' designs are stacked and fitted in
+the fit module's one ridge-ladder walk, which carries the identity beside
+mu_B, so every pair's residual map comes from the same factorizations.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidParams, RequiresIidNoise, TooFewSamples
-from .fourier import CoefficientMatrix, FourierModel
-from .propagation import FieldDistribution, MeasurementDistribution, vec
+from .fourier import (
+    DEFAULT_BETA,
+    DEFAULT_LADDER,
+    CoefficientMatrix,
+    FourierModel,
+    _design_conditioning,
+    _fit_batch,
+    _readings,
+    _ridge_guard,
+    design_matrix,
+)
+from .geometry import AnnulusGeometry
+from .propagation import FieldDistribution, MeasurementDistribution, _diagonal_blocks, vec
 
 # Singular values above this fraction of the largest count toward rank.
 RANK_RTOL = 1e-10
@@ -230,3 +254,120 @@ def compute_metrics(
         var_eps=var_eps,
         chi2=chi2,
     )
+
+
+@dataclass(frozen=True)
+class ScanEntry:
+    """One harmonic pair's expected sampling metric mu(eps_p^2) under the
+    scan's measurement distribution."""
+
+    omega: tuple
+    lambda_used: float
+    mean_eps: float
+    cond_AtA: float
+    flagged: bool
+
+
+@dataclass(frozen=True)
+class FrequencyScanResult:
+    """All unordered harmonic pairs, best (smallest mean_eps) first.
+
+    ``sigma_b`` is the measurement distribution's ``iid_sigma``: the noise
+    level for iid noise, None for any other structure.
+    """
+
+    entries: tuple
+    sigma_b: float
+    max_freq: int
+
+    @property
+    def best(self) -> ScanEntry:
+        return self.entries[0]
+
+
+def frequency_scan(
+    geometry: AnnulusGeometry,
+    meas,
+    sigma_b: float = None,
+    *,
+    max_freq: int = 10,
+    beta: float = None,
+    lambda_ladder=None,
+) -> FrequencyScanResult:
+    """Rank every unordered harmonic pair by expected sampling metric.
+
+    ``meas`` is a MeasurementDistribution of any noise structure, with
+    ``sigma_b`` omitted, or the N x M mean readings (a vector for one
+    station) with an iid noise level ``sigma_b``, taken as
+    ``MeasurementDistribution.from_iid(meas, sigma_b)``.
+
+    Every pair (w1, w2), w1 < w2 <= max_freq, has a K = 5 design, so all of
+    them are stacked into one (P, N, 5) array, sliced from the columns of
+    one design over the harmonics 1..max_freq. One batched SVD gives each
+    pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
+    tolerance, and ``_fit_batch`` fits the mean measurements for all pairs
+    in one rung-by-rung ladder walk, the one ``fit`` and the rake engine
+    use; singular pairs skip lambda = 0, as ``fit`` does. The walk carries
+    the identity beside mu_B, so each rung's one stacked factorization also
+    yields the pseudoinverse P(lambda) of every pair it accepts: one stacked
+    pseudoinverse per rung used, with no second QR. The exact mu(eps_p^2)
+    then needs only each pair's N x N residual map K = A P(lambda) - I and
+    one N x N matrix of the noise, S_sum = sum_m S_mm, the sum of the M
+    diagonal N x N blocks of Sigma_B (formed once per scan):
+
+        mu(eps_p^2) = (<K^T K, S_sum> + ||K mu_B||_F^2) / NM,
+
+    since tr Sigma_R = sum_m tr(K S_mm K^T). Cross-station covariances do
+    not enter the mean. For iid noise S_sum = M sigma_b^2 I, and the noise
+    term is sigma_b^2 M ||K||_F^2. A Sigma_B that is exactly zero is refused
+    with InvalidParams: the scan ranks pairs by their noise as well as their
+    misfit.
+
+    Pairs whose ladder is exhausted are flagged and sort last with
+    mean_eps = inf rather than being dropped. The radial basis does not
+    enter: the metric lives at the rakes.
+    """
+    if max_freq < 2:
+        raise InvalidParams("max_freq must be at least 2")
+    if isinstance(meas, MeasurementDistribution) != (sigma_b is None):
+        raise InvalidParams("give sigma_b with mean readings, and not with a MeasurementDistribution")
+    if sigma_b is not None:
+        meas = MeasurementDistribution.from_iid(meas, sigma_b)
+    _readings(geometry, meas.mu_B)
+    guard = _ridge_guard(
+        DEFAULT_LADDER if lambda_ladder is None else lambda_ladder,
+        DEFAULT_BETA if beta is None else beta,
+    )
+    mu_B = meas.mu_B
+    N, M = mu_B.shape
+    blocks = meas.station_blocks
+    if blocks.shape[0] == 1:
+        blocks = _diagonal_blocks(blocks[0], N, M)
+    S_sum = blocks.sum(axis=0)
+    if not S_sum.any():
+        raise InvalidParams("Sigma_B is zero: sigma_b or the sigmas must be positive")
+    pairs = list(combinations(range(1, max_freq + 1), 2))
+    # Columns [1, cos w1, sin w1, cos w2, sin w2] of the all-harmonics design.
+    cols = np.array([[0, 2 * w1 - 1, 2 * w1, 2 * w2 - 1, 2 * w2] for w1, w2 in pairs])
+    A_full = design_matrix(geometry.theta_deg, range(1, max_freq + 1))
+    A_stack = np.ascontiguousarray(A_full[:, cols].transpose(1, 0, 2))
+    cond, singular = _design_conditioning(A_stack)
+    X, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular, carry=np.eye(N))
+    A = A_stack[ok]
+    P = X[ok, :, M:]
+    # K mu_B as A (P mu_B) - mu_B, not A X - mu_B: where the fit nearly
+    # reproduces the data the residual is all cancellation, and on four
+    # rakes the two orders put mean_eps about 1e-7 relative apart.
+    resid = A @ (P @ mu_B) - mu_B
+    K = A @ P - np.eye(N)
+    noise = np.einsum("pij,pij->p", K @ S_sum, K)
+    mean_eps = np.full(len(pairs), math.inf)
+    mean_eps[ok] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
+    entries = [
+        ScanEntry(pair, float(lambdas[i]), float(mean_eps[i]), float(cond[i]), False)
+        if ok[i]
+        else ScanEntry(pair, None, math.inf, float(cond[i]), True)
+        for i, pair in enumerate(pairs)
+    ]
+    entries.sort(key=lambda e: (e.mean_eps, e.omega))
+    return FrequencyScanResult(tuple(entries), meas.iid_sigma, int(max_freq))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -23,7 +24,7 @@ from rakeuq import (
     mc_propagate_model,
     station_predictions,
 )
-from rakeuq.cli import main
+from rakeuq.cli import build_parser, main
 
 from conftest import (
     BETA,
@@ -334,12 +335,22 @@ def test_scan_cli(tmp_path, capsys):
     assert [rows[1][0], rows[1][1]] == ["1", "4"]
 
 
-def test_scan_needs_iid(tmp_path):
+def test_scan_accepts_correlated_campaign(tmp_path):
     doc = campaign_doc(noise="correlated")
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(doc))
-    code = main(["scan", str(path), "--output", str(tmp_path / "scan.csv")])
-    assert code == 3
+    out = tmp_path / "scan.csv"
+    code = main(["scan", str(path), "--output", str(out)])
+    assert code == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 46
+    campaign = io.load_campaign(str(path))
+    assert campaign.meas.iid_sigma is None
+    result = rakeuq.frequency_scan(campaign.geometry, campaign.meas)
+    assert [(int(r[0]), int(r[1]), float(r[3])) for r in rows[1:]] == [
+        (*e.omega, e.mean_eps) for e in result.entries
+    ]
 
 
 def test_scan_rejects_radial_basis(campaign_path, capsys):
@@ -740,3 +751,122 @@ def test_efficiency_sweep_without_output_refused_before_any_work(monkeypatch, ca
         main(["efficiency", "--samples", "1000", "--rho-values", "0,0.5"])
     assert exc.value.code == 2
     assert "--output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "-5"])
+def test_efficiency_samples_below_two_rejected_by_parser(tmp_path, capsys, value):
+    out = tmp_path / "eta.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--samples", value, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Values that each option of each subcommand must refuse, as (value, exit
+# code, a name stderr must contain): exit 2 names the option itself (the
+# parser refused it), exit 3 the library parameter that refused it.
+# "MISSING" stands for a file in a directory that does not exist.
+BAD_OPTION_VALUES = {
+    "fit": {
+        "--harmonics": [("1,x", 2, "--harmonics"), ("0,1", 2, "--harmonics")],
+        "--radial-basis": [("quadratic", 2, "--radial-basis")],
+        "--lambda-ladder": [("a", 2, "--lambda-ladder"), ("-1", 3, "lambda_ladder")],
+        "--beta": [("x", 2, "--beta"), ("0", 3, "beta")],
+        "--output": [("MISSING", 2, "--output")],
+        "--n-theta": [("0", 2, "--n-theta")],
+        "--n-r": [("x", 2, "--n-r")],
+        "--coefficients": [("MISSING", 2, "--coefficients")],
+    },
+    "grid": {
+        "--harmonics": [("", 2, "--harmonics")],
+        "--radial-basis": [("", 2, "--radial-basis")],
+        "--lambda-ladder": [("1,b", 2, "--lambda-ladder")],
+        "--beta": [("-1", 3, "beta")],
+        "--output": [("MISSING", 2, "--output")],
+        "--n-theta": [("-3", 2, "--n-theta")],
+        "--n-r": [("0", 2, "--n-r")],
+    },
+    "scan": {
+        "--lambda-ladder": [("a", 2, "--lambda-ladder"), ("0", 3, "lambda_ladder")],
+        "--beta": [("nan", 3, "beta")],
+        "--output": [("MISSING", 2, "--output")],
+        "--max-freq": [("1", 2, "--max-freq")],
+    },
+    "rake-mc": {
+        "--harmonics": [("4,4", 2, "--harmonics")],
+        "--radial-basis": [("spline", 2, "--radial-basis")],
+        "--seed": [("-1", 2, "--seed")],
+        "--lambda-ladder": [("x", 2, "--lambda-ladder"), ("inf", 3, "lambda_ladder")],
+        "--beta": [("0", 3, "beta")],
+        "--output": [("MISSING", 2, "--output")],
+        "--sigma-theta": [("x", 2, "--sigma-theta"), ("-1", 3, "sigma_theta")],
+        "--draws": [("1", 2, "--draws")],
+        "--n-prediction": [("0", 2, "--n-prediction")],
+    },
+    "efficiency": {
+        "--seed": [("x", 2, "--seed")],
+        "--samples": [("1", 2, "--samples"), ("-5", 2, "--samples")],
+        "--output": [("MISSING", 2, "--output")],
+        "--rho-values": [("a", 2, "--rho-values"), ("0,2", 3, "rho_value")],
+    },
+    "legacy": {
+        "--output": [("MISSING", 2, "--output")],
+    },
+    "fig1-demo": {
+        "--output": [("MISSING", 2, "--output")],
+        "--frequency": [("x", 2, "--frequency"), ("0", 3, "frequency")],
+        "--amplitude": [("nan", 3, "amplitude"), ("-1", 3, "amplitude")],
+        "--mean": [("inf", 3, "mean")],
+        "--phase": [("nan", 3, "phase_deg")],
+        "--offset": [("nan", 3, "offset_deg")],
+        "--rake-counts": [("3,x", 2, "--rake-counts"), ("2", 3, "rake_counts")],
+    },
+}
+
+
+def _parser_options():
+    """(subcommand, option) for every option build_parser() defines."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[-1])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+@pytest.mark.parametrize("command, option", _parser_options())
+def test_every_option_refuses_bad_values_by_name(campaign_path, tmp_path, capsys, command, option):
+    budget = tmp_path / "budget.json"
+    budget.write_text(json.dumps({"components": [{"label": "calibration", "value": 1.0}]}))
+    out = tmp_path / "out"
+    base = {
+        "fit": [campaign_path, "--harmonics", "1,4", "--beta", str(BETA)],
+        "grid": [campaign_path, "--harmonics", "1,4", "--beta", str(BETA)],
+        "scan": [campaign_path, "--beta", str(BETA)],
+        "rake-mc": [campaign_path, "--harmonics", "1,4", "--beta", str(BETA),
+                    "--sigma-theta", "0.5", "--draws", "64"],
+        "efficiency": [],
+        "legacy": [str(budget)],
+        "fig1-demo": [],
+    }[command]
+    rows = BAD_OPTION_VALUES[command][option]
+    assert rows, f"{command} {option} has no invalid value listed"
+    for value, expected, name in rows:
+        if value == "MISSING":
+            value = str(tmp_path / "missing" / "out")
+        # the option under test comes last, so it overrides the base --output
+        try:
+            code = main([command, *base, "--output", str(out), option, value])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected, (value, err)
+        assert name in err, (value, err)
+        assert not out.exists()
+
+
+def test_bad_option_table_lists_only_parser_options():
+    listed = {(command, option) for command, rows in BAD_OPTION_VALUES.items() for option in rows}
+    assert listed == set(_parser_options())

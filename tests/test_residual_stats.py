@@ -17,6 +17,7 @@ from rakeuq import (
     design_matrix,
     error_moments,
     fit,
+    frequency_scan,
     imprecision_metric,
     mc_propagate_model,
     noncentral_chisq_pdf,
@@ -261,3 +262,65 @@ def test_pdf_rejects_bad_arguments():
         noncentral_chisq_pdf(1.0, 0, 0.0)
     with pytest.raises(InvalidParams):
         noncentral_chisq_pdf(1.0, 7, -0.1)
+
+
+def scan_measurements(noise):
+    """Noisy (1, 4) readings on the engine lattice under diagonal noise or
+    AR(1) correlation across rakes and across stations (rho_S kron rho_R in
+    vec order), both with one sigma per probe."""
+    rng = np.random.default_rng(29)
+    N, M = len(ENGINE_THETA), len(STATIONS)
+    mu_B = design_matrix(ENGINE_THETA, (1, 4)) @ coefficient_truth()
+    mu_B = mu_B + SIGMA_B * rng.standard_normal((N, M))
+    sigma = SIGMA_B * rng.uniform(0.5, 2.0, N * M)
+    if noise == "diagonal":
+        return MeasurementDistribution.from_diagonal(mu_B, sigma)
+    lag_r, lag_s = np.arange(N), np.arange(M)
+    rho = np.kron(
+        0.6 ** np.abs(lag_s[:, None] - lag_s[None, :]),
+        0.4 ** np.abs(lag_r[:, None] - lag_r[None, :]),
+    )
+    return MeasurementDistribution.from_correlation(mu_B, sigma, rho)
+
+
+@pytest.mark.parametrize("noise", ["diagonal", "correlated"])
+def test_scan_matches_compute_metrics_for_any_noise(engine_geometry, noise):
+    # the engine lattice aliases some pairs, so both lambda = 0 and ridge
+    # rungs are checked; the correlated Sigma_B has cross-station blocks
+    meas = scan_measurements(noise)
+    assert meas.station_blocks.shape[0] == (7 if noise == "diagonal" else 1)
+    result = frequency_scan(engine_geometry, meas, beta=BETA)
+    assert result.sigma_b is None
+    keys = [(e.mean_eps, e.omega) for e in result.entries]
+    assert keys == sorted(keys)
+    lams = set()
+    for e in result.entries:
+        assert not e.flagged
+        model = build_design_matrix(engine_geometry, HarmonicSet(e.omega), beta=BETA)
+        coeffs = fit(model, meas.mu_B)
+        field = FieldDistribution.from_measurements(model, meas, coeffs.lambda_used)
+        metrics = compute_metrics(model, coeffs, meas, field)
+        assert e.lambda_used == coeffs.lambda_used, e.omega
+        assert e.mean_eps == pytest.approx(metrics.mean_eps, rel=1e-12, abs=0.0), e.omega
+        lams.add(e.lambda_used > 0.0)
+    assert lams == {False, True}
+
+
+def test_scan_of_iid_measurement_distribution_matches_sigma_b(engine_geometry, engine_data):
+    meas = MeasurementDistribution.from_iid(engine_data, SIGMA_B)
+    by_meas = frequency_scan(engine_geometry, meas, beta=BETA)
+    by_sigma = frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
+    assert by_meas == by_sigma
+    assert by_meas.sigma_b == SIGMA_B
+
+
+def test_scan_noise_arguments_refused(engine_geometry, engine_data):
+    meas = MeasurementDistribution.from_iid(engine_data, SIGMA_B)
+    with pytest.raises(InvalidParams, match="sigma_b"):
+        frequency_scan(engine_geometry, meas, SIGMA_B)
+    with pytest.raises(InvalidParams, match="sigma_b"):
+        frequency_scan(engine_geometry, engine_data)
+    # every reading exactly noise-free: the analogue of sigma_b = 0
+    zero = MeasurementDistribution.from_diagonal(engine_data, np.zeros(42))
+    with pytest.raises(InvalidParams, match="Sigma_B is zero"):
+        frequency_scan(engine_geometry, zero)
