@@ -46,8 +46,20 @@ def _parsed(parse):
     return convert
 
 
-_floats = _parsed(lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()))
-_ints = _parsed(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()))
+def _list_of(kind, empty_ok=False):
+    """argparse type for a comma-separated list of ``kind``; an empty list
+    is refused unless ``empty_ok``."""
+
+    def parse(text: str):
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        if not (values or empty_ok):
+            raise ValueError("needs at least one value")
+        return values
+
+    return _parsed(parse)
+
+
+_floats, _ints, _ladder = _list_of(float), _list_of(int), _list_of(float, empty_ok=True)
 _harmonics = _parsed(lambda text: HarmonicSet(_ints(text)))
 
 
@@ -72,18 +84,13 @@ def _build_model(campaign, args):
 def _int_at_least(low: int, or_zero: bool = False):
     """argparse type for an integer of at least ``low``, or 0 with ``or_zero``."""
 
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    def check(text: str) -> int:
+        value = int(text)
         if value < low and not (or_zero and value == 0):
-            raise argparse.ArgumentTypeError(
-                f"must be {'0 or ' if or_zero else ''}at least {low}, got {value}"
-            )
+            raise ValueError(f"must be {'0 or ' if or_zero else ''}at least {low}")
         return value
 
-    return convert
+    return _parsed(check)
 
 
 def _grid_centers(n_r: int, n_theta: int):
@@ -271,7 +278,7 @@ def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
                             default=samples_default,
                             help="Monte Carlo sample count (0: no check)")
     if ridge:
-        parser.add_argument("--lambda-ladder", type=_floats, default=DEFAULT_LADDER,
+        parser.add_argument("--lambda-ladder", type=_ladder, default=DEFAULT_LADDER,
                             help="comma-separated ridge penalties")
         parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
                             help="coefficient norm guard")
@@ -360,10 +367,12 @@ _CSV_COMMANDS = ("grid", "scan", "rake-mc")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _CSV_COMMANDS and not args.output:
-        parser.error(f"{args.command} writes a CSV and needs --output")
-    if args.command == "efficiency" and args.rho_values is not None and not args.output:
-        parser.error("efficiency --rho-values writes a CSV and needs --output")
+    sweep = args.command == "efficiency" and args.rho_values is not None
+    if (sweep or args.command in _CSV_COMMANDS) and not args.output:
+        command = "efficiency --rho-values" if sweep else args.command
+        parser.error(f"{command} writes a CSV and needs --output")
+    if sweep and args.samples:
+        parser.error("efficiency --rho-values runs no Monte Carlo check; drop --samples")
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -36,8 +36,12 @@ input is refused, a Cholesky factor that exists is kept, and otherwise the
 eigenvalues decide against the mean diagonal entry s (refused below -1e-10 s,
 a RuntimeWarning below -1e3 eps s, negative ones clipped). Sigma_B's blocks
 are checked and factored once, when the MeasurementDistribution is built
-(iid noise needs neither). A congruence of a PSD matrix is PSD, so the
-propagated covariances are only symmetrized.
+(iid noise needs neither). Correlated noise Sigma_B = D rho D, with
+D = diag(sigma), is not factored as such: rho is checked and factored once,
+in its own block form, and D L_rho is the factor, exact even where a sigma
+is zero. Diagonal noise is the case rho = I, whose factor is D itself. A
+congruence of a PSD matrix is PSD, so the propagated covariances are only
+symmetrized.
 """
 
 import math
@@ -106,39 +110,10 @@ def ensure_psd(S, name: str = "covariance") -> np.ndarray:
 
 
 def validate_correlation(rho, n: int) -> np.ndarray:
-    """Check a correlation matrix: square, symmetric, unit diagonal, PSD
-    under the rule of ``ensure_psd``. Returns it as ensure_psd does."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (n, n):
-        raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
-    if not np.allclose(rho, rho.T, atol=1e-12):
-        raise InvalidCorrelation("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
-        raise InvalidCorrelation("correlation matrix needs a unit diagonal")
-    if np.any(np.abs(rho) > 1.0 + 1e-12):
-        raise InvalidCorrelation("correlations must lie in [-1, 1]")
-    return _psd_factor(rho, "correlation matrix", InvalidCorrelation)[0]
-
-
-def _equal_variance_sigma(d: np.ndarray):
-    """sqrt(d[0]) if every variance in d equals the first, a finite
-    nonnegative number, else None. No tolerance."""
-    if d.size == 0 or not 0.0 <= d[0] < math.inf or np.any(d != d[0]):
-        return None
-    return float(np.sqrt(d[0]))
-
-
-def _exact_iid_sigma(Sigma_B: np.ndarray):
-    """sigma_b if Sigma_B is exactly sigma_b^2 I, else None.
-
-    Exactly: every off-diagonal entry is zero and every diagonal entry equals
-    the first. No tolerance, so a Sigma_B one ulp away is not iid.
-    """
-    d = np.diag(Sigma_B)
-    sigma = _equal_variance_sigma(d)
-    if sigma is None or np.count_nonzero(Sigma_B) > np.count_nonzero(d):
-        return None
-    return sigma
+    """Check a correlation matrix: square, finite, symmetric and with a unit
+    diagonal to 1e-12 absolute, PSD under the rule of ``ensure_psd``.
+    Returns it as ensure_psd does."""
+    return _correlation_factor(rho, n)[0][0]
 
 
 def _measurement_matrix(mu_B) -> np.ndarray:
@@ -205,6 +180,50 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n_blocks * n, n_blocks * n)
 
 
+def _correlation_factor(rho, n_rakes: int, n_stations: int = 1):
+    """(rho_b, L_b): rho checked and factored once, in its block form.
+
+    rho is NM x NM in vec order, and its blocks are those of
+    ``_station_blocks``: M blocks of N x N when no two stations correlate,
+    one NM x NM block otherwise. Symmetry, the unit diagonal and the range
+    [-1, 1] are read off the blocks to 1e-12 absolute; then ``_psd_factor``
+    decides, raising InvalidCorrelation. Non-finite rho is refused first.
+    """
+    rho = np.asarray(rho, dtype=float)
+    n = n_rakes * n_stations
+    if rho.shape != (n, n):
+        raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidCorrelation("correlation matrix must be finite")
+    blocks = _station_blocks(rho, n_rakes, n_stations)
+    if np.any(np.abs(blocks - blocks.transpose(0, 2, 1)) > 1e-12):
+        raise InvalidCorrelation("correlation matrix must be symmetric")
+    if np.any(np.abs(np.diagonal(blocks, axis1=1, axis2=2) - 1.0) > 1e-12):
+        raise InvalidCorrelation("correlation matrix needs a unit diagonal")
+    if np.any(np.abs(blocks) > 1.0 + 1e-12):
+        raise InvalidCorrelation("correlations must lie in [-1, 1]")
+    return _psd_factor(blocks, "correlation matrix", InvalidCorrelation)
+
+
+def _exact_iid_sigma(blocks: np.ndarray, factor: np.ndarray, n_rakes: int, n_stations: int):
+    """(iid_sigma, station_blocks, factor_blocks) from a (B, n, n) stack of
+    checked blocks and their factor.
+
+    iid_sigma is sigma_b if every block is exactly sigma_b^2 I, and the blocks
+    are then one sigma_b^2 I block broadcast over the stations, with factor
+    sigma_b I; otherwise it is None and the blocks are kept. Exactly: every
+    off-diagonal entry is zero and every diagonal entry equals the first, a
+    finite nonnegative number. No tolerance, so a block one ulp away is not
+    iid.
+    """
+    d = np.diagonal(blocks, axis1=1, axis2=2)
+    if (d.size == 0 or not 0.0 <= d[0, 0] < math.inf or np.any(d != d[0, 0])
+            or np.count_nonzero(blocks) > np.count_nonzero(d)):
+        return None, blocks, factor
+    sigma = float(np.sqrt(d[0, 0]))
+    return (sigma, *_iid_blocks(sigma, n_rakes, n_stations))
+
+
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
@@ -214,12 +233,17 @@ class MeasurementDistribution:
     passed in must equal it, or InvalidParams is raised.
 
     ``station_blocks`` is Sigma_B as the propagation reads it: the M
-    diagonal N x N blocks, shape (M, N, N), when every cross-station block is
-    exactly zero (for iid noise one sigma_b^2 I block broadcast over the
-    stations), and the whole matrix as one block, shape (1, NM, NM),
-    otherwise. ``factor_blocks`` holds L_b with block b = L_b L_b^T, from the
-    one PSD check (sigma_b I for iid noise, unchecked); if it clipped, both
-    describe the clipped matrix, and so does ``Sigma_B``, built when read.
+    diagonal N x N blocks, shape (M, N, N), when no two stations correlate
+    (for iid noise one sigma_b^2 I block broadcast over the stations), and
+    the whole matrix as one block, shape (1, NM, NM), otherwise.
+    ``factor_blocks`` holds L_b with block b = L_b L_b^T. The general
+    constructor reads the block form off Sigma_B (every cross-station entry
+    exactly zero) and factors the blocks in its one PSD check. For
+    Sigma_B = D rho D (``from_correlation``, and ``from_diagonal`` with
+    rho = I) the block form is rho's, and L_b is D_b times the factor of
+    rho's block b, so the factor is D L_rho. iid noise keeps sigma_b I,
+    unchecked. If a check clipped, blocks and factor describe the clipped
+    matrix, and so does ``Sigma_B``, built when read.
 
     The constructor takes (mu_B, Sigma_B, iid_sigma) while the dataclass
     fields are (mu_B, iid_sigma, station_blocks, factor_blocks), so
@@ -239,11 +263,8 @@ class MeasurementDistribution:
             raise DimensionMismatch(
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
-        exact = _exact_iid_sigma(S)
-        if exact is None:
-            blocks, factor = _psd_factor(_station_blocks(S, *mu.shape), "Sigma_B")
-        else:
-            blocks, factor = _iid_blocks(exact, *mu.shape)
+        blocks, factor = _psd_factor(_station_blocks(S, *mu.shape), "Sigma_B")
+        exact, blocks, factor = _exact_iid_sigma(blocks, factor, *mu.shape)
         if iid_sigma is not None and (exact is None or float(iid_sigma) != exact):
             raise InvalidParams(
                 f"iid_sigma {iid_sigma!r} disagrees with Sigma_B, which gives {exact!r}"
@@ -261,6 +282,15 @@ class MeasurementDistribution:
         meas = object.__new__(cls)
         meas._fill(mu, iid_sigma, station_blocks, factor_blocks)
         return meas
+
+    @classmethod
+    def _scaled(cls, mu, sigma, rho_blocks, L_blocks):
+        """D rho D and its factor D L_rho, block by block, for d = sigma in
+        vec order and rho's blocks rho_b = L_b L_b^T (one N x N block
+        stands for all M). rho_b * (d_b d_b^T) is exactly symmetric."""
+        d = sigma.reshape(-1, rho_blocks.shape[-1], 1)
+        blocks = rho_blocks * (d * d.transpose(0, 2, 1))
+        return cls._from_blocks(mu, *_exact_iid_sigma(blocks, d * L_blocks, *mu.shape))
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
@@ -283,32 +313,30 @@ class MeasurementDistribution:
         """Independent noise with one sigma per probe: a flat vector in vec
         (column) order, or an N x M array like mu_B.
 
-        It is iid exactly when every sigma is equal: with round-to-nearest,
-        sqrt(fl(s^2)) = s unless s^2 underflows, so distinct sigmas square to
-        distinct variances. Otherwise the M diagonal N x N station blocks
-        are built from the variances directly and checked and factored as
-        one stack; no NM x NM matrix is formed.
+        This is :meth:`from_correlation` with rho = I, which needs no check:
+        the M diagonal N x N station blocks are diag(sigma^2) and their
+        factor is diag(sigma) exactly, so nothing is factored and no NM x NM
+        matrix is formed. It is iid exactly when every sigma is equal: with
+        round-to-nearest, sqrt(fl(s^2)) = s unless s^2 underflows, so
+        distinct sigmas square to distinct variances.
         """
         mu = _measurement_matrix(mu_B)
-        var = _finite_sigmas(mu, sigma) ** 2
-        exact = _equal_variance_sigma(var)
-        if exact is not None:
-            return cls._from_blocks(mu, exact, *_iid_blocks(exact, *mu.shape))
-        N, M = mu.shape
-        blocks = np.zeros((M, N, N))
-        blocks[:, np.arange(N), np.arange(N)] = var.reshape(M, N)
-        return cls._from_blocks(mu, None, *_psd_factor(blocks, "Sigma_B"))
+        eye = np.eye(mu.shape[0])
+        return cls._scaled(mu, _finite_sigmas(mu, sigma), eye, eye)
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":
         """Correlated noise Sigma_B = D rho D with D = diag(vec(sigma)).
 
         sigma is read as in :meth:`from_diagonal`; rho is NM x NM in vec order.
+        rho is checked and factored once, rho_b = L_b L_b^T, in its own block
+        form: M Cholesky factorizations of N x N blocks when no two stations
+        correlate, one of NM x NM otherwise. The blocks of Sigma_B are then
+        D_b rho_b D_b with factor D_b L_b, exact also where a sigma is zero;
+        D rho D itself is never formed or factored.
         """
         mu = _measurement_matrix(mu_B)
-        sigma = _finite_sigmas(mu, sigma)
-        rho = validate_correlation(np.asarray(rho, dtype=float), mu.size)
-        return cls(mu, (sigma[:, None] * rho) * sigma[None, :])
+        return cls._scaled(mu, _finite_sigmas(mu, sigma), *_correlation_factor(rho, *mu.shape))
 
     @cached_property
     def Sigma_B(self) -> np.ndarray:

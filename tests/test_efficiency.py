@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,11 +157,33 @@ def test_validate_correlation_rejects_bad_matrices():
     bad[1, 2] = bad[2, 1] = -0.9
     with pytest.raises(InvalidCorrelation):
         validate_correlation(bad, 5)
-    for value in (np.nan, np.inf):
+    # non-finite entries are refused first, before any arithmetic can warn
+    for value in (np.nan, np.inf, -np.inf):
         bad = good.copy()
         bad[0, 4] = bad[4, 0] = value
-        with pytest.raises(InvalidCorrelation):
-            validate_correlation(bad, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCorrelation, match="finite"):
+                validate_correlation(bad, 5)
+
+
+@pytest.mark.parametrize(
+    "i, j, delta",
+    [(0, 0, -9e-6), (2, 2, -1e-6), (0, 1, 1e-6)],
+    ids=["diagonal 9e-6 low", "diagonal 1e-6 low", "asymmetry 1e-6"],
+)
+def test_correlation_tolerance_is_absolute(i, j, delta):
+    # symmetry and the unit diagonal hold to 1e-12 absolute, with no
+    # relative slack that would let 1 - 9e-6 scale a variance
+    bad = block_correlation(0.5)
+    bad[i, j] += delta
+    with pytest.raises(InvalidCorrelation):
+        validate_correlation(bad, 5)
+    with pytest.raises(InvalidCorrelation):
+        StationState(DEFAULT_STATE.z, DEFAULT_STATE.sigma, bad)
+    within = block_correlation(0.5)
+    within[i, j] += 5e-13 * np.sign(delta)
+    validate_correlation(within, 5)
 
 
 def test_station_state_validation():

@@ -135,6 +135,23 @@ def test_non_psd_correlation_rejected(tmp_path):
         io.load_campaign(str(path))
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1)], ids=["unit diagonal", "symmetry"])
+def test_correlation_off_by_1e6_refused(tmp_path, capsys, i, j):
+    # 1e-6 off the unit diagonal, or 1e-6 of asymmetry, is far beyond 1e-12
+    doc = campaign_doc()
+    rho = np.eye(42)
+    rho[0, 1] = rho[1, 0] = 0.5
+    rho[i, j] -= 1e-6
+    doc["uncertainty"] = {"correlation": {"sigma": [SIGMA_B] * 42, "rho": rho.tolist()}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", "1,4", "--beta", str(BETA), "--output", str(out)])
+    assert code == 2
+    assert "uncertainty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_report_matches_library(campaign_path, tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -753,6 +770,16 @@ def test_efficiency_sweep_without_output_refused_before_any_work(monkeypatch, ca
     assert "--output" in capsys.readouterr().err
 
 
+def test_efficiency_sweep_refuses_samples(tmp_path, capsys):
+    # the sweep runs no Monte Carlo check, so --samples would be ignored
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--rho-values", "0.5", "--samples", "1000", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["1", "-5"])
 def test_efficiency_samples_below_two_rejected_by_parser(tmp_path, capsys, value):
     out = tmp_path / "eta.json"
@@ -808,7 +835,10 @@ BAD_OPTION_VALUES = {
         "--seed": [("x", 2, "--seed")],
         "--samples": [("1", 2, "--samples"), ("-5", 2, "--samples")],
         "--output": [("MISSING", 2, "--output")],
-        "--rho-values": [("a", 2, "--rho-values"), ("0,2", 3, "rho_value")],
+        "--rho-values": [
+            ("a", 2, "--rho-values"), ("0,2", 3, "rho_value"),
+            ("", 2, "--rho-values"), (",", 2, "--rho-values"),
+        ],
     },
     "legacy": {
         "--output": [("MISSING", 2, "--output")],
@@ -820,7 +850,9 @@ BAD_OPTION_VALUES = {
         "--mean": [("inf", 3, "mean")],
         "--phase": [("nan", 3, "phase_deg")],
         "--offset": [("nan", 3, "offset_deg")],
-        "--rake-counts": [("3,x", 2, "--rake-counts"), ("2", 3, "rake_counts")],
+        "--rake-counts": [
+            ("3,x", 2, "--rake-counts"), ("2", 3, "rake_counts"), ("", 2, "--rake-counts"),
+        ],
     },
 }
 

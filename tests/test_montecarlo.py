@@ -255,7 +255,7 @@ def factorizations(monkeypatch):
         ("iid", []),
         ("dense", [("cholesky", (1, 42, 42))]),
         ("station blocks", [("cholesky", (7, 6, 6))]),
-        ("diagonal", [("cholesky", (7, 6, 6))]),
+        ("diagonal", []),
     ],
 )
 def test_sampling_factors_sigma_b_at_most_once(
@@ -266,6 +266,48 @@ def test_sampling_factors_sigma_b_at_most_once(
     mc_propagate_model(engine_model, meas, SamplerConfig(seed=2, n_samples=64))
     assert factorizations == calls
     assert "Sigma_B" not in meas.__dict__
+
+
+def _ar1(n, phi):
+    return phi ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+
+
+CORRELATION = {
+    "within stations": (np.kron(np.eye(7), _ar1(6, 0.3)), [("cholesky", (7, 6, 6))]),
+    "across stations": (_ar1(42, 0.3), [("cholesky", (1, 42, 42))]),
+}
+
+
+@pytest.mark.parametrize("zero_sigma", [False, True], ids=["positive sigmas", "zero sigmas"])
+@pytest.mark.parametrize("structure", list(CORRELATION))
+def test_from_correlation_factors_rho_once(
+    engine_model, engine_data, factorizations, structure, zero_sigma
+):
+    # one Cholesky of rho in its own block form, never of D rho D: a zero
+    # sigma makes D rho D singular but D L_rho is still an exact factor
+    rho, calls = CORRELATION[structure]
+    sigma = np.linspace(0.3, 0.7, 42)
+    if zero_sigma:
+        sigma[[0, 5, 41]] = 0.0
+    meas = MeasurementDistribution.from_correlation(engine_data, sigma, rho)
+    mc_propagate_model(engine_model, meas, SamplerConfig(seed=2, n_samples=64))
+    assert factorizations == calls
+    L = meas.factor_blocks
+    assert L.shape == meas.station_blocks.shape == calls[0][1]
+    np.testing.assert_allclose(L @ L.transpose(0, 2, 1), meas.station_blocks, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(meas.Sigma_B, rho * np.outer(sigma, sigma))
+    np.testing.assert_array_equal(meas.Sigma_B, meas.Sigma_B.T)
+
+
+def test_from_diagonal_factor_is_sigma_exactly(engine_data, factorizations):
+    sigma = np.linspace(0.3, 0.7, 42)
+    sigma[[0, 5, 41]] = 0.0
+    meas = MeasurementDistribution.from_diagonal(engine_data, sigma)
+    assert factorizations == []
+    blocks = np.zeros((7, 6, 6))
+    blocks[:, np.arange(6), np.arange(6)] = sigma.reshape(7, 6)
+    np.testing.assert_array_equal(meas.factor_blocks, blocks)
+    np.testing.assert_array_equal(meas.station_blocks, blocks**2)
 
 
 def _per_draw_fits(model, meas, cfg, lam):
