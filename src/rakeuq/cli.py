@@ -272,7 +272,8 @@ def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
     """Attach --output plus the ridge (--lambda-ladder, --beta), --seed and
     --samples options, each only where the subcommand reads it."""
     if seed:
-        parser.add_argument("--seed", type=_int_at_least(0), default=0, help="Monte Carlo seed")
+        parser.add_argument("--seed", type=_int_at_least(0), default=None,
+                            help="Monte Carlo seed (default 0)")
     if samples_default is not None:
         parser.add_argument("--samples", type=_int_at_least(2, or_zero=True),
                             default=samples_default,
@@ -373,6 +374,12 @@ def main(argv=None) -> int:
         parser.error(f"{command} writes a CSV and needs --output")
     if sweep and args.samples:
         parser.error("efficiency --rho-values runs no Monte Carlo check; drop --samples")
+    if sweep and args.seed is not None:
+        parser.error("efficiency --rho-values runs no Monte Carlo check; drop --seed")
+    # --seed defaults to None only so that the check above can tell a given
+    # seed from none; the samplers run with seed 0 when none was given.
+    if getattr(args, "seed", 0) is None:
+        args.seed = 0
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -102,8 +102,8 @@ def qr_solve(A, B) -> np.ndarray:
     n = R.ndim
     stack_last = (n - 2, n - 1) + tuple(range(n - 2))
     X = _back_substitute(R.transpose(stack_last).copy(), QtB.transpose(stack_last).copy())
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    if not diag.all():
+    diag = R.diagonal(0, -2, -1)
+    if np.count_nonzero(diag) < diag.size:
         X[..., (diag == 0.0).any(axis=-1)] = np.nan
     return np.ascontiguousarray(X.transpose(tuple(range(2, n)) + (0, 1)))
 
@@ -294,11 +294,14 @@ def _below_beta(X: np.ndarray, beta: float) -> np.ndarray:
     f / sqrt(r) >= beta (1 + margin); the margin exceeds the rounding error
     of both norms, so either decision is the exact norm's. Only the slices
     in between, those whose f overflowed and those holding NaN or inf go to
-    the exact ``_spectral_norms``.
+    the exact ``_spectral_norms``. When every slice is accepted, as on most
+    rungs, the reject bound is not formed.
     """
     beta = float(beta)  # a Python float: the bounds may overflow to inf quietly
     f = np.sqrt(np.einsum("bij,bij->b", X, X))
     accept = np.maximum(f, _SCREEN_FLOOR) < beta / (1.0 + _SCREEN_MARGIN)
+    if np.count_nonzero(accept) == accept.size:
+        return accept
     reject = np.isfinite(f) & (f >= math.sqrt(min(X.shape[1:])) * beta * (1.0 + _SCREEN_MARGIN))
     band = ~(accept | reject)
     if band.any():
@@ -317,7 +320,8 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True, *, carry=N
     norm is below beta; ``_below_beta`` decides that by the Frobenius screen
     and takes the exact norm only for the slices the screen cannot decide.
     A rung over every slice skips the gathers, and when nothing has passed
-    yet its candidates become the output. Returns (X (b, K, M), lambdas
+    yet its candidates become the output; the walk stops at the first rung
+    that leaves no slice failing. Returns (X (b, K, M), lambdas
     (b,), ok mask (b,)); failed slices keep lambda 0 and NaN coefficients.
 
     ``carry``, an N x C array, rides along: each rung solves its columns
@@ -333,26 +337,29 @@ def _fit_batch(guard, A_stack: np.ndarray, B: np.ndarray, plain=True, *, carry=N
     X = None
     lambdas = np.zeros(size)
     ok = np.zeros(size, dtype=bool)
-    rungs = [(0.0, np.broadcast_to(plain, (size,)))] + [(lam, True) for lam in guard.lambda_ladder]
-    for lam, allowed in rungs:
-        todo = allowed & ~ok
-        if not todo.any():
+    n_ok = 0
+    for lam, allowed in [(0.0, plain)] + [(lam, True) for lam in guard.lambda_ladder]:
+        if n_ok == size:
+            break
+        todo = (allowed & ~ok).nonzero()[0]
+        if not todo.size:
             continue
-        every = todo.all()
+        every = todo.size == size
         cand = ridge_solve(A_stack if every else A_stack[todo], B, lam)
         good = _below_beta(cand[..., :n_guarded], guard.beta)
+        idx = todo[good]
         if every:
-            X, idx = cand, np.nonzero(good)[0]
+            X = cand
         else:
             if X is None:
                 X = np.full((size,) + cand.shape[1:], np.nan)
-            idx = np.nonzero(todo)[0][good]
             X[idx] = cand[good]
         lambdas[idx] = lam
         ok[idx] = True
+        n_ok += idx.size
     if X is None:
         X = np.full((size, A_stack.shape[-1], B.shape[-1]), np.nan)
-    elif not ok.all():
+    elif n_ok < size:
         X[~ok] = np.nan
     return X, lambdas, ok
 

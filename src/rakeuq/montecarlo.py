@@ -1,8 +1,10 @@
 """Seeded Monte Carlo engine and the two sampling studies built on it.
 
-Everything here is deterministic for a fixed seed and sample count: draws
-come in batches of at most BATCH, each from its own generator spawned off one
-seed sequence, and the batches run and are reduced in order.
+Everything here is deterministic for a fixed seed and sample count. The two
+sampling engines draw in batches of at most BATCH, each from its own
+generator spawned off one seed sequence, and the batches run and are reduced
+in order. ``sample_mvn``, and ``efficiency_mc`` through it, draw every sample
+in one block from ``np.random.default_rng(seed)``.
 
 Two sampling studies share the sampler:
 
@@ -111,7 +113,11 @@ def _standard_draws(rng, n: int, dim: int, antithetic: bool) -> np.ndarray:
 
 
 def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
-    """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable."""
+    """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
+
+    All rows come in one block from ``np.random.default_rng(config.seed)``,
+    not in the engines' spawned batches.
+    """
     mean = np.asarray(mean, dtype=float).ravel()
     L = psd_factor(cov)
     if L.shape[0] != mean.size:

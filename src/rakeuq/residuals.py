@@ -42,7 +42,9 @@ mu_B, so every pair's residual map comes from the same factorizations.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,10 +258,10 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     """One harmonic pair's expected sampling metric mu(eps_p^2) under the
-    scan's measurement distribution."""
+    scan's measurement distribution. A named tuple: it also equals the
+    plain tuple of its fields."""
 
     omega: tuple
     lambda_used: float
@@ -347,27 +349,31 @@ def frequency_scan(
     if not S_sum.any():
         raise InvalidParams("Sigma_B is zero: sigma_b or the sigmas must be positive")
     pairs = list(combinations(range(1, max_freq + 1), 2))
+    w = np.array(pairs)
     # Columns [1, cos w1, sin w1, cos w2, sin w2] of the all-harmonics design.
-    cols = np.array([[0, 2 * w1 - 1, 2 * w1, 2 * w2 - 1, 2 * w2] for w1, w2 in pairs])
+    cols = np.zeros((len(pairs), 5), dtype=int)
+    cols[:, 1::2] = 2 * w - 1
+    cols[:, 2::2] = 2 * w
     A_full = design_matrix(geometry.theta_deg, range(1, max_freq + 1))
+    # Contiguous: a gather from the strided view keeps its slices in column
+    # order, and the products below would take another BLAS path.
     A_stack = np.ascontiguousarray(A_full[:, cols].transpose(1, 0, 2))
     cond, singular = _design_conditioning(A_stack)
-    X, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular, carry=np.eye(N))
+    eye = np.eye(N)
+    X, lambdas, ok = _fit_batch(guard, A_stack, mu_B, plain=~singular, carry=eye)
     A = A_stack[ok]
     P = X[ok, :, M:]
     # K mu_B as A (P mu_B) - mu_B, not A X - mu_B: where the fit nearly
     # reproduces the data the residual is all cancellation, and on four
     # rakes the two orders put mean_eps about 1e-7 relative apart.
     resid = A @ (P @ mu_B) - mu_B
-    K = A @ P - np.eye(N)
+    K = A @ P - eye
     noise = np.einsum("pij,pij->p", K @ S_sum, K)
     mean_eps = np.full(len(pairs), math.inf)
     mean_eps[ok] = (noise + np.einsum("pij,pij->p", resid, resid)) / (N * M)
-    entries = [
-        ScanEntry(pair, float(lambdas[i]), float(mean_eps[i]), float(cond[i]), False)
-        if ok[i]
-        else ScanEntry(pair, None, math.inf, float(cond[i]), True)
-        for i, pair in enumerate(pairs)
-    ]
-    entries.sort(key=lambda e: (e.mean_eps, e.omega))
-    return FrequencyScanResult(tuple(entries), meas.iid_sigma, int(max_freq))
+    # Rows in field order, sorted by (mean_eps, omega); the omegas are
+    # distinct, so no other field is compared.
+    lam = [l if fitted else None for l, fitted in zip(lambdas.tolist(), ok.tolist())]
+    rows = zip(pairs, lam, mean_eps.tolist(), cond.tolist(), (~ok).tolist())
+    entries = tuple(starmap(ScanEntry, sorted(rows, key=itemgetter(2, 0))))
+    return FrequencyScanResult(entries, meas.iid_sigma, int(max_freq))

@@ -14,6 +14,8 @@ import rakeuq.io as io
 from rakeuq import (
     FieldDistribution,
     HarmonicSet,
+    MeasurementDistribution,
+    RakeUqError,
     SamplerConfig,
     SchemaError,
     area_average,
@@ -902,3 +904,98 @@ def test_every_option_refuses_bad_values_by_name(campaign_path, tmp_path, capsys
 def test_bad_option_table_lists_only_parser_options():
     listed = {(command, option) for command, rows in BAD_OPTION_VALUES.items() for option in rows}
     assert listed == set(_parser_options())
+
+
+def test_efficiency_sweep_refuses_seed(tmp_path, capsys):
+    # the sweep runs no Monte Carlo check, so a given seed, 0 included,
+    # would be ignored
+    out = tmp_path / "s.csv"
+    for seed in ("7", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["efficiency", "--rho-values", "0.5", "--seed", seed, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_monte_carlo_seed_defaults_to_zero(campaign_path, tmp_path, capsys):
+    runs = {}
+    for given in ((), ("--seed", "0")):
+        eta = tmp_path / f"eta{len(given)}.json"
+        rake = tmp_path / f"rake{len(given)}.csv"
+        assert main(["efficiency", "--samples", "2000", *given, "--output", str(eta)]) == 0
+        assert main(
+            ["rake-mc", campaign_path, "--harmonics", "1,4", "--beta", str(BETA),
+             "--sigma-theta", "0.5", "--draws", "300", "--n-prediction", "12",
+             *given, "--output", str(rake)]
+        ) == 0
+        runs[given] = json.loads(eta.read_text())["mc_check"], rake.read_text()
+    assert runs[()][0]["seed"] == 0
+    assert runs[()] == runs[("--seed", "0")]
+
+
+def test_diagonal_campaign_loads_and_fits(tmp_path):
+    doc = campaign_doc()
+    sigma = [0.3 + 0.01 * i for i in range(len(ENGINE_THETA) * STATIONS.size)]
+    doc["uncertainty"] = {"diagonal": {"sigma": sigma}}
+    campaign = io.campaign_from_dict(doc)
+    want = MeasurementDistribution.from_diagonal(campaign.measurements, sigma)
+    assert campaign.meas.iid_sigma is None
+    np.testing.assert_array_equal(campaign.meas.mu_B, want.mu_B)
+    np.testing.assert_array_equal(campaign.meas.station_blocks, want.station_blocks)
+    np.testing.assert_array_equal(campaign.meas.factor_blocks, want.factor_blocks)
+
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", "1,4", "--beta", str(BETA),
+                 "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    model = build_design_matrix(campaign.geometry, HarmonicSet((1, 4)), beta=BETA)
+    coeffs = fit(model, campaign.measurements)
+    field = FieldDistribution.from_measurements(model, want, coeffs.lambda_used)
+    metrics = compute_metrics(model, coeffs, want, field)
+    assert report["metrics"]["mean_eps_p_sq"] == metrics.mean_eps
+    assert report["area_average"]["two_sigma"] == area_average(model, field).two_sigma
+
+
+def test_fit_without_output_prints_report(campaign_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = ["fit", campaign_path, "--harmonics", "1,4", "--beta", str(BETA)]
+    assert main([*args, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads(out.read_text())
+    for report in (printed, written):
+        del report["provenance"]["created_utc"]
+    assert printed == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "campaign.json", "report.json", "report.json.coefficients.json"
+    ]
+
+
+def test_scan_cli_reports_flagged_pairs(campaign_path, tmp_path, capsys):
+    # no ridge rungs: the lattice's singular pairs exhaust the empty ladder
+    campaign = io.load_campaign(campaign_path)
+    result = rakeuq.frequency_scan(campaign.geometry, campaign.meas, beta=BETA, lambda_ladder=())
+    flagged = sum(e.flagged for e in result.entries)
+    assert 0 < flagged < len(result.entries)
+    out = tmp_path / "scan.csv"
+    code = main(["scan", campaign_path, "--beta", str(BETA), "--lambda-ladder", "",
+                 "--output", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{flagged} pair(s) exhausted the ridge ladder and were flagged"
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert sum(row[2] == "" and row[3] == "inf" for row in rows) == flagged
+
+
+def test_assert_finite_names_the_dotted_path():
+    io.assert_finite({"a": [1.0, 2], "b": {"c": 0.5}})
+    with pytest.raises(RakeUqError, match=r"non-finite value at report\.a\.b\.1$"):
+        io.assert_finite({"ok": 1.0, "a": {"b": [0.0, float("nan")]}})
+    with pytest.raises(RakeUqError, match=r"non-finite value at doc\.x$"):
+        io.assert_finite({"x": float("-inf")}, "doc")

@@ -554,3 +554,28 @@ def test_sigma_of_any_other_shape_refused(shape):
         MeasurementDistribution.from_diagonal(mu, sigma)
     with pytest.raises(DimensionMismatch, match="sigma"):
         MeasurementDistribution.from_correlation(mu, sigma, np.eye(6))
+
+
+def test_from_correlation_keeps_three_nm_by_nm_arrays_at_most():
+    # equicorrelation across all 480 readings: one (1, NM, NM) block. The
+    # blocks and their factor are kept; the symmetrized rho is the only other
+    # array of that size alive at the peak
+    N, M = 24, 20
+    n = N * M
+    rng = np.random.default_rng(5)
+    mu = rng.standard_normal((N, M))
+    sigma = 0.5 + rng.random(n)
+    rho = np.full((n, n), 0.3)
+    np.fill_diagonal(rho, 1.0)
+    tracemalloc.start()
+    try:
+        meas = MeasurementDistribution.from_correlation(mu, sigma, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * rho.nbytes, f"traced peak {peak / rho.nbytes:.2f} NM x NM arrays"
+    # the same numbers as D rho D and D L_rho formed directly
+    rho_sym = 0.5 * (rho + rho.T)
+    assert meas.station_blocks.shape == (1, n, n)
+    assert np.array_equal(meas.station_blocks[0], rho_sym * np.outer(sigma, sigma))
+    assert np.array_equal(meas.factor_blocks[0], sigma[:, None] * np.linalg.cholesky(rho_sym))
