@@ -4,9 +4,9 @@ The package reconstructs a circumferential-harmonic model of a flow quantity
 from rake measurements, propagates Gaussian measurement uncertainty through
 the fit in closed form, derives the distribution of the spatial sampling
 error, area-averages the field over the annulus, and carries the result into
-an isentropic-efficiency uncertainty budget. A seeded Monte Carlo engine
-cross-checks every closed form and covers the cases (correlated noise, rake
-placement scatter) that have none.
+an isentropic-efficiency uncertainty budget. Every noise model, correlated
+noise included, has exact closed forms. A seeded Monte Carlo engine
+cross-checks them and covers rake placement scatter, which has none.
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeVariance
-from .fourier import FourierModel
+from .fourier import FourierModel, _coefficients
 from .propagation import FieldDistribution
 
 
@@ -57,13 +57,13 @@ def _constant_row_block(model: FourierModel, Sigma_X) -> np.ndarray:
     return S.reshape(M, K, M, K)[:, 0, :, 0]
 
 
-def _mean_from_weights(model: FourierModel, q: np.ndarray, mu_X) -> float:
-    mu_X = np.asarray(mu_X, dtype=float)
+def _mean_from_weights(model: FourierModel, q: np.ndarray, mu_X: np.ndarray) -> float:
     return float(_area_norm(model) * (q @ mu_X[0, :]))
 
 
 def area_average_mean(model: FourierModel, mu_X) -> float:
     """Annulus area average of the mean reconstructed field."""
+    mu_X = _coefficients(mu_X, "mu_X", model)
     return _mean_from_weights(model, _radius_weight_vector(model), mu_X)
 
 

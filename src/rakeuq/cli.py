@@ -374,8 +374,8 @@ def main(argv=None) -> int:
         parser.error(f"{command} writes a CSV and needs --output")
     if sweep and args.samples:
         parser.error("efficiency --rho-values runs no Monte Carlo check; drop --samples")
-    if sweep and args.seed is not None:
-        parser.error("efficiency --rho-values runs no Monte Carlo check; drop --seed")
+    if args.command == "efficiency" and not args.samples and args.seed is not None:
+        parser.error("efficiency runs a Monte Carlo check only with --samples; drop --seed")
     # --seed defaults to None only so that the check above can tell a given
     # seed from none; the samplers run with seed 0 when none was given.
     if getattr(args, "seed", 0) is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRatio, DimensionMismatch, InvalidCorrelation, InvalidParams
-from .propagation import validate_correlation
+from .propagation import _sigmas, validate_correlation
 
 PARAM_NAMES = ("T01", "T02", "P01", "P02", "gamma")
 
@@ -87,8 +87,7 @@ class StationState:
         sigma = np.asarray(self.sigma, dtype=float)
         if z.shape != (5,) or sigma.shape != (5,):
             raise DimensionMismatch("z and sigma must both have 5 entries")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma < 0.0):
-            raise InvalidParams("standard deviations must be finite and nonnegative")
+        sigma = _sigmas(sigma, "sigma")
         efficiency(z)  # validates the mean state
         rho = np.eye(5) if self.rho is None else validate_correlation(self.rho, 5)
         object.__setattr__(self, "z", z)

@@ -448,17 +448,39 @@ class CoefficientMatrix:
         return float(_spectral_norms(self.X[None])[0])
 
 
-def _readings(model, B) -> np.ndarray:
-    """B as the N x M measurement matrix that ``model`` (a FourierModel or an
-    AnnulusGeometry) expects; a vector is one station's readings."""
+def _readings(B, name: str, model=None) -> np.ndarray:
+    """The one reader of N x M readings (B, mu_B, mu_F): B as a float matrix.
+
+    A vector is one station's readings. Any other number of dimensions is
+    refused with DimensionMismatch, and so is a shape other than n_rakes x
+    n_stations where ``model`` (a FourierModel or an AnnulusGeometry) is
+    given. Non-finite readings are refused with InvalidParams. ``name`` is
+    the input's name in the messages.
+    """
     B = np.asarray(B, dtype=float)
+    shape = B.shape
     if B.ndim == 1:
         B = B[:, None]
-    if B.shape != (model.n_rakes, model.n_stations):
-        raise DimensionMismatch(
-            f"measurements must be {model.n_rakes} x {model.n_stations}, got {B.shape}"
-        )
+    if B.ndim != 2 or model is not None and B.shape != (model.n_rakes, model.n_stations):
+        want = "an N x M matrix" if model is None else f"{model.n_rakes} x {model.n_stations}"
+        raise DimensionMismatch(f"{name} must be {want}, got shape {shape}")
+    if np.count_nonzero(np.isfinite(B)) < B.size:
+        raise InvalidParams(f"{name} must be finite")
     return B
+
+
+def _coefficients(X, name: str, model) -> np.ndarray:
+    """The one reader of K x M coefficient matrices: X as a float matrix of
+    ``model``'s n_coeffs x n_stations, else DimensionMismatch. Non-finite
+    coefficients are refused with InvalidParams."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (model.n_coeffs, model.n_stations):
+        raise DimensionMismatch(
+            f"{name} must be {model.n_coeffs} x {model.n_stations}, got shape {X.shape}"
+        )
+    if np.count_nonzero(np.isfinite(X)) < X.size:
+        raise InvalidParams(f"{name} must be finite")
+    return X
 
 
 def fit(model: FourierModel, B) -> CoefficientMatrix:
@@ -471,7 +493,7 @@ def fit(model: FourierModel, B) -> CoefficientMatrix:
     the guard rejects like any other failure. Raises RegularizationExhausted
     when no ladder entry succeeds.
     """
-    B = _readings(model, B)
+    B = _readings(B, "B", model)
     plain = model.P is not None
     if not plain and not model.lambda_ladder:
         raise SingularDesign("singular design and empty ladder")
@@ -489,11 +511,7 @@ def predict_point(model: FourierModel, X, r_frac, theta_deg):
     ``r_frac`` is a scalar span fraction in [0, 1]; ``theta_deg`` may be a
     scalar or an array of angles. Returns a float or an array accordingly.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape != (model.n_coeffs, model.n_stations):
-        raise DimensionMismatch(
-            f"coefficients must be {model.n_coeffs} x {model.n_stations}, got {X.shape}"
-        )
+    X = _coefficients(X, "X", model)
     w = model.radial.blend(float(r_frac))
     a = design_row(theta_deg, model.harmonics.omega)
     values = a @ (X @ w)

@@ -25,7 +25,9 @@ class AnnulusGeometry:
         Probe radial stations as fractions of span, strictly increasing,
         each in [0, 1].
     r_inner, r_outer : float
-        Casing radii in length units, 0 <= r_inner < r_outer.
+        Casing radii in length units, 0 <= r_inner < r_outer < inf.
+
+    Every range check is written so that NaN fails it.
     """
 
     theta_deg: np.ndarray
@@ -38,18 +40,18 @@ class AnnulusGeometry:
         stations = np.atleast_1d(np.asarray(self.r_stations, dtype=float))
         if theta.ndim != 1 or theta.size < 1:
             raise InvalidParams("theta_deg must be a non-empty 1-d array")
-        if np.any(theta < 0.0) or np.any(theta >= 360.0):
+        if not np.all((theta >= 0.0) & (theta < 360.0)):
             raise InvalidParams("rake angles must lie in [0, 360) degrees")
         if len(np.unique(theta)) != theta.size:
             raise InvalidParams("rake angles must be distinct")
         if stations.ndim != 1 or stations.size < 1:
             raise InvalidParams("r_stations must be a non-empty 1-d array")
-        if np.any(stations < 0.0) or np.any(stations > 1.0):
+        if not np.all((stations >= 0.0) & (stations <= 1.0)):
             raise InvalidParams("radial stations must lie in [0, 1]")
-        if stations.size > 1 and np.any(np.diff(stations) <= 0.0):
+        if not np.all(np.diff(stations) > 0.0):
             raise InvalidParams("radial stations must be strictly increasing")
-        if not 0.0 <= self.r_inner < self.r_outer:
-            raise InvalidParams("need 0 <= r_inner < r_outer")
+        if not 0.0 <= self.r_inner < self.r_outer < np.inf:
+            raise InvalidParams("need 0 <= r_inner < r_outer < inf")
         theta = theta.copy()
         stations = stations.copy()
         theta.setflags(write=False)

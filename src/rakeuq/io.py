@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .errors import RakeUqError, SchemaError
-from .fourier import CoefficientMatrix, FourierModel
+from .fourier import CoefficientMatrix, FourierModel, _readings
 from .geometry import AnnulusGeometry
 from .propagation import MeasurementDistribution
 
@@ -264,17 +264,12 @@ def campaign_from_dict(doc) -> Campaign:
     except RakeUqError as exc:
         raise SchemaError(str(exc), field="geometry") from None
     rows = doc["measurements"]
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
+    if len({len(row) for row in rows}) != 1:
         raise SchemaError("rows have unequal lengths", field="measurements")
-    B = np.asarray(rows, dtype=float)
-    if B.shape != (geometry.n_rakes, geometry.n_stations):
-        raise SchemaError(
-            f"expected {geometry.n_rakes} x {geometry.n_stations}, got {B.shape}",
-            field="measurements",
-        )
-    if not np.all(np.isfinite(B)):
-        raise SchemaError("readings must be finite numbers", field="measurements")
+    try:
+        B = _readings(rows, "measurements", geometry)
+    except RakeUqError as exc:
+        raise SchemaError(str(exc), field="measurements") from None
     unc = doc["uncertainty"]
     try:
         if "iid" in unc:

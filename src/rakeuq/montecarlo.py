@@ -65,6 +65,7 @@ from .propagation import (
     _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
+    _sigmas,
     _station_map,
     unvec,
 )
@@ -196,7 +197,7 @@ def mc_propagate_model(
     function cross-checks; the ridge ladder is deliberately not walked here.
     The predictive grid is taken at the model's stations, every 10 degrees.
     """
-    _readings(model, meas.mu_B)
+    _readings(meas.mu_B, "mu_B", model)
     N, M = model.n_rakes, model.n_stations
     NM = N * M
     P = model.pseudoinverse(lam)
@@ -309,15 +310,12 @@ def rake_position_mc(
     aborts with DrawFailed when more than ``max_failure_fraction`` of draws
     fail.
     """
-    B = _readings(model, B)
+    B = _readings(B, "B", model)
     N = model.n_rakes
     mu_theta = model.geometry.theta_deg
     Sigma_theta = np.asarray(sigma_theta, dtype=float)
     if Sigma_theta.ndim == 0:
-        sigma = float(Sigma_theta)
-        if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
-            raise InvalidParams(f"sigma_theta {sigma} must be nonnegative with a finite square")
-        Sigma_theta = sigma**2 * np.eye(N)
+        Sigma_theta = _sigmas(float(Sigma_theta), "sigma_theta") ** 2 * np.eye(N)
     if Sigma_theta.shape != (N, N):
         raise DimensionMismatch("Sigma_theta must be N x N")
     L = _psd_factor(Sigma_theta, "Sigma_theta")[1]

@@ -42,9 +42,14 @@ in its own block form, and D L_rho is the factor, exact even where a sigma
 is zero. Diagonal noise is the case rho = I, whose factor is D itself. A
 congruence of a PSD matrix is PSD, so the propagated covariances are only
 symmetrized.
+
+Every standard deviation is checked by one rule too, ``_sigmas``, and every
+N x M readings and K x M coefficient input by one reader each,
+``fourier._readings`` and ``fourier._coefficients``.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
-from .fourier import FourierModel, _readings, design_row
+from .fourier import FourierModel, _coefficients, _readings, design_row
 
 
 def vec(matrix) -> np.ndarray:
@@ -117,18 +122,43 @@ def validate_correlation(rho, n: int) -> np.ndarray:
     return _correlation_factor(rho, n)[0][0]
 
 
-def _measurement_matrix(mu_B) -> np.ndarray:
-    mu = np.asarray(mu_B, dtype=float)
-    if mu.ndim == 1:
-        mu = mu[:, None]
-    if mu.ndim != 2:
-        raise DimensionMismatch("mu_B must be an N x M matrix")
-    return mu
+# A standard deviation is 0 or lies in [_SIGMA_MIN, _SIGMA_MAX]: exactly the
+# range whose square is a finite normal double (2^-511 and the largest double
+# whose square does not overflow).
+_SIGMA_MIN = math.sqrt(sys.float_info.min)
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
-def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
-    """One sigma per reading in vec order: a flat NM vector as given, or an
-    N x M array like mu read column by column. Any other shape is refused."""
+def _sigmas(value, name: str):
+    """The one rule for standard deviations; ``name`` names the input.
+
+    A sigma must be finite and nonnegative, and either 0 or with a square
+    that is a finite normal double; NaN fails the comparisons. On that
+    range sqrt(fl(s^2)) = s under round-to-nearest, so the variance s^2 and
+    the factor s describe the same noise. A Python float takes a path
+    without numpy and comes back as it is; anything else comes back as a
+    float array. InvalidParams reports the first sigma that breaks the rule.
+    """
+    if isinstance(value, float):
+        if value == 0.0 or _SIGMA_MIN <= value <= _SIGMA_MAX:
+            return value
+        bad = value
+    else:
+        value = np.asarray(value, dtype=float)
+        bad = value[~((value == 0.0) | ((value >= _SIGMA_MIN) & (value <= _SIGMA_MAX)))]
+        if not bad.size:
+            return value
+        bad = float(bad[0])
+    raise InvalidParams(
+        f"{name} must be 0 or in [{_SIGMA_MIN:.4g}, {_SIGMA_MAX:.4g}], where its square "
+        f"is a finite normal double; got {bad!r}"
+    )
+
+
+def _vec_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
+    """One sigma per reading in vec order, under ``_sigmas``: a flat NM
+    vector as given, or an N x M array like mu read column by column. Any
+    other shape is refused."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape == mu.shape:
         sigma = vec(sigma)
@@ -137,11 +167,7 @@ def _finite_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
             f"sigma must be a vector of {mu.size} in vec order or an "
             f"{mu.shape[0]} x {mu.shape[1]} array, got shape {sigma.shape}"
         )
-    if not np.all(np.isfinite(sigma)):
-        raise InvalidParams("sigmas must be finite")
-    if np.any(sigma < 0.0):
-        raise InvalidParams("sigmas must be nonnegative")
-    return sigma
+    return _sigmas(sigma, "sigma")
 
 
 def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int):
@@ -270,7 +296,7 @@ class MeasurementDistribution:
     factor_blocks: np.ndarray
 
     def __init__(self, mu_B, Sigma_B, iid_sigma: float = None):
-        mu = _measurement_matrix(mu_B)
+        mu = _readings(mu_B, "mu_B")
         S = np.asarray(Sigma_B, dtype=float)
         if S.shape != (mu.size, mu.size):
             raise DimensionMismatch(
@@ -318,16 +344,12 @@ class MeasurementDistribution:
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
         """Independent identical noise sigma_b on every probe reading.
 
-        sigma_b^2 I is PSD for every finite sigma_b >= 0 with factor
-        sigma_b I, so nothing is checked or factored, and no NM x NM matrix
-        is built until Sigma_B is read.
+        sigma_b is checked by the rule of ``_sigmas``; sigma_b^2 I is then
+        PSD with factor sigma_b I, so nothing is factored, and no NM x NM
+        matrix is built until Sigma_B is read.
         """
-        sigma_b = float(sigma_b)
-        if not math.isfinite(sigma_b):
-            raise InvalidParams("sigma_b must be finite")
-        if sigma_b < 0.0:
-            raise InvalidParams("sigma_b must be nonnegative")
-        mu = _measurement_matrix(mu_B)
+        sigma_b = _sigmas(float(sigma_b), "sigma_b")
+        mu = _readings(mu_B, "mu_B")
         return cls._from_blocks(mu, sigma_b, *_iid_blocks(sigma_b, *mu.shape))
 
     @classmethod
@@ -339,12 +361,12 @@ class MeasurementDistribution:
         the M diagonal N x N station blocks are diag(sigma^2) and their
         factor is diag(sigma) exactly, so nothing is factored and no NM x NM
         matrix is formed. It is iid exactly when every sigma is equal: with
-        round-to-nearest, sqrt(fl(s^2)) = s unless s^2 underflows, so
-        distinct sigmas square to distinct variances.
+        round-to-nearest, sqrt(fl(s^2)) = s on the range ``_sigmas`` admits,
+        so distinct sigmas square to distinct variances.
         """
-        mu = _measurement_matrix(mu_B)
+        mu = _readings(mu_B, "mu_B")
         eye = np.eye(mu.shape[0])
-        return cls._scaled(mu, _finite_sigmas(mu, sigma), eye, np.repeat(eye[None], mu.shape[1], 0))
+        return cls._scaled(mu, _vec_sigmas(mu, sigma), eye, np.repeat(eye[None], mu.shape[1], 0))
 
     @classmethod
     def from_correlation(cls, mu_B, sigma, rho) -> "MeasurementDistribution":
@@ -357,8 +379,8 @@ class MeasurementDistribution:
         D_b rho_b D_b with factor D_b L_b, exact also where a sigma is zero;
         D rho D itself is never formed or factored.
         """
-        mu = _measurement_matrix(mu_B)
-        return cls._scaled(mu, _finite_sigmas(mu, sigma), *_correlation_factor(rho, *mu.shape))
+        mu = _readings(mu_B, "mu_B")
+        return cls._scaled(mu, _vec_sigmas(mu, sigma), *_correlation_factor(rho, *mu.shape))
 
     @cached_property
     def Sigma_B(self) -> np.ndarray:
@@ -410,7 +432,7 @@ def _propagated_blocks(model: FourierModel, meas: MeasurementDistribution, lam: 
 
     Sigma_X is the congruence by P, Sigma_R by K = AP - I.
     """
-    _readings(model, meas.mu_B)
+    _readings(meas.mu_B, "mu_B", model)
     P = model.pseudoinverse(lam)
     K = model.A @ P - np.eye(model.n_rakes)
     blocks, M = meas.station_blocks, model.n_stations
@@ -428,18 +450,13 @@ def propagate_field(model: FourierModel, mu_X, Sigma_X):
 
     Sigma_X is the dense KM x KM coefficient covariance.
     """
-    mu_X = np.asarray(mu_X, dtype=float)
-    if mu_X.shape != (model.n_coeffs, model.n_stations):
-        raise DimensionMismatch("mu_X has the wrong shape for this model")
+    mu_X = _coefficients(mu_X, "mu_X", model)
     return model.A @ mu_X, _congruence(model.A, Sigma_X, model.n_stations)
 
 
 def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, lam: float = 0.0):
     """Moments of the fit residual R = F - B: (mu_R, Sigma_R)."""
-    _readings(model, meas.mu_B)
-    mu_F = np.asarray(mu_F, dtype=float)
-    if mu_F.shape != meas.mu_B.shape:
-        raise DimensionMismatch("mu_F has the wrong shape for these measurements")
+    mu_F = _readings(mu_F, "mu_F", model)
     _, _, R_blocks = _propagated_blocks(model, meas, lam)
     return mu_F - meas.mu_B, _block_diagonal(R_blocks)
 

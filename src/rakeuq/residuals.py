@@ -54,6 +54,7 @@ from .fourier import (
     DEFAULT_LADDER,
     CoefficientMatrix,
     FourierModel,
+    _coefficients,
     _design_conditioning,
     _fit_batch,
     _readings,
@@ -74,12 +75,12 @@ def sampling_metric(model: FourierModel, X, mu_B) -> float:
     """eps_p^2: mean-square misfit of the fit against the measured means."""
     if isinstance(mu_B, MeasurementDistribution):
         mu_B = mu_B.mu_B
-    mu_B = np.asarray(mu_B, dtype=float)
-    X = X.X if isinstance(X, CoefficientMatrix) else np.asarray(X, dtype=float)
+    mu_B = _readings(mu_B, "mu_B", model)
+    X = _coefficients(X.X if isinstance(X, CoefficientMatrix) else X, "X", model)
     n_meas = mu_B.size
     if n_meas < 2:
         raise TooFewSamples("the sampling metric needs at least two probes")
-    resid = model.A @ X - mu_B.reshape(model.n_rakes, -1)
+    resid = model.A @ X - mu_B
     return float(np.sum(resid**2) / (n_meas - 1))
 
 
@@ -335,12 +336,11 @@ def frequency_scan(
         raise InvalidParams("give sigma_b with mean readings, and not with a MeasurementDistribution")
     if sigma_b is not None:
         meas = MeasurementDistribution.from_iid(meas, sigma_b)
-    _readings(geometry, meas.mu_B)
+    mu_B = _readings(meas.mu_B, "mu_B", geometry)
     guard = _ridge_guard(
         DEFAULT_LADDER if lambda_ladder is None else lambda_ladder,
         DEFAULT_BETA if beta is None else beta,
     )
-    mu_B = meas.mu_B
     N, M = mu_B.shape
     blocks = meas.station_blocks
     if blocks.shape[0] == 1:

@@ -1,0 +1,247 @@
+"""One rule per input kind: readings, coefficients and standard deviations.
+
+Every N x M readings input, every K x M coefficient input and every standard
+deviation the library takes in is checked by one reader, which names the
+input when it refuses it. The table below sends one bad input of each kind
+through every entry point that takes it; the CLI tests check that the same
+refusals reach the command line as exit 2 naming the file's block.
+"""
+
+import json
+import math
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from rakeuq import (
+    DEFAULT_STATE,
+    AnnulusGeometry,
+    DimensionMismatch,
+    HarmonicSet,
+    InvalidParams,
+    MeasurementDistribution,
+    SamplerConfig,
+    StationState,
+    area_average_mean,
+    build_design_matrix,
+    frequency_scan,
+    fit,
+    predict_point,
+    propagate_field,
+    rake_position_mc,
+    residual_moments,
+    sampling_metric,
+    vec,
+)
+from rakeuq.cli import main
+from rakeuq.propagation import _SIGMA_MAX, _SIGMA_MIN
+
+from conftest import BETA, ENGINE_THETA, R_INNER, R_OUTER, SIGMA_B, STATIONS
+
+MD = MeasurementDistribution
+
+
+def _with_nan(a):
+    a = np.array(a, dtype=float)
+    a[2, 3] = np.nan
+    return a
+
+
+@pytest.fixture(scope="module")
+def ctx(engine_geometry, engine_model, engine_data, engine_meas, engine_field, truth):
+    return SimpleNamespace(
+        geometry=engine_geometry,
+        model=engine_model,
+        lean=build_design_matrix(engine_geometry, HarmonicSet((1,)), beta=BETA),
+        B=engine_data,
+        nan_B=_with_nan(engine_data),
+        meas=engine_meas,
+        field=engine_field,
+        X=truth,
+        cfg=SamplerConfig(seed=2, n_samples=16),
+    )
+
+
+def _state_sigma(value):
+    sigma = DEFAULT_STATE.sigma.copy()
+    sigma[2] = value
+    return StationState(DEFAULT_STATE.z, sigma)
+
+
+# entry point x bad input -> error type, and the input's name at the start
+# of the message
+CASES = {
+    # standard deviations: one rule, _sigmas
+    "from_iid-sigma-square-overflows": (lambda c: MD.from_iid(c.B, 1e200), InvalidParams, "sigma_b"),
+    "from_iid-sigma-square-underflows": (lambda c: MD.from_iid(c.B, 1e-200), InvalidParams, "sigma_b"),
+    "from_iid-nan-sigma": (lambda c: MD.from_iid(c.B, math.nan), InvalidParams, "sigma_b"),
+    "from_diagonal-equal-tiny-sigmas": (
+        lambda c: MD.from_diagonal(c.B, np.full(42, 1e-200)), InvalidParams, "sigma"),
+    "from_diagonal-huge-sigma": (
+        lambda c: MD.from_diagonal(c.B, np.full(42, 1e200)), InvalidParams, "sigma"),
+    "from_correlation-tiny-sigma": (
+        lambda c: MD.from_correlation(c.B, np.r_[1e-200, np.ones(41)], np.eye(42)),
+        InvalidParams, "sigma"),
+    "scan-tiny-sigma_b": (
+        lambda c: frequency_scan(c.geometry, c.B, 1e-200, beta=BETA), InvalidParams, "sigma_b"),
+    "rake-tiny-sigma_theta": (
+        lambda c: rake_position_mc(c.model, c.B, 1e-200, c.cfg), InvalidParams, "sigma_theta"),
+    "station-state-huge-sigma": (lambda c: _state_sigma(1e200), InvalidParams, "sigma"),
+    "station-state-tiny-sigma": (lambda c: _state_sigma(1e-200), InvalidParams, "sigma"),
+    # readings: one reader, fourier._readings
+    "fit-nan-reading": (lambda c: fit(c.model, c.nan_B), InvalidParams, "B"),
+    "rake-nan-reading": (lambda c: rake_position_mc(c.model, c.nan_B, 0.5, c.cfg), InvalidParams, "B"),
+    "rake-transposed-readings": (
+        lambda c: rake_position_mc(c.model, c.B.T, 0.5, c.cfg), DimensionMismatch, "B"),
+    "meas-nan-reading": (lambda c: MD(c.nan_B, np.eye(42)), InvalidParams, "mu_B"),
+    "from_iid-nan-reading": (lambda c: MD.from_iid(c.nan_B, SIGMA_B), InvalidParams, "mu_B"),
+    "from_diagonal-nan-reading": (
+        lambda c: MD.from_diagonal(c.nan_B, np.ones(42)), InvalidParams, "mu_B"),
+    "from_correlation-nan-reading": (
+        lambda c: MD.from_correlation(c.nan_B, np.ones(42), np.eye(42)), InvalidParams, "mu_B"),
+    "from_iid-3d-readings": (lambda c: MD.from_iid(np.zeros((6, 7, 1)), SIGMA_B), DimensionMismatch, "mu_B"),
+    "scan-nan-reading": (
+        lambda c: frequency_scan(c.geometry, c.nan_B, SIGMA_B, beta=BETA), InvalidParams, "mu_B"),
+    "scan-transposed-readings": (
+        lambda c: frequency_scan(c.geometry, MD.from_iid(c.B.T, SIGMA_B), beta=BETA),
+        DimensionMismatch, "mu_B"),
+    "metric-transposed-readings": (lambda c: sampling_metric(c.model, c.X, c.B.T), DimensionMismatch, "mu_B"),
+    "metric-vec-order-readings": (
+        lambda c: sampling_metric(c.model, c.X, vec(c.B)), DimensionMismatch, "mu_B"),
+    "metric-nan-reading": (lambda c: sampling_metric(c.model, c.X, c.nan_B), InvalidParams, "mu_B"),
+    "residual-transposed-mu_F": (
+        lambda c: residual_moments(c.model, c.meas, c.B.T), DimensionMismatch, "mu_F"),
+    "residual-nan-mu_F": (lambda c: residual_moments(c.model, c.meas, c.nan_B), InvalidParams, "mu_F"),
+    # coefficients: one reader, fourier._coefficients
+    "metric-short-coefficients": (
+        lambda c: sampling_metric(c.lean, np.zeros((3, 1)), c.B), DimensionMismatch, "X"),
+    "metric-nan-coefficients": (
+        lambda c: sampling_metric(c.model, _with_nan(c.X), c.B), InvalidParams, "X"),
+    "predict-transposed-coefficients": (
+        lambda c: predict_point(c.model, c.X.T, 0.5, 10.0), DimensionMismatch, "X"),
+    "propagate-field-short-mu_X": (
+        lambda c: propagate_field(c.model, c.X[:, :3], c.field.Sigma_X), DimensionMismatch, "mu_X"),
+    "area-mean-short-mu_X": (lambda c: area_average_mean(c.model, c.X[:3]), DimensionMismatch, "mu_X"),
+    "area-mean-nan-mu_X": (lambda c: area_average_mean(c.model, _with_nan(c.X)), InvalidParams, "mu_X"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", CASES.values(), ids=CASES.keys())
+def test_bad_input_refused_naming_it(ctx, call, error, name):
+    with pytest.raises(error, match=rf"^{re.escape(name)} must "):
+        call(ctx)
+
+
+@pytest.mark.parametrize("s", [0.0, _SIGMA_MIN, SIGMA_B, 1e150, _SIGMA_MAX])
+def test_sigma_range_is_where_the_square_is_exact(engine_data, s):
+    # at both ends of the range, and inside it, the variance and the factor
+    # agree: sqrt(fl(s^2)) = s, so equal sigmas are exactly iid
+    assert math.sqrt(s * s) == s
+    iid = MD.from_iid(engine_data, s)
+    assert np.all(np.diagonal(iid.station_blocks, axis1=1, axis2=2) == s * s)
+    assert np.all(np.diagonal(iid.factor_blocks, axis1=1, axis2=2) == s)
+    assert MD.from_diagonal(engine_data, np.full(42, s)).iid_sigma == s
+    assert StationState(DEFAULT_STATE.z, np.full(5, s)).sigma[0] == s
+
+
+@pytest.mark.parametrize("s", [math.nextafter(_SIGMA_MIN, 0.0), math.nextafter(_SIGMA_MAX, math.inf),
+                               5e-324, -_SIGMA_MIN, math.inf, -0.5])
+def test_sigma_just_outside_the_range_refused(engine_data, s):
+    with pytest.raises(InvalidParams, match="^sigma_b must "):
+        MD.from_iid(engine_data, s)
+    with pytest.raises(InvalidParams, match="^sigma must "):
+        MD.from_diagonal(engine_data, np.r_[np.ones(41), s])
+
+
+def test_sqrt_of_square_is_exact_across_the_range():
+    rng = np.random.default_rng(20)
+    s = np.exp(rng.uniform(math.log(_SIGMA_MIN), math.log(_SIGMA_MAX), 100_000))
+    assert np.array_equal(np.sqrt(s * s), s)
+
+
+@pytest.mark.parametrize(
+    "theta, stations, r_inner, r_outer",
+    [
+        ([math.nan, 90.0, 180.0], STATIONS, R_INNER, R_OUTER),
+        (ENGINE_THETA, [0.2, math.nan, 0.9], R_INNER, R_OUTER),
+        (ENGINE_THETA, STATIONS, R_INNER, math.inf),
+        (ENGINE_THETA, STATIONS, R_INNER, math.nan),
+        (ENGINE_THETA, STATIONS, math.nan, R_OUTER),
+    ],
+    ids=["nan-angle", "nan-station", "inf-r_outer", "nan-r_outer", "nan-r_inner"],
+)
+def test_geometry_refuses_non_finite(theta, stations, r_inner, r_outer):
+    with pytest.raises(InvalidParams):
+        AnnulusGeometry(theta, stations, r_inner, r_outer)
+
+
+def _campaign(tmp_path, engine_data, geometry=(), uncertainty=None):
+    """The engine campaign as a file, with geometry entries replaced and
+    another uncertainty block if given."""
+    doc = {
+        "geometry": {"theta_deg": ENGINE_THETA.tolist(), "r_stations": STATIONS.tolist(),
+                     "r_inner": R_INNER, "r_outer": R_OUTER},
+        "measurements": engine_data.tolist(),
+        "uncertainty": uncertainty or {"iid": {"sigma_b": SIGMA_B}},
+    }
+    doc["geometry"].update(geometry)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+UNCERTAINTY = {
+    "iid-1e200": {"iid": {"sigma_b": 1e200}},
+    "diagonal-1e200": {"diagonal": {"sigma": [1e200] * 42}},
+    "diagonal-1e-200": {"diagonal": {"sigma": [1e-200] * 42}},
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "scan"])
+@pytest.mark.parametrize("uncertainty", UNCERTAINTY.values(), ids=UNCERTAINTY.keys())
+def test_cli_refuses_sigma_outside_the_range(tmp_path, capsys, engine_data, command, uncertainty):
+    path = _campaign(tmp_path, engine_data, uncertainty=uncertainty)
+    out = tmp_path / "out"
+    model_args = ["--harmonics", "1,4"] if command == "fit" else []
+    assert main([command, path, *model_args, "--beta", str(BETA), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: uncertainty: sigma")
+    assert not out.exists()
+
+
+GEOMETRY = {
+    "nan-angle": {"theta_deg": [54.0, math.nan, 162.0, 234.0, 270.0, 342.0]},
+    "nan-station": {"r_stations": [0.05, 0.2, 0.35, math.nan, 0.65, 0.8, 0.95]},
+    "inf-r_outer": {"r_outer": math.inf},
+}
+
+
+@pytest.mark.parametrize("geometry", GEOMETRY.values(), ids=GEOMETRY.keys())
+def test_cli_refuses_non_finite_geometry(tmp_path, capsys, engine_data, geometry):
+    path = _campaign(tmp_path, engine_data, geometry=geometry)
+    assert main(["fit", path, "--harmonics", "1,4", "--beta", str(BETA)]) == 2
+    assert capsys.readouterr().err.startswith("error: geometry: ")
+
+
+def test_cli_refuses_state_sigma_outside_the_range(tmp_path, capsys):
+    state = {
+        "means": {"T01": 1000.0, "T02": 800.0, "P01": 8e5, "P02": 2e5, "gamma": 1.4},
+        "sigmas": {"T01": 1e200, "T02": 2.0, "P01": 500.0, "P02": 500.0, "gamma": 0.001},
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    out = tmp_path / "eta.json"
+    assert main(["efficiency", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: state: sigma must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [(), ("--samples", "0")], ids=["no-samples", "zero-samples"])
+def test_efficiency_seed_without_samples_refused(tmp_path, capsys, samples):
+    out = tmp_path / "eta.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--seed", "7", *samples, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
