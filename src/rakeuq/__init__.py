@@ -11,7 +11,7 @@ cross-checks them and covers rake placement scatter, which has none.
 
 __version__ = "0.1.0"
 
-from .area import AreaAverageResult, area_average, area_average_mean, area_average_variance, ring_average_covariance
+from .area import AreaAverageResult, area_average, area_average_mean
 from .efficiency import (
     DEFAULT_SIGMAS,
     DEFAULT_STATE,
@@ -75,12 +75,7 @@ from .montecarlo import (
 from .propagation import (
     FieldDistribution,
     MeasurementDistribution,
-    ensure_psd,
     predictive_grid,
-    predictive_moments,
-    propagate_coefficients,
-    propagate_field,
-    residual_moments,
     unvec,
     validate_correlation,
     vec,
@@ -92,9 +87,7 @@ from .residuals import (
     UncertaintyMetrics,
     chi_square_params,
     compute_metrics,
-    error_moments,
     frequency_scan,
-    imprecision_metric,
     noncentral_chisq_pdf,
     sampling_metric,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NegativeVariance
 from .fourier import FourierModel, _coefficients
-from .propagation import FieldDistribution
+from .propagation import FieldDistribution, _field_moments
 
 
 # 3-point Gauss-Legendre rule on [-1, 1], exact to degree 5.
@@ -50,13 +50,6 @@ def _area_norm(model: FourierModel) -> float:
     return 2.0 / (geometry.r_outer**2 - geometry.r_inner**2)
 
 
-def _constant_row_block(model: FourierModel, Sigma_X) -> np.ndarray:
-    """C00[m, n] = Cov(X[0, m], X[0, n]) out of the vectorized Sigma_X."""
-    K, M = model.n_coeffs, model.n_stations
-    S = np.asarray(Sigma_X, dtype=float)
-    return S.reshape(M, K, M, K)[:, 0, :, 0]
-
-
 def _mean_from_weights(model: FourierModel, q: np.ndarray, mu_X: np.ndarray) -> float:
     return float(_area_norm(model) * (q @ mu_X[0, :]))
 
@@ -65,37 +58,6 @@ def area_average_mean(model: FourierModel, mu_X) -> float:
     """Annulus area average of the mean reconstructed field."""
     mu_X = _coefficients(mu_X, "mu_X", model)
     return _mean_from_weights(model, _radius_weight_vector(model), mu_X)
-
-
-def ring_average_covariance(model: FourierModel, Sigma_X, frac, frac_other=None) -> float:
-    """Covariance of the circumferential ring means at two span fractions.
-
-    This is the two-point integrand of the area-average variance; it is
-    symmetric in its arguments and its diagonal (frac_other omitted or equal)
-    is the variance of the ring mean at that radius.
-    """
-    if frac_other is None:
-        frac_other = frac
-    C00 = _constant_row_block(model, Sigma_X)
-    w1 = model.radial.blend(float(frac))
-    w2 = model.radial.blend(float(frac_other))
-    return float(w1 @ C00 @ w2)
-
-
-def _variance_from_weights(model: FourierModel, q: np.ndarray, Sigma_X) -> float:
-    C00 = _constant_row_block(model, Sigma_X)
-    var = float(_area_norm(model) ** 2 * (q @ C00 @ q))
-    if var < 0.0:
-        scale = float(np.linalg.norm(np.asarray(Sigma_X, dtype=float)))
-        if var < -1e-10 * scale:
-            raise NegativeVariance(f"area-average variance {var:.3e} is negative")
-        var = 0.0
-    return var
-
-
-def area_average_variance(model: FourierModel, Sigma_X) -> float:
-    """Variance of the annulus area average of the reconstructed field."""
-    return _variance_from_weights(model, _radius_weight_vector(model), Sigma_X)
 
 
 @dataclass(frozen=True)
@@ -108,8 +70,18 @@ class AreaAverageResult:
 
 
 def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageResult:
-    """Area-average the propagated field distribution."""
+    """Area-average the propagated field distribution.
+
+    The field must come from ``model``. A variance below -1e-10 times the
+    norm of Sigma_X raises NegativeVariance; roundoff below zero reads 0.
+    """
+    mu_X, Sigma_X = _field_moments(field, model)
+    K, M = model.n_coeffs, model.n_stations
     q = _radius_weight_vector(model)
-    mean = _mean_from_weights(model, q, field.mu_X)
-    var = _variance_from_weights(model, q, field.Sigma_X)
-    return AreaAverageResult(mean, var, 1.96 * float(np.sqrt(var)))
+    C00 = Sigma_X.reshape(M, K, M, K)[:, 0, :, 0]
+    var = float(_area_norm(model) ** 2 * (q @ C00 @ q))
+    if var < 0.0:
+        if var < -1e-10 * float(np.linalg.norm(Sigma_X)):
+            raise NegativeVariance(f"area-average variance {var:.3e} is negative")
+        var = 0.0
+    return AreaAverageResult(_mean_from_weights(model, q, mu_X), var, 1.96 * float(np.sqrt(var)))

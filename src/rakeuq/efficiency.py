@@ -43,8 +43,14 @@ def _denominator(T01, P01, P02, gamma):
 
 
 def efficiency(z):
-    """Isentropic efficiency at state(s) z; z may be (5,) or (n, 5)."""
+    """Isentropic efficiency at state(s) z; z may be (5,) or (n, 5).
+
+    z must be finite, with positive temperatures and pressures and gamma
+    above 1.
+    """
     T01, T02, P01, P02, gamma = _split(z)
+    if np.count_nonzero(np.isfinite(z)) < np.size(z):
+        raise InvalidParams("z must be finite")
     if np.any(T01 <= 0.0) or np.any(P01 <= 0.0) or np.any(P02 <= 0.0):
         raise InvalidParams("temperatures and pressures must be positive")
     if np.any(gamma <= 1.0):

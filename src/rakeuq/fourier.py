@@ -195,8 +195,8 @@ class RadialBasis:
         Returns shape (M,) for a scalar argument, (n, M) for an array.
         """
         f = np.asarray(frac, dtype=float)
-        if np.any(f < 0.0) or np.any(f > 1.0):
-            raise OutOfDomain("radial fraction outside [0, 1]")
+        if not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails too
+            raise OutOfDomain("radial fraction must lie in [0, 1]")
         scalar_input = f.ndim == 0
         f = np.atleast_1d(f)
         s = self.stations
@@ -483,6 +483,15 @@ def _coefficients(X, name: str, model) -> np.ndarray:
     return X
 
 
+def _angles(theta_deg) -> np.ndarray:
+    """Prediction angles in degrees as a float array; non-finite ones are
+    refused with InvalidParams naming theta_deg."""
+    theta = np.asarray(theta_deg, dtype=float)
+    if np.count_nonzero(np.isfinite(theta)) < theta.size:
+        raise InvalidParams("theta_deg must be finite")
+    return theta
+
+
 def fit(model: FourierModel, B) -> CoefficientMatrix:
     """Fit coefficients to an N x M measurement matrix.
 
@@ -509,11 +518,12 @@ def predict_point(model: FourierModel, X, r_frac, theta_deg):
     """Evaluate the reconstructed field at one radius and angle(s).
 
     ``r_frac`` is a scalar span fraction in [0, 1]; ``theta_deg`` may be a
-    scalar or an array of angles. Returns a float or an array accordingly.
+    scalar or an array of finite angles. Returns a float or an array
+    accordingly.
     """
     X = _coefficients(X, "X", model)
     w = model.radial.blend(float(r_frac))
-    a = design_row(theta_deg, model.harmonics.omega)
+    a = design_row(_angles(theta_deg), model.harmonics.omega)
     values = a @ (X @ w)
     return float(values) if np.ndim(theta_deg) == 0 else values
 

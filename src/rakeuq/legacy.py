@@ -13,6 +13,7 @@ sampling metric drops to zero as soon as the harmonics are captured. The
 demo table makes that contrast concrete.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +25,20 @@ from .residuals import sampling_metric
 
 
 def legacy_sampling_uncertainty(samples) -> float:
-    """Bessel-corrected standard deviation of the pooled readings."""
+    """Bessel-corrected standard deviation of the pooled, finite readings."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise TooFewSamples("need at least two readings")
+    if np.count_nonzero(np.isfinite(samples)) < samples.size:
+        raise InvalidParams("samples must be finite")
     return float(np.sqrt(np.sum((samples - samples.mean()) ** 2) / (samples.size - 1)))
 
 
 def rss_total(components) -> float:
-    """Root-sum-square combination of nonnegative budget components."""
+    """Root-sum-square combination of finite, nonnegative budget components."""
     values = np.asarray(components, dtype=float).ravel()
+    if np.count_nonzero(np.isfinite(values)) < values.size:
+        raise InvalidParams("components must be finite")
     if np.any(values < 0.0):
         raise NegativeComponent("budget components must be nonnegative")
     return float(np.sqrt(np.sum(values**2)))
@@ -48,6 +53,8 @@ class UncertaintyBudget:
     def __post_init__(self):
         comps = tuple((str(label), float(value)) for label, value in self.components)
         for label, value in comps:
+            if not math.isfinite(value):
+                raise InvalidParams(f"component {label!r} must be finite")
             if value < 0.0:
                 raise NegativeComponent(f"component {label!r} is negative")
         object.__setattr__(self, "components", comps)
@@ -67,6 +74,9 @@ class HarmonicField:
     phase_deg: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite")
         if self.amplitude < 0.0:
             raise InvalidParams("amplitude must be nonnegative")
         if int(self.frequency) < 1:
@@ -106,9 +116,8 @@ def fig1_demo(
     refused with InvalidParams before any fit.
     """
     field = HarmonicField() if field is None else field
-    for name, value in {**vars(field), "offset_deg": offset_deg}.items():
-        if not np.isfinite(value):
-            raise InvalidParams(f"{name} must be finite")
+    if not math.isfinite(offset_deg):
+        raise InvalidParams("offset_deg must be finite")
     counts = [int(count) for count in rake_counts]
     harmonics = HarmonicSet((field.frequency,))
     if any(count < harmonics.n_coeffs for count in counts):

@@ -60,8 +60,8 @@ from .errors import DimensionMismatch, DrawFailed, InvalidParams
 from .fourier import FourierModel, _fit_batch, _readings, design_matrix
 from .propagation import (
     MeasurementDistribution,
+    _block_congruence,
     _block_left,
-    _congruence,
     _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
@@ -101,7 +101,7 @@ def _batch_plan(config: SamplerConfig):
 
 def psd_factor(cov) -> np.ndarray:
     """Matrix L with cov = L L^T: Cholesky, or an eigen factor when cov is
-    only semidefinite, under the PSD rule of ``ensure_psd``."""
+    only semidefinite, under the PSD rule of ``propagation._psd_factor``."""
     return _psd_factor(cov)[1]
 
 
@@ -176,7 +176,7 @@ class McPropagation:
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _congruence(self._design, self.Sigma_X, self.mu_F.shape[1])
+        return _block_congruence(self._design, self.Sigma_X[None], self.mu_F.shape[1])[0]
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:

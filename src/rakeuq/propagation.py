@@ -45,7 +45,8 @@ symmetrized.
 
 Every standard deviation is checked by one rule too, ``_sigmas``, and every
 N x M readings and K x M coefficient input by one reader each,
-``fourier._readings`` and ``fourier._coefficients``.
+``fourier._readings`` and ``fourier._coefficients``. A field read against a
+model goes through ``_field_moments``, built on the latter.
 """
 
 import math
@@ -57,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
-from .fourier import FourierModel, _coefficients, _readings, design_row
+from .fourier import FourierModel, _angles, _coefficients, _readings, design_row
 
 
 def vec(matrix) -> np.ndarray:
@@ -108,17 +109,10 @@ def _psd_factor(S, name: str = "covariance", error=NotPSD):
     return S, L
 
 
-def ensure_psd(S, name: str = "covariance") -> np.ndarray:
-    """S symmetrized, negative eigenvalues down to -1e-10 times the mean
-    diagonal entry clipped (with a RuntimeWarning beyond roundoff), NotPSD
-    below that: the rule of ``_psd_factor``."""
-    return _psd_factor(S, name)[0]
-
-
 def validate_correlation(rho, n: int) -> np.ndarray:
     """Check a correlation matrix: square, finite, symmetric and with a unit
-    diagonal to 1e-12 absolute, PSD under the rule of ``ensure_psd``.
-    Returns it as ensure_psd does."""
+    diagonal to 1e-12 absolute, PSD under the rule of ``_psd_factor``.
+    Returns it symmetrized, and clipped if that rule clips."""
     return _correlation_factor(rho, n)[0][0]
 
 
@@ -170,14 +164,14 @@ def _vec_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
     return _sigmas(sigma, "sigma")
 
 
-def _iid_blocks(sigma_b: float, n_rakes: int, n_stations: int):
-    """sigma_b^2 I and its factor sigma_b I as station blocks: one N x N
-    block each, repeated M times by a zero stride in a read-only view.
+def _iid_blocks(variance: float, sigma: float, n_rakes: int, n_stations: int):
+    """variance I and its factor sigma I as station blocks: one N x N block
+    each, repeated M times by a zero stride in a read-only view.
 
     The view is made directly rather than by ``np.broadcast_to``, which
     costs several times the arithmetic here; every iid fit pays this.
     """
-    base = np.multiply.outer((sigma_b**2, sigma_b), np.eye(n_rakes))
+    base = np.multiply.outer((variance, sigma), np.eye(n_rakes))
     row = base.itemsize * n_rakes
     blocks = np.ndarray(
         (2, n_stations, n_rakes, n_rakes), buffer=base,
@@ -248,32 +242,36 @@ def _exact_iid_sigma(blocks: np.ndarray, factor: np.ndarray, n_rakes: int, n_sta
     """(iid_sigma, station_blocks, factor_blocks) from a (B, n, n) stack of
     checked blocks and their factor.
 
-    iid_sigma is sigma_b if every block is exactly sigma_b^2 I, and the blocks
-    are then one sigma_b^2 I block broadcast over the stations, with factor
-    sigma_b I; otherwise it is None and the blocks are kept. Exactly: every
+    iid_sigma is sqrt(v) if every block is exactly v I, and the blocks are
+    then one v I block broadcast over the stations, v as given, with factor
+    sqrt(v) I; otherwise it is None and the blocks are kept. Exactly: every
     off-diagonal entry is zero and every diagonal entry equals the first, a
     finite nonnegative number. No tolerance, so a block one ulp away is not
-    iid.
+    iid. Where v is not the square of a double (v = 2, say), fl(sqrt(v))^2
+    is one ulp off v: the gap reaches only what reads the factor or
+    iid_sigma (the Monte Carlo draws, and chi2.scale = iid_sigma^2 / NM),
+    as a Cholesky factor's rounding would.
     """
     d = np.diagonal(blocks, axis1=1, axis2=2)
     if (d.size == 0 or not 0.0 <= d[0, 0] < math.inf or np.any(d != d[0, 0])
             or np.count_nonzero(blocks) > np.count_nonzero(d)):
         return None, blocks, factor
-    sigma = float(np.sqrt(d[0, 0]))
-    return (sigma, *_iid_blocks(sigma, n_rakes, n_stations))
+    variance = float(d[0, 0])
+    sigma = math.sqrt(variance)
+    return (sigma, *_iid_blocks(variance, sigma, n_rakes, n_stations))
 
 
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
 
-    ``iid_sigma`` is the scalar noise level when Sigma_B is exactly
-    sigma_b^2 I and None otherwise. It is derived from Sigma_B; a value
+    ``iid_sigma`` is the scalar noise level sqrt(v) when Sigma_B is exactly
+    v I and None otherwise. It is derived from Sigma_B; a value
     passed in must equal it, or InvalidParams is raised.
 
     ``station_blocks`` is Sigma_B as the propagation reads it: the M
     diagonal N x N blocks, shape (M, N, N), when no two stations correlate
-    (for iid noise one sigma_b^2 I block broadcast over the stations), and
+    (for iid noise one v I block broadcast over the stations), and
     the whole matrix as one block, shape (1, NM, NM), otherwise.
     ``factor_blocks`` holds L_b with block b = L_b L_b^T. The general
     constructor reads the block form off Sigma_B (every cross-station entry
@@ -350,7 +348,7 @@ class MeasurementDistribution:
         """
         sigma_b = _sigmas(float(sigma_b), "sigma_b")
         mu = _readings(mu_B, "mu_B")
-        return cls._from_blocks(mu, sigma_b, *_iid_blocks(sigma_b, *mu.shape))
+        return cls._from_blocks(mu, sigma_b, *_iid_blocks(sigma_b**2, sigma_b, *mu.shape))
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
@@ -422,45 +420,6 @@ def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _congruence(T: np.ndarray, Sigma: np.ndarray, n_stations: int) -> np.ndarray:
-    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, for a dense NM x NM Sigma."""
-    return _block_congruence(T, np.asarray(Sigma, dtype=float)[None], n_stations)[0]
-
-
-def _propagated_blocks(model: FourierModel, meas: MeasurementDistribution, lam: float):
-    """mu_X and Sigma_X, Sigma_R in the block form of meas.station_blocks.
-
-    Sigma_X is the congruence by P, Sigma_R by K = AP - I.
-    """
-    _readings(meas.mu_B, "mu_B", model)
-    P = model.pseudoinverse(lam)
-    K = model.A @ P - np.eye(model.n_rakes)
-    blocks, M = meas.station_blocks, model.n_stations
-    return P @ meas.mu_B, _block_congruence(P, blocks, M), _block_congruence(K, blocks, M)
-
-
-def propagate_coefficients(model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0):
-    """Moments of the fitted coefficients: (mu_X, Sigma_X)."""
-    mu_X, X_blocks, _ = _propagated_blocks(model, meas, lam)
-    return mu_X, _block_diagonal(X_blocks)
-
-
-def propagate_field(model: FourierModel, mu_X, Sigma_X):
-    """Moments of the fitted values at the rake angles: (mu_F, Sigma_F).
-
-    Sigma_X is the dense KM x KM coefficient covariance.
-    """
-    mu_X = _coefficients(mu_X, "mu_X", model)
-    return model.A @ mu_X, _congruence(model.A, Sigma_X, model.n_stations)
-
-
-def residual_moments(model: FourierModel, meas: MeasurementDistribution, mu_F, lam: float = 0.0):
-    """Moments of the fit residual R = F - B: (mu_R, Sigma_R)."""
-    mu_F = _readings(mu_F, "mu_F", model)
-    _, _, R_blocks = _propagated_blocks(model, meas, lam)
-    return mu_F - meas.mu_B, _block_diagonal(R_blocks)
-
-
 @dataclass(frozen=True)
 class FieldDistribution:
     """All propagated Gaussian moments for one model and measurement set.
@@ -484,16 +443,21 @@ class FieldDistribution:
     def from_measurements(
         cls, model: FourierModel, meas: MeasurementDistribution, lam: float = 0.0
     ) -> "FieldDistribution":
-        mu_X, X_blocks, R_blocks = _propagated_blocks(model, meas, lam)
+        """Sigma_X is the congruence of Sigma_B by P, Sigma_R by AP - I."""
+        _readings(meas.mu_B, "mu_B", model)
+        P = model.pseudoinverse(lam)
+        K = model.A @ P - np.eye(model.n_rakes)
+        blocks, M = meas.station_blocks, model.n_stations
+        mu_X = P @ meas.mu_B
         mu_F = model.A @ mu_X
         return cls(
-            mu_X, _block_diagonal(X_blocks), mu_F, mu_F - meas.mu_B, R_blocks,
-            meas.iid_sigma, lam, model.A,
+            mu_X, _block_diagonal(_block_congruence(P, blocks, M)), mu_F, mu_F - meas.mu_B,
+            _block_congruence(K, blocks, M), meas.iid_sigma, lam, model.A,
         )
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _congruence(self.design, self.Sigma_X, self.n_stations)
+        return _block_congruence(self.design, self.Sigma_X[None], self.n_stations)[0]
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:
@@ -508,34 +472,20 @@ class FieldDistribution:
         return self.mu_F.shape[1]
 
 
-def predictive_moments(
-    model: FourierModel,
-    field: FieldDistribution,
-    r_frac: float,
-    theta_deg: float,
-    r2_frac: float = None,
-    theta2_deg: float = None,
-):
-    """Mean at (r, theta) and covariance with a second point.
+def _field_moments(field: FieldDistribution, model: FourierModel):
+    """The one reader of a field against a model: (mu_X, Sigma_X).
 
-    With the second point omitted it returns (mean, variance) at one
-    location. Radii are span fractions in [0, 1]; angles degrees.
+    mu_X is read by ``_coefficients``, and Sigma_X must be KM x KM for the
+    model's K x M, else DimensionMismatch naming it; so a field from
+    another model is refused, not reshaped.
     """
-    if r2_frac is None:
-        r2_frac = r_frac
-    if theta2_deg is None:
-        theta2_deg = theta_deg
-    K, M = model.n_coeffs, model.n_stations
-    S4 = np.asarray(field.Sigma_X, dtype=float).reshape(M, K, M, K)
-    w1 = model.radial.blend(float(r_frac))
-    w2 = model.radial.blend(float(r2_frac))
-    a1 = design_row(float(theta_deg), model.harmonics.omega)
-    a2 = design_row(float(theta2_deg), model.harmonics.omega)
-    mean = float(a1 @ field.mu_X @ w1)
-    cov = float(np.einsum("m,k,mknl,n,l->", w1, a1, S4, w2, a2))
-    if (r2_frac, theta2_deg) == (r_frac, theta_deg):
-        cov = max(cov, 0.0)
-    return mean, cov
+    mu_X = _coefficients(field.mu_X, "mu_X", model)
+    Sigma_X = np.asarray(field.Sigma_X, dtype=float)
+    if Sigma_X.shape != (mu_X.size, mu_X.size):
+        raise DimensionMismatch(
+            f"Sigma_X must be {mu_X.size} x {mu_X.size}, got shape {Sigma_X.shape}"
+        )
+    return mu_X, Sigma_X
 
 
 def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -568,9 +518,11 @@ def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, Sigma_X: np.
 def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
     """Vectorized predictive mean and variance on an (r, theta) grid.
 
-    Returns two arrays of shape (len(r_fracs), len(theta_deg)).
+    Returns two arrays of shape (len(r_fracs), len(theta_deg)). Span
+    fractions must lie in [0, 1] and angles be finite; the field must come
+    from ``model``.
     """
+    mu_X, Sigma_X = _field_moments(field, model)
     W = np.atleast_2d(model.radial.blend(np.asarray(r_fracs, dtype=float)))
-    A_g = design_row(np.asarray(theta_deg, dtype=float), model.harmonics.omega)
-    A_g = np.atleast_2d(A_g)
-    return _grid_moments(W, A_g, field.mu_X, np.asarray(field.Sigma_X, dtype=float))
+    A_g = np.atleast_2d(design_row(_angles(theta_deg), model.harmonics.omega))
+    return _grid_moments(W, A_g, mu_X, Sigma_X)

@@ -131,17 +131,6 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
     return ChiSquareParams(g, phi, float(scale))
 
 
-def error_moments(params: ChiSquareParams, n_rakes: int, n_stations: int, sigma_b: float):
-    """Closed-form mean and variance of eps_p^2 under iid noise."""
-    n_meas = n_rakes * n_stations
-    if n_meas < 1:
-        raise InvalidParams("need at least one measurement")
-    scale = sigma_b**2 / n_meas
-    mean = scale * (params.g + params.phi)
-    var = scale**2 * (2.0 * params.g + 4.0 * params.phi)
-    return float(mean), float(var)
-
-
 def _residual_power_moments(field: FieldDistribution):
     """Exact mean and variance of ||R||_F^2 / NM for Gaussian R, any Sigma_R.
 
@@ -159,11 +148,6 @@ def _residual_power_moments(field: FieldDistribution):
     mean = (trace + mu @ mu) / n_meas
     var = (2.0 * frobenius_sq + 4.0 * quadratic) / n_meas**2
     return float(mean), float(var)
-
-
-def imprecision_metric(mean_eps: float, eps_p_sq: float) -> float:
-    """eps_m^2: the part of the expected misfit owed to instrument noise."""
-    return float(mean_eps - eps_p_sq)
 
 
 def noncentral_chisq_pdf(x, g: int, phi: float):
@@ -252,7 +236,7 @@ def compute_metrics(
         chi2 = chi_square_params(field)
     return UncertaintyMetrics(
         eps_p_sq=eps_p,
-        eps_m_sq=imprecision_metric(mean_eps, eps_p),
+        eps_m_sq=mean_eps - eps_p,
         mean_eps=mean_eps,
         var_eps=var_eps,
         chi2=chi2,

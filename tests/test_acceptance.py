@@ -7,6 +7,7 @@ gates; do not loosen them to turn a red build green.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from rakeuq import (
     SamplerConfig,
     StationState,
     area_average,
-    area_average_variance,
     build_design_matrix,
     chi_square_params,
     compute_metrics,
@@ -30,7 +30,6 @@ from rakeuq import (
     efficiency,
     efficiency_gradient,
     efficiency_mc,
-    error_moments,
     fig1_demo,
     fit,
     frequency_scan,
@@ -92,7 +91,8 @@ def test_criterion_01_propagation_matches_sampling(
 def test_criterion_02_residual_power_law(engine_field, propagation_oracle):
     mc, _ = propagation_oracle
     params = chi_square_params(engine_field)
-    mean_want, var_want = error_moments(params, 6, 7, SIGMA_B)
+    mean_want = params.scale * (params.g + params.phi)
+    var_want = params.scale**2 * (2 * params.g + 4 * params.phi)
 
     scaled = mc.eps_samples / params.scale
     edges = stats.chi2.ppf(np.linspace(0.0, 1.0, 21), df=params.g)
@@ -270,7 +270,8 @@ def test_criterion_07_area_average(engine_model, engine_field):
                 abs(result.variance - mc_var) / mc_var < 0.03
             ),
             "harmonic covariance blocks cannot move it": (
-                area_average_variance(engine_model, Sigma) == result.variance
+                area_average(engine_model, replace(engine_field, Sigma_X=Sigma)).variance
+                == result.variance
             ),
         },
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from rakeuq import (
     SamplerConfig,
     area_average,
     area_average_mean,
-    area_average_variance,
     build_design_matrix,
-    ring_average_covariance,
     sample_mvn,
     vec,
 )
@@ -46,6 +46,20 @@ def dense_weight_oracle(model, n_r=4000):
     return 2.0 * (mid * dr) @ w / (geom.r_outer**2 - geom.r_inner**2)
 
 
+def area_variance(model, field, Sigma_X):
+    """The area-average variance of ``field`` with its Sigma_X replaced."""
+    return area_average(model, replace(field, Sigma_X=Sigma_X)).variance
+
+
+def ring_average_covariance(model, Sigma_X, frac, frac_other=None):
+    """Covariance of the circumferential ring means at two span fractions:
+    the bilinear form of Sigma_X in kron(w(f), e_0), the intercept row."""
+    e0 = np.eye(model.n_coeffs)[0]
+    v1 = np.kron(model.radial.blend(frac), e0)
+    v2 = np.kron(model.radial.blend(frac if frac_other is None else frac_other), e0)
+    return float(v1 @ Sigma_X @ v2)
+
+
 def test_constant_field_mean(engine_model):
     mu_X = np.zeros((5, 7))
     mu_X[0] = 431.7
@@ -77,7 +91,7 @@ def test_variance_against_dense_weights(engine_model, engine_field):
     q = dense_weight_oracle(engine_model)
     C00 = engine_field.Sigma_X.reshape(7, 5, 7, 5)[:, 0, :, 0]
     want = q @ C00 @ q
-    got = area_average_variance(engine_model, engine_field.Sigma_X)
+    got = area_average(engine_model, engine_field).variance
     # the midpoint oracle itself is only good to O(h^2) ~ 1e-7 here
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -91,7 +105,7 @@ def test_variance_against_monte_carlo(engine_model, engine_field):
     q = dense_weight_oracle(engine_model, n_r=800)
     # station-major vec layout: intercept coefficients sit at stride 5
     averages = draws[:, 0::5] @ q
-    got = area_average_variance(engine_model, engine_field.Sigma_X)
+    got = area_average(engine_model, engine_field).variance
     assert got == pytest.approx(float(np.var(averages, ddof=1)), rel=0.03)
     mean = area_average_mean(engine_model, engine_field.mu_X)
     assert mean == pytest.approx(float(averages.mean()), abs=0.05)
@@ -103,8 +117,8 @@ def test_variance_blind_to_harmonic_blocks(engine_model, engine_field):
     keep[0::5] = True  # intercept rows of each station block
     Sigma[~keep, :] = 0.0
     Sigma[:, ~keep] = 0.0
-    got = area_average_variance(engine_model, Sigma)
-    want = area_average_variance(engine_model, engine_field.Sigma_X)
+    got = area_variance(engine_model, engine_field, Sigma)
+    want = area_average(engine_model, engine_field).variance
     assert got == want
 
 
@@ -124,9 +138,15 @@ def test_area_average_result_consistent(engine_model, engine_field):
     assert res.mean == pytest.approx(
         area_average_mean(engine_model, engine_field.mu_X)
     )
-    assert res.variance == pytest.approx(
-        area_average_variance(engine_model, engine_field.Sigma_X)
-    )
+    # the variance is the quadratic form of the intercept block in the
+    # station weights that the mean applies
+    q = np.empty(7)
+    for m in range(7):
+        unit = np.zeros((5, 7))
+        unit[0, m] = 1.0
+        q[m] = area_average_mean(engine_model, unit)
+    C00 = engine_field.Sigma_X.reshape(7, 5, 7, 5)[:, 0, :, 0]
+    assert res.variance == pytest.approx(q @ C00 @ q)
     assert res.two_sigma == pytest.approx(1.96 * np.sqrt(res.variance), rel=1e-12)
 
 
@@ -164,11 +184,11 @@ def test_area_weights_match_dense_quadrature(stations, kind):
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-def test_indefinite_covariance_rejected(engine_model):
+def test_indefinite_covariance_rejected(engine_model, engine_field):
     Sigma = np.zeros((35, 35))
     Sigma[0, 0] = -1.0  # intercept block made negative definite
     with pytest.raises(NegativeVariance):
-        area_average_variance(engine_model, Sigma)
+        area_variance(engine_model, engine_field, Sigma)
 
 
 def test_single_station_campaign():

@@ -1,15 +1,19 @@
-"""One rule per input kind: readings, coefficients and standard deviations.
+"""One rule per input kind: readings, coefficients, standard deviations,
+locations and fields.
 
-Every N x M readings input, every K x M coefficient input and every standard
-deviation the library takes in is checked by one reader, which names the
-input when it refuses it. The table below sends one bad input of each kind
-through every entry point that takes it; the CLI tests check that the same
+Every N x M readings input, every K x M coefficient input, every standard
+deviation, every span fraction and prediction angle, and every field read
+against a model is checked by one reader, which names the input when it
+refuses it. The table below sends one bad input of each kind through every
+entry point that takes it, together with the non-finite values that the
+efficiency and legacy range checks refuse; the CLI tests check that the same
 refusals reach the command line as exit 2 naming the file's block.
 """
 
 import json
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,19 +23,26 @@ from rakeuq import (
     DEFAULT_STATE,
     AnnulusGeometry,
     DimensionMismatch,
+    FieldDistribution,
+    HarmonicField,
     HarmonicSet,
     InvalidParams,
     MeasurementDistribution,
+    OutOfDomain,
     SamplerConfig,
     StationState,
+    UncertaintyBudget,
+    area_average,
     area_average_mean,
     build_design_matrix,
+    efficiency,
     frequency_scan,
     fit,
+    legacy_sampling_uncertainty,
     predict_point,
-    propagate_field,
+    predictive_grid,
     rake_position_mc,
-    residual_moments,
+    rss_total,
     sampling_metric,
     vec,
 )
@@ -49,12 +60,20 @@ def _with_nan(a):
     return a
 
 
+def _state_z(index, value):
+    z = DEFAULT_STATE.z.copy()
+    z[index] = value
+    return z
+
+
 @pytest.fixture(scope="module")
 def ctx(engine_geometry, engine_model, engine_data, engine_meas, engine_field, truth):
+    lean = build_design_matrix(engine_geometry, HarmonicSet((1,)), beta=BETA)
     return SimpleNamespace(
         geometry=engine_geometry,
         model=engine_model,
-        lean=build_design_matrix(engine_geometry, HarmonicSet((1,)), beta=BETA),
+        lean=lean,
+        lean_field=FieldDistribution.from_measurements(lean, engine_meas),
         B=engine_data,
         nan_B=_with_nan(engine_data),
         meas=engine_meas,
@@ -111,9 +130,6 @@ CASES = {
     "metric-vec-order-readings": (
         lambda c: sampling_metric(c.model, c.X, vec(c.B)), DimensionMismatch, "mu_B"),
     "metric-nan-reading": (lambda c: sampling_metric(c.model, c.X, c.nan_B), InvalidParams, "mu_B"),
-    "residual-transposed-mu_F": (
-        lambda c: residual_moments(c.model, c.meas, c.B.T), DimensionMismatch, "mu_F"),
-    "residual-nan-mu_F": (lambda c: residual_moments(c.model, c.meas, c.nan_B), InvalidParams, "mu_F"),
     # coefficients: one reader, fourier._coefficients
     "metric-short-coefficients": (
         lambda c: sampling_metric(c.lean, np.zeros((3, 1)), c.B), DimensionMismatch, "X"),
@@ -121,10 +137,36 @@ CASES = {
         lambda c: sampling_metric(c.model, _with_nan(c.X), c.B), InvalidParams, "X"),
     "predict-transposed-coefficients": (
         lambda c: predict_point(c.model, c.X.T, 0.5, 10.0), DimensionMismatch, "X"),
-    "propagate-field-short-mu_X": (
-        lambda c: propagate_field(c.model, c.X[:, :3], c.field.Sigma_X), DimensionMismatch, "mu_X"),
     "area-mean-short-mu_X": (lambda c: area_average_mean(c.model, c.X[:3]), DimensionMismatch, "mu_X"),
     "area-mean-nan-mu_X": (lambda c: area_average_mean(c.model, _with_nan(c.X)), InvalidParams, "mu_X"),
+    # fields: one reader, propagation._field_moments
+    "area-field-of-another-model": (lambda c: area_average(c.model, c.lean_field), DimensionMismatch, "mu_X"),
+    "grid-field-of-another-model": (
+        lambda c: predictive_grid(c.model, c.lean_field, [0.5], [0.0]), DimensionMismatch, "mu_X"),
+    "area-wrong-size-Sigma_X": (
+        lambda c: area_average(c.model, replace(c.field, Sigma_X=np.eye(10))), DimensionMismatch, "Sigma_X"),
+    "grid-wrong-size-Sigma_X": (
+        lambda c: predictive_grid(c.model, replace(c.field, Sigma_X=np.eye(10)), [0.5], [0.0]),
+        DimensionMismatch, "Sigma_X"),
+    # locations: span fractions in [0, 1], finite angles
+    "predict-nan-radius": (lambda c: predict_point(c.model, c.X, math.nan, 10.0), OutOfDomain, "radial fraction"),
+    "grid-nan-radius": (
+        lambda c: predictive_grid(c.model, c.field, [math.nan], [0.0]), OutOfDomain, "radial fraction"),
+    "predict-nan-angle": (lambda c: predict_point(c.model, c.X, 0.5, math.nan), InvalidParams, "theta_deg"),
+    "predict-inf-angles": (
+        lambda c: predict_point(c.model, c.X, 0.5, [0.0, math.inf]), InvalidParams, "theta_deg"),
+    "grid-inf-angle": (lambda c: predictive_grid(c.model, c.field, [0.5], [math.inf]), InvalidParams, "theta_deg"),
+    # efficiency and legacy values: range checks that NaN fails
+    "efficiency-nan-T01": (lambda c: efficiency(_state_z(0, math.nan)), InvalidParams, "z"),
+    "efficiency-nan-gamma": (lambda c: efficiency(_state_z(4, math.nan)), InvalidParams, "z"),
+    "efficiency-inf-P01": (lambda c: efficiency(_state_z(2, math.inf)), InvalidParams, "z"),
+    "station-state-nan-T01": (
+        lambda c: StationState(_state_z(0, math.nan), DEFAULT_STATE.sigma), InvalidParams, "z"),
+    "rss-nan-component": (lambda c: rss_total([math.nan, 1.0]), InvalidParams, "components"),
+    "legacy-nan-sample": (lambda c: legacy_sampling_uncertainty([1.0, math.nan]), InvalidParams, "samples"),
+    "budget-nan-component": (
+        lambda c: UncertaintyBudget((("probe", math.nan),)), InvalidParams, "component 'probe'"),
+    "harmonic-field-nan-amplitude": (lambda c: HarmonicField(amplitude=math.nan), InvalidParams, "amplitude"),
 }
 
 

@@ -24,7 +24,6 @@ from rakeuq import (
     build_design_matrix,
     chi_square_params,
     design_matrix,
-    error_moments,
     fit,
     frequency_scan,
     mc_propagate_model,
@@ -121,7 +120,8 @@ def test_mc_matches_closed_forms(engine_model, engine_field, mc_oracle):
 
 def test_mc_eps_moments_match_closed_form(engine_field, mc_oracle):
     params = chi_square_params(engine_field)
-    mean_c, var_c = error_moments(params, 6, 7, SIGMA_B)
+    mean_c = params.scale * (params.g + params.phi)
+    var_c = params.scale**2 * (2 * params.g + 4 * params.phi)
     assert mc_oracle.eps_mean == pytest.approx(mean_c, rel=0.02)
     assert mc_oracle.eps_var == pytest.approx(var_c, rel=0.02)
 

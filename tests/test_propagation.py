@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -21,22 +22,26 @@ from rakeuq import (
     area_average,
     build_design_matrix,
     compute_metrics,
-    ensure_psd,
+    design_row,
     fit,
     predictive_grid,
-    predictive_moments,
-    propagate_coefficients,
-    propagate_field,
-    residual_moments,
     sample_mvn,
     unvec,
     vec,
 )
 
 from rakeuq.montecarlo import psd_factor
-from rakeuq.propagation import _block_congruence, _congruence, _station_map
+from rakeuq.propagation import _block_congruence, _station_map
 
 from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
+
+
+def point_vectors(model, points):
+    """Rows kron(w(r), a(theta)) for (r, theta) points: a point's value is
+    the row times vec(X), and two points' covariance the bilinear form of
+    Sigma_X in two rows (station-major, as vec(X))."""
+    return np.array([np.kron(model.radial.blend(r), design_row(th, model.harmonics.omega))
+                     for r, th in points])
 
 
 def test_vec_is_column_major():
@@ -87,7 +92,7 @@ def test_block_diagonal_covariance_decouples_stations(engine_model, engine_data)
     for m, blk in enumerate(blocks):
         Sigma_B[m * 6 : (m + 1) * 6, m * 6 : (m + 1) * 6] = blk
     meas = MeasurementDistribution(engine_data, Sigma_B)
-    mu_X, Sigma_X = propagate_coefficients(engine_model, meas)
+    Sigma_X = FieldDistribution.from_measurements(engine_model, meas).Sigma_X
     P = engine_model.P
     for m, blk in enumerate(blocks):
         got = Sigma_X[m * 5 : (m + 1) * 5, m * 5 : (m + 1) * 5]
@@ -131,16 +136,14 @@ def test_covariance_scales_quadratically(engine_model, engine_data):
 
 
 def test_propagate_field_consistent_with_kron(engine_model, engine_field):
-    mu_F, Sigma_F = propagate_field(
-        engine_model, engine_field.mu_X, engine_field.Sigma_X
-    )
+    Sigma_F = engine_field.Sigma_F
     IA = np.kron(np.eye(7), engine_model.A)
     expected = IA @ engine_field.Sigma_X @ IA.T
     np.testing.assert_allclose(Sigma_F, expected, atol=1e-10)
 
 
 def test_residual_moments_closed_form(engine_model, engine_meas, engine_field):
-    mu_R, Sigma_R = residual_moments(engine_model, engine_meas, engine_field.mu_F)
+    Sigma_R = engine_field.Sigma_R
     K = engine_model.A @ engine_model.P - np.eye(6)
     IK = np.kron(np.eye(7), K)
     expected = IK @ engine_meas.Sigma_B @ IK.T
@@ -149,7 +152,7 @@ def test_residual_moments_closed_form(engine_model, engine_meas, engine_field):
 
 def test_predictive_moments_quadratic_form(engine_model, engine_field):
     r, th = 0.37, 204.0
-    mean, var = predictive_moments(engine_model, engine_field, r, th)
+    mean, var = (out[0, 0] for out in predictive_grid(engine_model, engine_field, [r], [th]))
     w = engine_model.radial.blend(r)
     from rakeuq import design_matrix
 
@@ -160,8 +163,9 @@ def test_predictive_moments_quadratic_form(engine_model, engine_field):
 
 
 def test_predictive_two_point_symmetry(engine_model, engine_field):
-    _, c12 = predictive_moments(engine_model, engine_field, 0.2, 45.0, 0.8, 290.0)
-    _, c21 = predictive_moments(engine_model, engine_field, 0.8, 290.0, 0.2, 45.0)
+    v1, v2 = point_vectors(engine_model, [(0.2, 45.0), (0.8, 290.0)])
+    c12 = v1 @ engine_field.Sigma_X @ v2
+    c21 = v2 @ engine_field.Sigma_X @ v1
     assert c12 == pytest.approx(c21, rel=1e-12)
 
 
@@ -172,7 +176,8 @@ def test_predictive_grid_matches_pointwise(engine_model, engine_field):
     assert mean.shape == var.shape == (3, 4)
     for i, ri in enumerate(r):
         for j, tj in enumerate(th):
-            m, v = predictive_moments(engine_model, engine_field, ri, tj)
+            (g,) = point_vectors(engine_model, [(ri, tj)])
+            m, v = g @ vec(engine_field.mu_X), g @ engine_field.Sigma_X @ g
             assert mean[i, j] == pytest.approx(m, rel=1e-12)
             assert var[i, j] == pytest.approx(v, rel=1e-10)
 
@@ -189,7 +194,8 @@ def test_predictive_grid_matches_pointwise_correlated(engine_model, engine_data)
     assert mean.shape == var.shape == (5, 5)
     for i, ri in enumerate(r):
         for j, tj in enumerate(th):
-            m, v = predictive_moments(engine_model, field, ri, tj)
+            (g,) = point_vectors(engine_model, [(ri, tj)])
+            m, v = g @ vec(field.mu_X), g @ field.Sigma_X @ g
             assert mean[i, j] == pytest.approx(m, rel=1e-12)
             assert var[i, j] == pytest.approx(v, rel=1e-12)
 
@@ -197,19 +203,17 @@ def test_predictive_grid_matches_pointwise_correlated(engine_model, engine_data)
 def test_predictive_variance_bounded_at_probes(engine_model, engine_field):
     # unregularized fit: the hat matrix is a projection, so the fitted
     # surface at a probe location can never be noisier than the probe
-    for m, r in enumerate(STATIONS):
-        for n, th in enumerate(engine_model.geometry.theta_deg):
-            _, var = predictive_moments(engine_model, engine_field, r, th)
-            assert var <= SIGMA_B**2 * (1.0 + 1e-12)
+    for r in STATIONS:
+        for th in engine_model.geometry.theta_deg:
+            _, var = predictive_grid(engine_model, engine_field, [r], [th])
+            assert var[0, 0] <= SIGMA_B**2 * (1.0 + 1e-12)
 
 
 def test_predictive_kernel_is_psd(engine_model, engine_field):
     rng = np.random.default_rng(11)
     pts = [(rng.uniform(0, 1), rng.uniform(0, 360)) for _ in range(12)]
-    Km = np.empty((12, 12))
-    for i, (ri, ti) in enumerate(pts):
-        for j, (rj, tj) in enumerate(pts):
-            Km[i, j] = predictive_moments(engine_model, engine_field, ri, ti, rj, tj)[1]
+    V = point_vectors(engine_model, pts)
+    Km = V @ engine_field.Sigma_X @ V.T
     eig = np.linalg.eigvalsh(0.5 * (Km + Km.T))
     assert eig.min() >= -1e-8 * max(eig.max(), 1.0)
 
@@ -255,7 +259,7 @@ def test_non_finite_sigma_rejected(engine_data, bad):
     with pytest.raises(InvalidParams):
         MeasurementDistribution(engine_data, Sigma)
     with pytest.raises(InvalidParams):
-        ensure_psd(Sigma)
+        psd_factor(Sigma)
     # off the diagonal, across stations: the dense (1, NM, NM) block
     Sigma = np.eye(42)
     Sigma[3, 40] = Sigma[40, 3] = bad
@@ -298,15 +302,16 @@ def test_shape_mismatch_rejected(engine_data):
 
 
 def test_ensure_psd_clips_roundoff():
+    # the PSD rule, through a one-station MeasurementDistribution
     A = np.eye(3)
     A[2, 2] = -1e-14
-    out = ensure_psd(A)
+    out = MeasurementDistribution(np.zeros(3), A).Sigma_B
     assert np.linalg.eigvalsh(out).min() >= 0.0
 
 
 def test_ensure_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
-        ensure_psd(np.diag([1.0, -0.5, 2.0]))
+        MeasurementDistribution(np.zeros(3), np.diag([1.0, -0.5, 2.0]))
 
 
 def equicorrelation(n, low):
@@ -322,7 +327,6 @@ def equicorrelation(n, low):
 # diagonal entry is s and whose smallest eigenvalue is low * s, with the error
 # type that it raises.
 PSD_ENTRY_POINTS = {
-    "ensure_psd": (lambda mu, low: ensure_psd(2.5 * equicorrelation(6, low)), NotPSD),
     "psd_factor": (lambda mu, low: psd_factor(2.5 * equicorrelation(6, low)), NotPSD),
     "sample_mvn": (
         lambda mu, low: sample_mvn(
@@ -401,6 +405,18 @@ def test_iid_sigma_contradicting_sigma_b_rejected(engine_data, Sigma_B, iid_sigm
         MeasurementDistribution(engine_data, Sigma_B, iid_sigma=iid_sigma)
 
 
+@pytest.mark.parametrize("v", [2.0, 2.5e-308, SIGMA_B**2])
+def test_iid_blocks_keep_the_given_variance(engine_data, v):
+    # v I is kept as given even where v is not the square of a double
+    # (fl(sqrt(2))^2 = 2.0000000000000004); only the factor is sqrt(v) I
+    meas = MeasurementDistribution(engine_data, v * np.eye(42))
+    assert meas.iid_sigma == math.sqrt(v)
+    assert meas.station_blocks.strides[0] == 0  # one block broadcast
+    np.testing.assert_array_equal(meas.Sigma_B, v * np.eye(42))
+    np.testing.assert_array_equal(meas.station_blocks, v * np.eye(6)[None].repeat(7, 0))
+    np.testing.assert_array_equal(meas.factor_blocks, math.sqrt(v) * np.eye(6)[None].repeat(7, 0))
+
+
 def test_iid_sigma_is_derived_from_sigma_b(engine_data):
     assert MeasurementDistribution(engine_data, 0.25 * np.eye(42), iid_sigma=0.5).iid_sigma == 0.5
     assert MeasurementDistribution(engine_data, 0.25 * np.eye(42)).iid_sigma == 0.5
@@ -441,8 +457,8 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
 
     A, P = engine_model.A, engine_model.pseudoinverse(lam)
     K = A @ P - np.eye(6)
-    Sigma_X = _congruence(P, Sigma_B, 7)
-    Sigma_R = _congruence(K, Sigma_B, 7)
+    Sigma_X = _block_congruence(P, Sigma_B[None], 7)[0]
+    Sigma_R = _block_congruence(K, Sigma_B[None], 7)[0]
     dense = dataclasses.replace(field, Sigma_X=Sigma_X, R_blocks=Sigma_R[None])
 
     def close(got, want):
@@ -451,7 +467,7 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
 
     for got, want in (
         (field.Sigma_X, Sigma_X),
-        (field.Sigma_F, _congruence(A, Sigma_X, 7)),
+        (field.Sigma_F, _block_congruence(A, Sigma_X[None], 7)[0]),
         (field.Sigma_R, Sigma_R),
     ):
         close(got, want)
@@ -473,11 +489,8 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
     close(area_average(engine_model, field).variance, area_average(engine_model, dense).variance)
     r, th = np.linspace(0.0, 1.0, 50), np.arange(0.0, 360.0, 1.0)
     close(predictive_grid(engine_model, field, r, th)[1], predictive_grid(engine_model, dense, r, th)[1])
-    for point in [(0.37, 204.0), (0.2, 45.0, 0.8, 290.0)]:
-        close(
-            predictive_moments(engine_model, field, *point)[1],
-            predictive_moments(engine_model, dense, *point)[1],
-        )
+    V = point_vectors(engine_model, [(0.37, 204.0), (0.2, 45.0), (0.8, 290.0)])
+    close(V @ field.Sigma_X @ V.T, V @ dense.Sigma_X @ V.T)
 
 
 def test_iid_chain_builds_no_nm_by_nm_matrix():
@@ -526,7 +539,6 @@ def test_station_map_and_congruence_match_explicit_kron(M, layout):
         X_dense, S_dense = rng.standard_normal((N * M, w)), random_psd(N * M, rng)
         (mapped,) = _station_map(T, X_dense[None], M)
         (congruent,) = _block_congruence(T, S_dense[None], M)
-        np.testing.assert_array_equal(_congruence(T, S_dense, M), congruent)
     for got, want in ((mapped, kron @ X_dense), (congruent, kron @ S_dense @ kron.T)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

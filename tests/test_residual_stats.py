@@ -15,10 +15,8 @@ from rakeuq import (
     chi_square_params,
     compute_metrics,
     design_matrix,
-    error_moments,
     fit,
     frequency_scan,
-    imprecision_metric,
     mc_propagate_model,
     noncentral_chisq_pdf,
     sampling_metric,
@@ -104,12 +102,12 @@ def test_block_chi_square_matches_dense_eigh(engine_data, omega, lam):
     assert params.phi == pytest.approx(phi, rel=1e-10, abs=1e-12)
 
 
-def test_error_moments_frozen_values():
-    # scale = sigma_b^2 / NM = 0.2601 / 42; g = 7, phi = 0
-    from rakeuq import ChiSquareParams
-
-    params = ChiSquareParams(g=7, phi=0.0, scale=1.0)
-    mean, var = error_moments(params, 6, 7, SIGMA_B)
+def test_error_moments_frozen_values(engine_field):
+    # scale = sigma_b^2 / NM = 0.2601 / 42; g = 7, phi = 0 (in-span data)
+    params = chi_square_params(engine_field)
+    assert (params.g, params.scale) == (7, SIGMA_B**2 / 42)
+    mean = params.scale * (params.g + params.phi)
+    var = params.scale**2 * (2 * params.g + 4 * params.phi)
     assert mean == pytest.approx(0.0433500, abs=1e-7)
     assert var == pytest.approx(5.3692071e-4, rel=1e-6)
 
@@ -164,8 +162,13 @@ def test_richer_harmonics_never_fit_worse():
     assert eps_lean > 0.1
 
 
-def test_imprecision_is_mean_minus_observed():
-    assert imprecision_metric(0.05, 0.02) == pytest.approx(0.03)
+def test_imprecision_is_mean_minus_observed(engine_model, engine_data):
+    data = engine_data + 0.2 * np.cos(np.arange(42.0)).reshape(6, 7)  # off the model span
+    meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+    field = FieldDistribution.from_measurements(engine_model, meas)
+    metrics = compute_metrics(engine_model, fit(engine_model, data), meas, field)
+    assert metrics.eps_p_sq > 1e-4
+    assert metrics.eps_m_sq == metrics.mean_eps - metrics.eps_p_sq
 
 
 def test_compute_metrics_consistency(engine_model, engine_meas, engine_field, engine_data):
