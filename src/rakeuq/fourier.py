@@ -483,13 +483,22 @@ def _coefficients(X, name: str, model) -> np.ndarray:
     return X
 
 
-def _angles(theta_deg) -> np.ndarray:
-    """Prediction angles in degrees as a float array; non-finite ones are
-    refused with InvalidParams naming theta_deg."""
-    theta = np.asarray(theta_deg, dtype=float)
-    if np.count_nonzero(np.isfinite(theta)) < theta.size:
+def _location(value, name: str, max_ndim: int = 1) -> np.ndarray:
+    """The one reader of prediction locations: span fractions or angles in
+    degrees (``theta_deg``) as a float array; ``name`` names the input.
+
+    More than ``max_ndim`` dimensions (a scalar for 0, a vector for 1) is
+    refused with DimensionMismatch, and a non-finite angle with
+    InvalidParams. Span fractions are range-checked, NaN included, where
+    ``RadialBasis.weights`` reads them.
+    """
+    value = np.asarray(value, dtype=float)
+    if value.ndim > max_ndim:
+        want = "a scalar" if max_ndim == 0 else "a scalar or a vector"
+        raise DimensionMismatch(f"{name} must be {want}, got shape {value.shape}")
+    if name == "theta_deg" and np.count_nonzero(np.isfinite(value)) < value.size:
         raise InvalidParams("theta_deg must be finite")
-    return theta
+    return value
 
 
 def fit(model: FourierModel, B) -> CoefficientMatrix:
@@ -518,14 +527,14 @@ def predict_point(model: FourierModel, X, r_frac, theta_deg):
     """Evaluate the reconstructed field at one radius and angle(s).
 
     ``r_frac`` is a scalar span fraction in [0, 1]; ``theta_deg`` may be a
-    scalar or an array of finite angles. Returns a float or an array
+    scalar or a vector of finite angles. Returns a float or an array
     accordingly.
     """
     X = _coefficients(X, "X", model)
-    w = model.radial.blend(float(r_frac))
-    a = design_row(_angles(theta_deg), model.harmonics.omega)
-    values = a @ (X @ w)
-    return float(values) if np.ndim(theta_deg) == 0 else values
+    w = model.radial.blend(_location(r_frac, "r_frac", 0))
+    theta = _location(theta_deg, "theta_deg")
+    values = design_row(theta, model.harmonics.omega) @ (X @ w)
+    return float(values) if theta.ndim == 0 else values
 
 
 def station_predictions(X, theta_deg, omega) -> np.ndarray:

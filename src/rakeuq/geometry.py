@@ -13,6 +13,22 @@ import numpy as np
 from .errors import InvalidParams
 
 
+def _whole(value, name: str) -> int:
+    """The one reader of counts, seeds and orders: ``value`` as an int.
+
+    An int, a numpy integer or a float with no fractional part (2.0) is
+    accepted; anything else, 2.5, NaN or a string among them, is refused
+    with InvalidParams naming ``name``, never truncated.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "2", NaN, inf
+        whole = None
+    if whole is None or whole != value:
+        raise InvalidParams(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class AnnulusGeometry:
     """Rake angles, radial stations and casing radii of one measurement plane.
@@ -90,8 +106,8 @@ class HarmonicSet:
 
     def __post_init__(self):
         try:
-            omega = tuple(int(w) for w in self.omega)
-        except (TypeError, ValueError) as exc:
+            omega = tuple(_whole(w, "harmonic orders") for w in self.omega)
+        except TypeError as exc:
             raise InvalidParams("harmonic orders must be integers") from exc
         if len(omega) < 1:
             raise InvalidParams("need at least one harmonic order")

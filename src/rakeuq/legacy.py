@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams, NegativeComponent, TooFewSamples
 from .fourier import DEFAULT_BETA, build_design_matrix, fit
-from .geometry import AnnulusGeometry, HarmonicSet
+from .geometry import AnnulusGeometry, HarmonicSet, _whole
 from .residuals import sampling_metric
 
 
@@ -79,9 +79,10 @@ class HarmonicField:
                 raise InvalidParams(f"{name} must be finite")
         if self.amplitude < 0.0:
             raise InvalidParams("amplitude must be nonnegative")
-        if int(self.frequency) < 1:
+        frequency = _whole(self.frequency, "frequency")
+        if frequency < 1:
             raise InvalidParams("frequency must be a positive integer")
-        object.__setattr__(self, "frequency", int(self.frequency))
+        object.__setattr__(self, "frequency", frequency)
 
     def sample(self, theta_deg) -> np.ndarray:
         t = np.deg2rad(np.asarray(theta_deg, dtype=float))
@@ -118,7 +119,7 @@ def fig1_demo(
     field = HarmonicField() if field is None else field
     if not math.isfinite(offset_deg):
         raise InvalidParams("offset_deg must be finite")
-    counts = [int(count) for count in rake_counts]
+    counts = [_whole(count, "rake_counts") for count in rake_counts]
     harmonics = HarmonicSet((field.frequency,))
     if any(count < harmonics.n_coeffs for count in counts):
         raise InvalidParams(

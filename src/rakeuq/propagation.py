@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
-from .fourier import FourierModel, _angles, _coefficients, _readings, design_row
+from .fourier import FourierModel, _coefficients, _location, _readings, design_row
 
 
 def vec(matrix) -> np.ndarray:
@@ -518,11 +518,11 @@ def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, Sigma_X: np.
 def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
     """Vectorized predictive mean and variance on an (r, theta) grid.
 
-    Returns two arrays of shape (len(r_fracs), len(theta_deg)). Span
-    fractions must lie in [0, 1] and angles be finite; the field must come
-    from ``model``.
+    ``r_fracs`` and ``theta_deg`` are each a scalar or a vector. Returns two
+    arrays of shape (len(r_fracs), len(theta_deg)). Span fractions must lie
+    in [0, 1] and angles be finite; the field must come from ``model``.
     """
     mu_X, Sigma_X = _field_moments(field, model)
-    W = np.atleast_2d(model.radial.blend(np.asarray(r_fracs, dtype=float)))
-    A_g = np.atleast_2d(design_row(_angles(theta_deg), model.harmonics.omega))
+    W = np.atleast_2d(model.radial.blend(_location(r_fracs, "r_fracs")))
+    A_g = np.atleast_2d(design_row(_location(theta_deg, "theta_deg"), model.harmonics.omega))
     return _grid_moments(W, A_g, mu_X, Sigma_X)

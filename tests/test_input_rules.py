@@ -1,13 +1,14 @@
 """One rule per input kind: readings, coefficients, standard deviations,
-locations and fields.
+locations, fields and whole numbers.
 
 Every N x M readings input, every K x M coefficient input, every standard
-deviation, every span fraction and prediction angle, and every field read
-against a model is checked by one reader, which names the input when it
-refuses it. The table below sends one bad input of each kind through every
-entry point that takes it, together with the non-finite values that the
-efficiency and legacy range checks refuse; the CLI tests check that the same
-refusals reach the command line as exit 2 naming the file's block.
+deviation, every span fraction and prediction angle, every field read
+against a model, and every count, seed and harmonic order is checked by one
+reader, which names the input when it refuses it. The table below sends one
+bad input of each kind through every entry point that takes it, together
+with the non-finite values that the efficiency and legacy range checks
+refuse; the CLI tests check that the same refusals reach the command line
+as exit 2 naming the file's block.
 """
 
 import json
@@ -36,6 +37,7 @@ from rakeuq import (
     area_average_mean,
     build_design_matrix,
     efficiency,
+    fig1_demo,
     frequency_scan,
     fit,
     legacy_sampling_uncertainty,
@@ -148,7 +150,8 @@ CASES = {
     "grid-wrong-size-Sigma_X": (
         lambda c: predictive_grid(c.model, replace(c.field, Sigma_X=np.eye(10)), [0.5], [0.0]),
         DimensionMismatch, "Sigma_X"),
-    # locations: span fractions in [0, 1], finite angles
+    # locations: one reader, fourier._location; span fractions in [0, 1],
+    # finite angles, a scalar r_frac and at most a vector of either
     "predict-nan-radius": (lambda c: predict_point(c.model, c.X, math.nan, 10.0), OutOfDomain, "radial fraction"),
     "grid-nan-radius": (
         lambda c: predictive_grid(c.model, c.field, [math.nan], [0.0]), OutOfDomain, "radial fraction"),
@@ -156,6 +159,21 @@ CASES = {
     "predict-inf-angles": (
         lambda c: predict_point(c.model, c.X, 0.5, [0.0, math.inf]), InvalidParams, "theta_deg"),
     "grid-inf-angle": (lambda c: predictive_grid(c.model, c.field, [0.5], [math.inf]), InvalidParams, "theta_deg"),
+    "predict-vector-radius": (
+        lambda c: predict_point(c.model, c.X, [0.5, 0.6], 0.0), DimensionMismatch, "r_frac"),
+    "predict-matrix-angles": (
+        lambda c: predict_point(c.model, c.X, 0.5, [[0.0, 10.0]]), DimensionMismatch, "theta_deg"),
+    "grid-matrix-radii": (
+        lambda c: predictive_grid(c.model, c.field, [[0.5, 0.6]], [0.0]), DimensionMismatch, "r_fracs"),
+    "grid-matrix-angles": (
+        lambda c: predictive_grid(c.model, c.field, [0.5], [[0.0, 10.0]]), DimensionMismatch, "theta_deg"),
+    # counts, seeds and orders: whole numbers, never truncated
+    "sampler-fractional-samples": (lambda c: SamplerConfig(1, 2.5), InvalidParams, "n_samples"),
+    "sampler-fractional-seed": (lambda c: SamplerConfig(1.5, 100), InvalidParams, "seed"),
+    "harmonic-field-fractional-frequency": (
+        lambda c: HarmonicField(frequency=2.5), InvalidParams, "frequency"),
+    "fig1-fractional-rake-count": (lambda c: fig1_demo(rake_counts=(3, 8.5)), InvalidParams, "rake_counts"),
+    "harmonic-set-fractional-order": (lambda c: HarmonicSet((1, 2.5)), InvalidParams, "harmonic orders"),
     # efficiency and legacy values: range checks that NaN fails
     "efficiency-nan-T01": (lambda c: efficiency(_state_z(0, math.nan)), InvalidParams, "z"),
     "efficiency-nan-gamma": (lambda c: efficiency(_state_z(4, math.nan)), InvalidParams, "z"),
@@ -174,6 +192,15 @@ CASES = {
 def test_bad_input_refused_naming_it(ctx, call, error, name):
     with pytest.raises(error, match=rf"^{re.escape(name)} must "):
         call(ctx)
+
+
+def test_whole_number_floats_and_numpy_integers_accepted():
+    config = SamplerConfig(np.int64(3), 4.0)
+    assert (config.seed, config.n_samples) == (3, 4)
+    assert type(config.seed) is type(config.n_samples) is int
+    assert HarmonicField(frequency=2.0).frequency == HarmonicField(frequency=np.int32(2)).frequency == 2
+    assert [row.n_rakes for row in fig1_demo(rake_counts=(np.int64(3), 8.0))] == [3, 8]
+    assert HarmonicSet((1.0, np.int64(4))).omega == (1, 4)
 
 
 @pytest.mark.parametrize("s", [0.0, _SIGMA_MIN, SIGMA_B, 1e150, _SIGMA_MAX])

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from dataclasses import replace
 from itertools import combinations
 
@@ -940,3 +942,146 @@ def test_batch_plan_partitions_samples():
     assert sum(sizes) == 20_000
     assert all(s > 0 for s in sizes)
     assert len(children) == len(sizes)
+
+
+# A rake batch's draws are split into contiguous row chunks, one per usable
+# CPU while each chunk keeps MIN_CHUNK draws, and fitted on short-lived
+# threads. Every slice's fit is independent of the rest of its stack, bit for
+# bit, so no result may depend on the CPU count.
+
+RAKE_FIELDS = ("coefficients", "lambdas", "grid_mean", "grid_var")
+MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "grid_mean", "grid_var", "Sigma_R")
+
+
+def _at_cpu_counts(monkeypatch, run, counts=(1, 2, 4)):
+    """run() with the usable CPU count forced to each of ``counts``, and the
+    sorted stack sizes that ``_fit_batch`` saw in each run."""
+    results, stacks = [], []
+    fit_batch = mc_mod._fit_batch
+    for n in counts:
+        seen = []
+
+        def counted(guard, A_stack, *args, **kwargs):
+            seen.append(A_stack.shape[0])
+            return fit_batch(guard, A_stack, *args, **kwargs)
+
+        monkeypatch.setattr(mc_mod, "_usable_cpus", lambda n=n: n)
+        monkeypatch.setattr(mc_mod, "_fit_batch", counted)
+        threads = threading.active_count()
+        results.append(run())
+        assert threading.active_count() == threads
+        stacks.append(sorted(seen))
+    return results, stacks
+
+
+def _assert_same_bytes(results, fields):
+    for name in fields:
+        ref = np.asarray(getattr(results[0], name))
+        for other in results[1:]:
+            value = np.asarray(getattr(other, name))
+            assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
+
+
+def test_rake_mc_two_batches_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
+    cfg = SamplerConfig(seed=21, n_samples=mc_mod.BATCH + 2000)
+    results, stacks = _at_cpu_counts(
+        monkeypatch, lambda: rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36))
+    # the nominal fit, then 8192 draws in 1, 2 and 4 chunks and 2000 in 1, 2 and 3
+    assert stacks == [[1, 2000, 8192], [1, 1000, 1000, 4096, 4096], [1, 666, 667, 667] + [2048] * 4]
+    _assert_same_bytes(results, RAKE_FIELDS)
+
+
+def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
+    engine_geometry, engine_data, monkeypatch
+):
+    # as in test_rake_mc_screen_matches_exact_norm: some draws pass plain,
+    # some take each rung, and some exhaust the ladder and are dropped
+    model = build_design_matrix(
+        engine_geometry, HarmonicSet((1, 4)), beta=1396.0, lambda_ladder=(1e-3, 0.03)
+    )
+    results, stacks = _at_cpu_counts(monkeypatch, lambda: rake_position_mc(
+        model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=2500),
+        n_prediction=36, max_failure_fraction=0.5,
+    ))
+    assert stacks == [[1, 2500], [1, 1250, 1250], [1, 625, 625, 625, 625]]
+    assert results[0].n_failed > 0
+    assert set(results[0].lambdas.tolist()) == {0.0, 1e-3, 0.03}
+    assert len({r.n_failed for r in results}) == 1
+    _assert_same_bytes(results, RAKE_FIELDS)
+
+
+def test_mc_multi_batch_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
+    meas = MeasurementDistribution.from_diagonal(engine_data, np.linspace(0.3, 0.7, 42))
+    for antithetic in (False, True):
+        cfg = SamplerConfig(seed=99, n_samples=mc_mod.BATCH + 3000, antithetic=antithetic)
+        results, _ = _at_cpu_counts(monkeypatch, lambda: mc_propagate_model(engine_model, meas, cfg))
+        _assert_same_bytes(results, MC_FIELDS)
+
+
+class _NoThreads(Exception):
+    pass
+
+
+def test_fit_scan_and_small_stacks_start_no_thread(engine_model, engine_geometry, engine_data, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise _NoThreads
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 4)
+    small = SamplerConfig(seed=5, n_samples=2 * mc_mod.MIN_CHUNK - 1)
+    fit(engine_model, engine_data)
+    frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
+    rake_position_mc(engine_model, engine_data, 0.5, small)
+    # the refusal is live: one more draw splits the stack
+    with pytest.raises(_NoThreads):
+        rake_position_mc(engine_model, engine_data, 0.5, replace(small, n_samples=small.n_samples + 1))
+
+
+def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkeypatch):
+    fit_batch = mc_mod._fit_batch
+
+    def fail_off_main(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RegularizationExhausted("worker chunk")
+        return fit_batch(*args, **kwargs)
+
+    monkeypatch.setattr(mc_mod, "_fit_batch", fail_off_main)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(RegularizationExhausted, match="worker chunk"):
+        rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=2048))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.errstate is a context variable from numpy 2")
+def test_worker_chunks_run_under_the_callers_errstate(monkeypatch):
+    def work(rows):
+        if threading.current_thread() is not threading.main_thread():
+            rows = rows / 0.0
+        return (rows,)
+
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    rows = np.ones((2 * mc_mod.MIN_CHUNK, 1))
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        mc_mod._split_rows(work, rows)
+
+
+def test_split_rows_joins_chunks_in_order(monkeypatch):
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
+    rows = np.arange(5 * mc_mod.MIN_CHUNK, dtype=float)[:, None]
+    out, index = mc_mod._split_rows(lambda r: (2.0 * r, r[:, 0].astype(int)), rows)
+    np.testing.assert_array_equal(out, 2.0 * rows)
+    np.testing.assert_array_equal(index, np.arange(rows.shape[0]))
+
+
+def test_usable_cpus_reads_affinity_then_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert mc_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc_mod._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc_mod._usable_cpus() == 1
