@@ -3,7 +3,7 @@
 Integrating the Fourier model over the full circumference kills every
 harmonic, so only the constant-coefficient row of X survives:
 
-    mean = 2/(r_o^2 - r_i^2) * integral r * v(r)^T U mu_1 dr,
+    mean = 2/(r_o^2 - r_i^2) * integral r * v(r)^T mu_1 dr,
 
 with mu_1 the constant-harmonic coefficients across stations (first row of
 mu_X) and r the physical radius r_i + (r_o - r_i) * fraction. The variance
@@ -11,10 +11,10 @@ integrates the two-point covariance of circumferential ring means against the
 same radius weighting on both arguments:
 
     var = 4/(r_o^2 - r_i^2)^2 * double integral r r' K(f, f') dr dr',
-    K(f, f') = v(f)^T U C00 U^T v(f'),
+    K(f, f') = v(f)^T C00 v(f'),
 
 where C00 picks the constant-row block Cov(X[0, m], X[0, m']) out of Sigma_X.
-Both reduce to the station weight vector q = integral r U^T v(f) dr. The
+Both reduce to the station weight vector q = integral r v(f) dr. The
 blend v is a cubic (or linear) polynomial on each panel between neighbouring
 stations and constant on the edge panels, and r is linear in f, so r * v(f)
 is at most quartic per panel and a 3-point Gauss-Legendre rule (exact to
@@ -35,7 +35,7 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 def _radius_weight_vector(model: FourierModel) -> np.ndarray:
-    """q = integral over span of r(f) * U^T v(f) * dr, as a length-M vector."""
+    """q = integral over span of r(f) * v(f) * dr, as a length-M vector."""
     geometry = model.geometry
     knots = np.unique(np.concatenate(([0.0], geometry.r_stations, [1.0])))
     half = 0.5 * np.diff(knots)[:, None]  # (panels, 1)

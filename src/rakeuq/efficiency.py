@@ -26,20 +26,27 @@ PARAM_NAMES = ("T01", "T02", "P01", "P02", "gamma")
 DEFAULT_SIGMAS = np.array([2.4, 1.4, 600.0, 100.0, 0.001])
 
 
-def _split(z):
+def _terms(z):
+    """The domain checks of a state or a stack of states z, then the terms
+    eta and its gradient share: (T01, T02, P01, P02, gamma, D, pr, exponent)
+    with pr = (P02/P01)^exponent, exponent = (gamma-1)/gamma and D = 1 - pr.
+    """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != 5:
         raise DimensionMismatch("state vector must have 5 entries (T01,T02,P01,P02,gamma)")
-    return z[..., 0], z[..., 1], z[..., 2], z[..., 3], z[..., 4]
-
-
-def _denominator(T01, P01, P02, gamma):
+    T01, T02, P01, P02, gamma = (z[..., i] for i in range(5))
+    if np.count_nonzero(np.isfinite(z)) < z.size:
+        raise InvalidParams("z must be finite")
+    if np.any(T01 <= 0.0) or np.any(P01 <= 0.0) or np.any(P02 <= 0.0):
+        raise InvalidParams("temperatures and pressures must be positive")
+    if np.any(gamma <= 1.0):
+        raise InvalidParams("gamma must exceed 1")
     exponent = (gamma - 1.0) / gamma
     pr = np.power(P02 / P01, exponent)
     D = 1.0 - pr
     if np.any(D == 0.0):
         raise DegenerateRatio("pressure-ratio term vanished (P02 = P01 or gamma = 1)")
-    return D, pr, exponent
+    return T01, T02, P01, P02, gamma, D, pr, exponent
 
 
 def efficiency(z):
@@ -48,28 +55,19 @@ def efficiency(z):
     z must be finite, with positive temperatures and pressures and gamma
     above 1.
     """
-    T01, T02, P01, P02, gamma = _split(z)
-    if np.count_nonzero(np.isfinite(z)) < np.size(z):
-        raise InvalidParams("z must be finite")
-    if np.any(T01 <= 0.0) or np.any(P01 <= 0.0) or np.any(P02 <= 0.0):
-        raise InvalidParams("temperatures and pressures must be positive")
-    if np.any(gamma <= 1.0):
-        raise InvalidParams("gamma must exceed 1")
-    D, _, _ = _denominator(T01, P01, P02, gamma)
+    T01, T02, _, _, _, D, _, _ = _terms(z)
     eta = (T01 - T02) / (T01 * D)
     return float(eta) if np.ndim(z) == 1 else eta
 
 
-def efficiency_gradient(z) -> np.ndarray:
-    """Analytic gradient of the efficiency wrt (T01, T02, P01, P02, gamma)."""
-    T01, T02, P01, P02, gamma = _split(np.asarray(z, dtype=float))
+def _value_and_gradient(z):
+    """(eta, its analytic gradient) at a single state z, from one ``_terms``."""
     if np.ndim(z) != 1:
         raise DimensionMismatch("gradient takes a single state vector")
-    efficiency(z)  # reuse the domain checks
-    D, pr, exponent = _denominator(T01, P01, P02, gamma)
+    T01, T02, P01, P02, gamma, D, pr, exponent = _terms(z)
     num = T01 - T02
     core = num * exponent * pr / (T01 * D**2)  # shared by both pressure terms
-    return np.array(
+    grad = np.array(
         [
             T02 / (T01**2 * D),
             -1.0 / (T01 * D),
@@ -78,6 +76,12 @@ def efficiency_gradient(z) -> np.ndarray:
             num * pr * np.log(P02 / P01) / (T01 * D**2 * gamma**2),
         ]
     )
+    return float(num / (T01 * D)), grad
+
+
+def efficiency_gradient(z) -> np.ndarray:
+    """Analytic gradient of the efficiency wrt (T01, T02, P01, P02, gamma)."""
+    return _value_and_gradient(z)[1]
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class EfficiencyReport:
 
 def taylor_variance(state: StationState) -> EfficiencyReport:
     """Propagate the state covariance through the first-order expansion."""
-    grad = efficiency_gradient(state.z)
+    eta, grad = _value_and_gradient(state.z)
     var = float(grad @ state.covariance @ grad)
     if var < 0.0:
         var = 0.0
@@ -137,7 +141,7 @@ def taylor_variance(state: StationState) -> EfficiencyReport:
     total = contrib.sum()
     fractions = contrib / total if total > 0.0 else np.zeros_like(contrib)
     return EfficiencyReport(
-        eta_mean=efficiency(state.z),
+        eta_mean=eta,
         eta_variance=var,
         contributions=dict(zip(PARAM_NAMES, contrib.tolist())),
         contribution_fractions=dict(zip(PARAM_NAMES, fractions.tolist())),

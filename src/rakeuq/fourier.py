@@ -3,14 +3,14 @@
 The field at one axial plane is modelled station by station as a truncated
 Fourier series in circumferential angle,
 
-    T(r, theta) = v(r)^T U X^T a(theta),
+    T(r, theta) = v(r)^T X^T a(theta),
 
 where a(theta) = [1, cos(w1 t), sin(w1 t), ..., cos(wk t), sin(wk t)]^T is the
 harmonic basis evaluated at the angle, X is the (2k+1) x M coefficient matrix
-(one column per radial station) and v(r)^T U blends the per-station values
-radially. By default U is the identity and v(r) holds natural-cubic-spline
-cardinal weights through the stations, so v(r_m)^T U = e_m^T and the model
-interpolates each station's circumferential fit exactly.
+(one column per radial station) and v(r) blends the per-station values
+radially. By default v(r) holds natural-cubic-spline cardinal weights
+through the stations, so v(r_m) = e_m and the model interpolates each
+station's circumferential fit exactly.
 
 Fitting is multivariate least squares over the N x M measurement matrix B:
 X = argmin ||A X - B||_F^2, where row n of the design matrix A is a(theta_n)^T.
@@ -164,32 +164,28 @@ class RadialBasis:
     (h = s_{m+1} - s_m, t = (f - s_m)/h, u = 1 - t) both are the cubic
     v(f) = u e_m + t e_{m+1} + h^2/6 [(u^3 - u) c_m + (t^3 - t) c_{m+1}],
     with c_m the knot second derivatives: the natural spline's for "cubic",
-    zero for "linear". Either way v(s_m) = e_m at the stations, weights are
-    held constant outside the station range, and U (identity unless
-    supplied) maps station values to blending coefficients.
+    zero for "linear". Either way v(s_m) = e_m at the stations, and the
+    weights are held constant outside the station range. v is the station
+    mixture applied to the columns of X.
     """
 
     stations: np.ndarray
     kind: str = "cubic"
-    U: np.ndarray = None
 
     def __post_init__(self):
         stations = np.atleast_1d(np.asarray(self.stations, dtype=float))
         if self.kind not in ("cubic", "linear"):
             raise InvalidParams(f"unknown radial basis kind {self.kind!r}")
-        U = np.eye(stations.size) if self.U is None else np.asarray(self.U, dtype=float)
-        if U.shape != (stations.size, stations.size):
-            raise DimensionMismatch("U must be M x M")
         object.__setattr__(self, "stations", stations)
-        object.__setattr__(self, "U", U)
-        C = _natural_curvatures(stations) if self.kind == "cubic" else np.zeros(U.shape)
+        M = stations.size
+        C = _natural_curvatures(stations) if self.kind == "cubic" else np.zeros((M, M))
         object.__setattr__(self, "_curvatures", C)
 
     @property
     def n_stations(self) -> int:
         return self.stations.size
 
-    def weights(self, frac) -> np.ndarray:
+    def blend(self, frac) -> np.ndarray:
         """Cardinal weights v at span fraction(s) in [0, 1].
 
         Returns shape (M,) for a scalar argument, (n, M) for an array.
@@ -216,10 +212,6 @@ class RadialBasis:
             w[rows, idx] += u
             w[rows, idx + 1] += t
         return w[0] if scalar_input else w
-
-    def blend(self, frac) -> np.ndarray:
-        """U^T v(frac): the station mixture actually applied to X columns."""
-        return self.weights(frac) @ self.U
 
 
 class _RidgeGuard(NamedTuple):
@@ -395,7 +387,13 @@ class FourierModel:
         return self.harmonics.n_coeffs
 
     def pseudoinverse(self, lam: float = 0.0) -> np.ndarray:
-        """(A^T A + lam^2 I)^{-1} A^T; the plain pseudoinverse for lam = 0."""
+        """(A^T A + lam^2 I)^{-1} A^T; the plain pseudoinverse for lam = 0.
+
+        lam must be 0, or positive and finite like a ladder entry; NaN, a
+        negative or an infinite lam raises InvalidParams.
+        """
+        if not 0.0 <= lam < math.inf:
+            raise InvalidParams(f"lam must be nonnegative and finite, got {lam!r}")
         if lam == 0.0:
             if self.P is None:
                 raise SingularDesign(
@@ -413,7 +411,6 @@ def build_design_matrix(
     lambda_ladder=DEFAULT_LADDER,
     beta: float = DEFAULT_BETA,
     radial_basis: str = "cubic",
-    U: np.ndarray = None,
 ) -> FourierModel:
     """Assemble the Fourier model for a geometry and harmonic set.
 
@@ -431,7 +428,7 @@ def build_design_matrix(
             f"{geometry.n_rakes} rakes and no ridge requested"
         )
     P = None if singular else qr_solve(A, np.eye(geometry.n_rakes))
-    radial = RadialBasis(geometry.r_stations, kind=radial_basis, U=U)
+    radial = RadialBasis(geometry.r_stations, kind=radial_basis)
     return FourierModel(geometry, harmonics, A, P, cond, guard.lambda_ladder, guard.beta, radial)
 
 
@@ -490,7 +487,7 @@ def _location(value, name: str, max_ndim: int = 1) -> np.ndarray:
     More than ``max_ndim`` dimensions (a scalar for 0, a vector for 1) is
     refused with DimensionMismatch, and a non-finite angle with
     InvalidParams. Span fractions are range-checked, NaN included, where
-    ``RadialBasis.weights`` reads them.
+    ``RadialBasis.blend`` reads them.
     """
     value = np.asarray(value, dtype=float)
     if value.ndim > max_ndim:

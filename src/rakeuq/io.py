@@ -340,11 +340,16 @@ def build_report(
     metrics,
     area,
     *,
-    legacy_block=None,
-    predictive_block=None,
+    legacy_block: dict,
+    predictive_block: dict,
     units: str = "K",
 ) -> dict:
-    """Assemble the JSON uncertainty report for one fitted campaign."""
+    """Assemble the JSON uncertainty report for one fitted campaign.
+
+    ``legacy_block`` and ``predictive_block`` are the report's ``legacy``
+    and ``predictive`` entries, written as given after the fit, metrics,
+    area average, units and provenance.
+    """
     n_meas = model.n_rakes * model.n_stations
     report = {
         "fit": {
@@ -370,14 +375,12 @@ def build_report(
         },
         "units": units,
         "provenance": provenance(),
+        "legacy": legacy_block,
+        "predictive": predictive_block,
     }
     if metrics.chi2 is not None:
         report["metrics"]["g"] = int(metrics.chi2.g)
         report["metrics"]["phi"] = float(metrics.chi2.phi)
-    if legacy_block is not None:
-        report["legacy"] = legacy_block
-    if predictive_block is not None:
-        report["predictive"] = predictive_block
     assert_finite(report)
     return report
 

@@ -91,11 +91,14 @@ MIN_CHUNK = 512
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed, sample count and antithetic switch for one Monte Carlo run."""
+    """Seed and sample count of one Monte Carlo run.
+
+    Every sampler draws independent standard normals,
+    ``rng.standard_normal((n, dim))``, from generators seeded by ``seed``.
+    """
 
     seed: int
     n_samples: int
-    antithetic: bool = False
 
     def __post_init__(self):
         seed, n_samples = _whole(self.seed, "seed"), _whole(self.n_samples, "n_samples")
@@ -160,14 +163,6 @@ def psd_factor(cov) -> np.ndarray:
     return _psd_factor(cov)[1]
 
 
-def _standard_draws(rng, n: int, dim: int, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return rng.standard_normal((n, dim))
-    half = (n + 1) // 2
-    z = rng.standard_normal((half, dim))
-    return np.concatenate([z, -z], axis=0)[:n]
-
-
 def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
 
@@ -178,8 +173,7 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     L = psd_factor(cov)
     if L.shape[0] != mean.size:
         raise DimensionMismatch("mean and covariance sizes differ")
-    rng = np.random.default_rng(config.seed)
-    z = _standard_draws(rng, config.n_samples, mean.size, config.antithetic)
+    z = np.random.default_rng(config.seed).standard_normal((config.n_samples, mean.size))
     return mean + z @ L.T
 
 
@@ -271,8 +265,7 @@ def mc_propagate_model(
     A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
     def run_batch(seed_child, size):
-        rng = np.random.default_rng(seed_child)
-        z = _standard_draws(rng, size, NM, config.antithetic)
+        z = np.random.default_rng(seed_child).standard_normal((size, NM))
         # Each block of G_R maps its own slice of z: one stacked product.
         r = z.reshape(size, n_blocks, width).transpose(1, 0, 2) @ R_mapT
         r += mu_R0
@@ -362,9 +355,12 @@ def rake_position_mc(
     design matrix and fits the fixed measurement matrix B through ``fit``'s
     norm guard and ridge ladder, trying lambda = 0 only where ``fit`` does;
     draws whose ladder is exhausted are dropped and counted, and the run
-    aborts with DrawFailed when more than ``max_failure_fraction`` of draws
-    fail.
+    aborts with DrawFailed when more than ``max_failure_fraction``, a
+    fraction in [0, 1], of draws fail. ``n_prediction`` is a whole number.
     """
+    if not 0.0 <= max_failure_fraction <= 1.0:  # NaN fails too
+        raise InvalidParams(f"max_failure_fraction must lie in [0, 1], got {max_failure_fraction!r}")
+    n_prediction = _whole(n_prediction, "n_prediction")
     B = _readings(B, "B", model)
     N = model.n_rakes
     mu_theta = model.geometry.theta_deg
@@ -394,8 +390,7 @@ def rake_position_mc(
         return _fit_batch(model, design_matrix(thetas, omega), B, plain=plain)
 
     def run_batch(seed_child, size):
-        rng = np.random.default_rng(seed_child)
-        z = _standard_draws(rng, size, N, config.antithetic)
+        z = np.random.default_rng(seed_child).standard_normal((size, N))
         thetas = _wrap_degrees(mu_theta + z @ L.T)
         X, lambdas, ok = _split_rows(fit_draws, thetas)
         if ok.all():

@@ -266,8 +266,7 @@ class MeasurementDistribution:
     """Gaussian measurement model: mean matrix plus vectorized covariance.
 
     ``iid_sigma`` is the scalar noise level sqrt(v) when Sigma_B is exactly
-    v I and None otherwise. It is derived from Sigma_B; a value
-    passed in must equal it, or InvalidParams is raised.
+    v I and None otherwise. It is always derived from Sigma_B, never given.
 
     ``station_blocks`` is Sigma_B as the propagation reads it: the M
     diagonal N x N blocks, shape (M, N, N), when no two stations correlate
@@ -282,8 +281,8 @@ class MeasurementDistribution:
     unchecked. If a check clipped, blocks and factor describe the clipped
     matrix, and so does ``Sigma_B``, built when read.
 
-    The constructor takes (mu_B, Sigma_B, iid_sigma) while the dataclass
-    fields are (mu_B, iid_sigma, station_blocks, factor_blocks), so
+    The constructor takes (mu_B, Sigma_B) while the dataclass fields are
+    (mu_B, iid_sigma, station_blocks, factor_blocks), so
     ``dataclasses.replace`` does not work on it; build a new one from
     ``Sigma_B`` instead.
     """
@@ -293,7 +292,7 @@ class MeasurementDistribution:
     station_blocks: np.ndarray
     factor_blocks: np.ndarray
 
-    def __init__(self, mu_B, Sigma_B, iid_sigma: float = None):
+    def __init__(self, mu_B, Sigma_B):
         mu = _readings(mu_B, "mu_B")
         S = np.asarray(Sigma_B, dtype=float)
         if S.shape != (mu.size, mu.size):
@@ -301,12 +300,7 @@ class MeasurementDistribution:
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
         blocks, factor = _psd_factor(_station_blocks(S, *mu.shape), "Sigma_B")
-        exact, blocks, factor = _exact_iid_sigma(blocks, factor, *mu.shape)
-        if iid_sigma is not None and (exact is None or float(iid_sigma) != exact):
-            raise InvalidParams(
-                f"iid_sigma {iid_sigma!r} disagrees with Sigma_B, which gives {exact!r}"
-            )
-        self._fill(mu, exact, blocks, factor)
+        self._fill(mu, *_exact_iid_sigma(blocks, factor, *mu.shape))
 
     def _fill(self, mu, iid_sigma, station_blocks, factor_blocks):
         object.__setattr__(self, "mu_B", mu)

@@ -61,7 +61,7 @@ from .fourier import (
     _ridge_guard,
     design_matrix,
 )
-from .geometry import AnnulusGeometry
+from .geometry import AnnulusGeometry, _whole
 from .propagation import FieldDistribution, MeasurementDistribution, _diagonal_blocks, vec
 
 # Singular values above this fraction of the largest count toward rank.
@@ -155,13 +155,18 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
 
     Each term is a Poisson(phi/2) weight times a central chi-square density
     with g + 2j degrees of freedom; the series stops once a term drops below
-    1e-14 of the running sum (past the Poisson mode). Scalar or array x.
+    1e-14 of the running sum (past the Poisson mode). Scalar or array x;
+    x and phi must be finite.
     """
     if g < 1:
         raise InvalidParams("need g >= 1 degrees of freedom")
+    if not math.isfinite(phi):
+        raise InvalidParams(f"phi must be finite, got {phi!r}")
     if phi < 0.0:
         raise InvalidParams("noncentrality must be nonnegative")
     x = np.asarray(x, dtype=float)
+    if np.count_nonzero(np.isfinite(x)) < x.size:
+        raise InvalidParams("x must be finite")
     if np.any(x < 0.0):
         raise InvalidParams("the density is supported on x >= 0")
     scalar_input = x.ndim == 0
@@ -288,7 +293,8 @@ def frequency_scan(
     station) with an iid noise level ``sigma_b``, taken as
     ``MeasurementDistribution.from_iid(meas, sigma_b)``.
 
-    Every pair (w1, w2), w1 < w2 <= max_freq, has a K = 5 design, so all of
+    ``max_freq``, a whole number of at least 2, bounds the orders. Every
+    pair (w1, w2), w1 < w2 <= max_freq, has a K = 5 design, so all of
     them are stacked into one (P, N, 5) array, sliced from the columns of
     one design over the harmonics 1..max_freq. One batched SVD gives each
     pair's cond(A^T A) and singular flag under ``build_design_matrix``'s
@@ -314,6 +320,7 @@ def frequency_scan(
     mean_eps = inf rather than being dropped. The radial basis does not
     enter: the metric lives at the rakes.
     """
+    max_freq = _whole(max_freq, "max_freq")
     if max_freq < 2:
         raise InvalidParams("max_freq must be at least 2")
     if isinstance(meas, MeasurementDistribution) != (sigma_b is None):
@@ -360,4 +367,4 @@ def frequency_scan(
     lam = [l if fitted else None for l, fitted in zip(lambdas.tolist(), ok.tolist())]
     rows = zip(pairs, lam, mean_eps.tolist(), cond.tolist(), (~ok).tolist())
     entries = tuple(starmap(ScanEntry, sorted(rows, key=itemgetter(2, 0))))
-    return FrequencyScanResult(entries, meas.iid_sigma, int(max_freq))
+    return FrequencyScanResult(entries, meas.iid_sigma, max_freq)

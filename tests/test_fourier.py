@@ -312,7 +312,7 @@ def test_cubic_weights_match_scipy_natural_spline(stations):
     f = np.linspace(0.0, 1.0, 1001)
     oracle = CubicSpline(stations, np.eye(stations.size), bc_type="natural")
     want = oracle(np.clip(f, stations[0], stations[-1]))
-    np.testing.assert_allclose(RadialBasis(stations).weights(f), want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(RadialBasis(stations).blend(f), want, rtol=0, atol=1e-14)
 
 
 def test_linear_weights_are_cardinal_at_stations():
@@ -344,14 +344,6 @@ def test_interior_weights_partition_unity():
     basis = RadialBasis(STATIONS)
     r = np.linspace(0.05, 0.95, 41)
     np.testing.assert_allclose(basis.blend(r).sum(axis=1), np.ones(41), atol=1e-12)
-
-
-def test_station_blend_matrix_weighting():
-    U = np.diag(np.arange(1.0, 8.0))
-    basis = RadialBasis(STATIONS, U=U)
-    plain = RadialBasis(STATIONS)
-    r = np.array([0.3, 0.62])
-    np.testing.assert_allclose(basis.blend(r), plain.blend(r) @ U, atol=1e-14)
 
 
 def test_predict_point_matches_station_fit(engine_model, engine_data, truth):

@@ -6,9 +6,12 @@ deviation, every span fraction and prediction angle, every field read
 against a model, and every count, seed and harmonic order is checked by one
 reader, which names the input when it refuses it. The table below sends one
 bad input of each kind through every entry point that takes it, together
-with the non-finite values that the efficiency and legacy range checks
-refuse; the CLI tests check that the same refusals reach the command line
-as exit 2 naming the file's block.
+with the values that the range checks refuse: non-finite efficiency and
+legacy values, a ridge penalty lam that is not 0 or positive and finite, a
+failure fraction outside [0, 1], and non-finite arguments of the
+noncentral chi-square density. NaN fails every range. The CLI tests check
+that the same refusals reach the command line as exit 2 naming the file's
+block.
 """
 
 import json
@@ -41,6 +44,7 @@ from rakeuq import (
     frequency_scan,
     fit,
     legacy_sampling_uncertainty,
+    noncentral_chisq_pdf,
     predict_point,
     predictive_grid,
     rake_position_mc,
@@ -174,6 +178,37 @@ CASES = {
         lambda c: HarmonicField(frequency=2.5), InvalidParams, "frequency"),
     "fig1-fractional-rake-count": (lambda c: fig1_demo(rake_counts=(3, 8.5)), InvalidParams, "rake_counts"),
     "harmonic-set-fractional-order": (lambda c: HarmonicSet((1, 2.5)), InvalidParams, "harmonic orders"),
+    "scan-fractional-max_freq": (
+        lambda c: frequency_scan(c.geometry, c.B, SIGMA_B, max_freq=2.5, beta=BETA), InvalidParams, "max_freq"),
+    "scan-nan-max_freq": (
+        lambda c: frequency_scan(c.geometry, c.B, SIGMA_B, max_freq=math.nan, beta=BETA),
+        InvalidParams, "max_freq"),
+    "rake-fractional-n_prediction": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, n_prediction=2.5), InvalidParams, "n_prediction"),
+    "rake-nan-n_prediction": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, n_prediction=math.nan),
+        InvalidParams, "n_prediction"),
+    # the ridge penalty lam: 0, or positive and finite like a ladder entry
+    "field-nan-lam": (
+        lambda c: FieldDistribution.from_measurements(c.model, c.meas, math.nan), InvalidParams, "lam"),
+    "field-negative-lam": (
+        lambda c: FieldDistribution.from_measurements(c.model, c.meas, -0.1), InvalidParams, "lam"),
+    "pseudoinverse-inf-lam": (lambda c: c.model.pseudoinverse(math.inf), InvalidParams, "lam"),
+    # fractions in [0, 1], NaN refused
+    "rake-nan-failure-fraction": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=math.nan),
+        InvalidParams, "max_failure_fraction"),
+    "rake-negative-failure-fraction": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=-1.0),
+        InvalidParams, "max_failure_fraction"),
+    "rake-failure-fraction-above-one": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=1.5),
+        InvalidParams, "max_failure_fraction"),
+    # the noncentral chi-square density at finite x and phi
+    "pdf-nan-x": (lambda c: noncentral_chisq_pdf(math.nan, 3, 1.0), InvalidParams, "x"),
+    "pdf-inf-x": (lambda c: noncentral_chisq_pdf([1.0, math.inf], 3, 1.0), InvalidParams, "x"),
+    "pdf-nan-phi": (lambda c: noncentral_chisq_pdf(1.0, 3, math.nan), InvalidParams, "phi"),
+    "pdf-inf-phi": (lambda c: noncentral_chisq_pdf(1.0, 3, math.inf), InvalidParams, "phi"),
     # efficiency and legacy values: range checks that NaN fails
     "efficiency-nan-T01": (lambda c: efficiency(_state_z(0, math.nan)), InvalidParams, "z"),
     "efficiency-nan-gamma": (lambda c: efficiency(_state_z(4, math.nan)), InvalidParams, "z"),
@@ -194,13 +229,16 @@ def test_bad_input_refused_naming_it(ctx, call, error, name):
         call(ctx)
 
 
-def test_whole_number_floats_and_numpy_integers_accepted():
+def test_whole_number_floats_and_numpy_integers_accepted(engine_geometry, engine_model, engine_data):
     config = SamplerConfig(np.int64(3), 4.0)
     assert (config.seed, config.n_samples) == (3, 4)
     assert type(config.seed) is type(config.n_samples) is int
     assert HarmonicField(frequency=2.0).frequency == HarmonicField(frequency=np.int32(2)).frequency == 2
     assert [row.n_rakes for row in fig1_demo(rake_counts=(np.int64(3), 8.0))] == [3, 8]
     assert HarmonicSet((1.0, np.int64(4))).omega == (1, 4)
+    assert frequency_scan(engine_geometry, engine_data, SIGMA_B, max_freq=3.0, beta=BETA).max_freq == 3
+    rake = rake_position_mc(engine_model, engine_data, 0.5, config, n_prediction=np.int64(4))
+    assert rake.theta_pred_deg.tolist() == [0.0, 90.0, 180.0, 270.0]
 
 
 @pytest.mark.parametrize("s", [0.0, _SIGMA_MIN, SIGMA_B, 1e150, _SIGMA_MAX])

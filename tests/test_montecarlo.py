@@ -92,11 +92,6 @@ def test_sample_mvn_rejects_indefinite():
             mc_mod.psd_factor(cov)
 
 
-def test_antithetic_mirror_pairs():
-    s = sample_mvn(np.zeros(4), np.eye(4), SamplerConfig(5, 2000, antithetic=True))
-    np.testing.assert_array_equal(s[1000:], -s[:1000])
-
-
 def test_sampler_config_validation():
     with pytest.raises(InvalidParams):
         SamplerConfig(seed=1, n_samples=1)
@@ -186,7 +181,7 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     res = mc_propagate_model(engine_model, meas, cfg)
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [512]
-    z = mc_mod._standard_draws(np.random.default_rng(children[0]), 512, 42, False)
+    z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(Sigma_B).T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.P @ B
@@ -220,7 +215,7 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [512]
-    z = mc_mod._standard_draws(np.random.default_rng(children[0]), 512, 42, False)
+    z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(meas.Sigma_B).T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.pseudoinverse(lam) @ B
@@ -317,7 +312,7 @@ def _per_draw_fits(model, meas, cfg, lam):
     L = mc_mod.psd_factor(meas.Sigma_B)
     children, sizes = mc_mod._batch_plan(cfg)
     z = np.concatenate([
-        mc_mod._standard_draws(np.random.default_rng(child), size, 42, cfg.antithetic)
+        np.random.default_rng(child).standard_normal((size, 42))
         for child, size in zip(children, sizes)
     ])
     B = (meas.mu_B.reshape(-1, order="F") + z @ L.T).reshape(-1, 7, 6).transpose(0, 2, 1)
@@ -332,10 +327,8 @@ def _per_draw_fits(model, meas, cfg, lam):
     "cfg",
     [
         SamplerConfig(seed=47, n_samples=mc_mod.BATCH + 3),
-        SamplerConfig(seed=53, n_samples=1001, antithetic=True),
-        SamplerConfig(seed=59, n_samples=mc_mod.BATCH + 3, antithetic=True),
     ],
-    ids=["two batches", "antithetic", "antithetic, two batches"],
+    ids=["two batches"],
 )
 def test_mc_multi_batch_and_antithetic_match_per_draw_samples(
     engine_model, engine_data, noise, cfg
@@ -803,7 +796,7 @@ def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
     thetas = np.concatenate([
         mc_mod._wrap_degrees(
             engine_model.geometry.theta_deg
-            + mc_mod._standard_draws(np.random.default_rng(child), size, N, False) @ L.T
+            + np.random.default_rng(child).standard_normal((size, N)) @ L.T
         )
         for child, size in zip(children, sizes)
     ])
@@ -1012,10 +1005,9 @@ def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
 
 def test_mc_multi_batch_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
     meas = MeasurementDistribution.from_diagonal(engine_data, np.linspace(0.3, 0.7, 42))
-    for antithetic in (False, True):
-        cfg = SamplerConfig(seed=99, n_samples=mc_mod.BATCH + 3000, antithetic=antithetic)
-        results, _ = _at_cpu_counts(monkeypatch, lambda: mc_propagate_model(engine_model, meas, cfg))
-        _assert_same_bytes(results, MC_FIELDS)
+    cfg = SamplerConfig(seed=99, n_samples=mc_mod.BATCH + 3000)
+    results, _ = _at_cpu_counts(monkeypatch, lambda: mc_propagate_model(engine_model, meas, cfg))
+    _assert_same_bytes(results, MC_FIELDS)
 
 
 class _NoThreads(Exception):

@@ -391,20 +391,6 @@ def test_clipped_sigma_b_and_its_factor_agree(engine_data, blocks):
     assert np.linalg.eigvalsh(meas.Sigma_B).min() > -1e-14
 
 
-@pytest.mark.parametrize(
-    "Sigma_B,iid_sigma",
-    [
-        (np.diag(np.linspace(0.1, 1.0, 42)), 0.5),  # not iid at all
-        (0.25 * np.eye(42), 0.4),  # iid, at another level
-        (0.25 * np.eye(42), np.nan),
-        (0.25 * np.eye(42), -0.5),
-    ],
-)
-def test_iid_sigma_contradicting_sigma_b_rejected(engine_data, Sigma_B, iid_sigma):
-    with pytest.raises(InvalidParams, match="iid_sigma"):
-        MeasurementDistribution(engine_data, Sigma_B, iid_sigma=iid_sigma)
-
-
 @pytest.mark.parametrize("v", [2.0, 2.5e-308, SIGMA_B**2])
 def test_iid_blocks_keep_the_given_variance(engine_data, v):
     # v I is kept as given even where v is not the square of a double
@@ -418,7 +404,6 @@ def test_iid_blocks_keep_the_given_variance(engine_data, v):
 
 
 def test_iid_sigma_is_derived_from_sigma_b(engine_data):
-    assert MeasurementDistribution(engine_data, 0.25 * np.eye(42), iid_sigma=0.5).iid_sigma == 0.5
     assert MeasurementDistribution(engine_data, 0.25 * np.eye(42)).iid_sigma == 0.5
     diag = MeasurementDistribution(engine_data, np.diag(np.linspace(0.1, 1.0, 42)))
     assert diag.iid_sigma is None
