@@ -73,7 +73,6 @@ from .geometry import _whole
 from .propagation import (
     MeasurementDistribution,
     _block_congruence,
-    _block_left,
     _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
@@ -167,14 +166,22 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
 
     All rows come in one block from ``np.random.default_rng(config.seed)``,
-    not in the engines' spawned batches.
+    not in the engines' spawned batches. ``mean`` must be finite.
     """
     mean = np.asarray(mean, dtype=float).ravel()
+    if not np.isfinite(mean).all():
+        raise InvalidParams("mean must be finite")
     L = psd_factor(cov)
     if L.shape[0] != mean.size:
         raise DimensionMismatch("mean and covariance sizes differ")
     z = np.random.default_rng(config.seed).standard_normal((config.n_samples, mean.size))
     return mean + z @ L.T
+
+
+def _block_left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D X for D block diagonal with (B, k, w) blocks; X has B w rows."""
+    n_blocks, k, w = blocks.shape
+    return (blocks @ X.reshape(n_blocks, w, -1)).reshape(n_blocks * k, *X.shape[1:])
 
 
 def _mapped_covariance(G: np.ndarray, z_sum: np.ndarray, z_cross: np.ndarray, n: int):
@@ -225,7 +232,7 @@ class McPropagation:
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _block_congruence(self._design, self.Sigma_X[None], self.mu_F.shape[1])[0]
+        return _block_congruence(self._design, self.Sigma_X[None])[0]
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:
@@ -256,7 +263,7 @@ def mc_propagate_model(
     # block form of L. F = A X exactly, so it needs no map of its own.
     L = meas.factor_blocks
     n_blocks, width = L.shape[:2]
-    G_X, G_R = (_station_map(T, L, M) for T in (P, resid))
+    G_X, G_R = (_station_map(T, L) for T in (P, resid))
     R_mapT = G_R.transpose(0, 2, 1)
     mu_R0 = (resid @ meas.mu_B).T.reshape(n_blocks, 1, width)
     r_fracs = model.geometry.r_stations

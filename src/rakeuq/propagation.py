@@ -26,10 +26,10 @@ itself when the MeasurementDistribution is built:
   the KM x KM Sigma_X by A, takes this path.
 
 The Monte Carlo engine maps its noise factor with ``_station_map`` too.
-No reported number needs a dense NM x NM matrix: the residual moments and
-the chi-square law read the blocks, and the area average and the predictive
-grid read the KM x KM Sigma_X, which is assembled at once. The dense
-Sigma_B, Sigma_F and Sigma_R are built on first read only.
+No reported number needs a dense NM x NM matrix: the residual moments read
+the blocks, the chi-square law only mu_R, and the area average and the
+predictive grid read the KM x KM Sigma_X, which is assembled at once. The
+dense Sigma_B, Sigma_F and Sigma_R are built on first read only.
 
 Every PSD check in the package is one rule, ``_psd_factor``: non-finite
 input is refused, a Cholesky factor that exists is kept, and otherwise the
@@ -388,29 +388,23 @@ class MeasurementDistribution:
         return self.mu_B.shape[1]
 
 
-def _block_left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """D X for D block diagonal with (B, k, w) blocks; X has B w rows."""
-    n_blocks, k, w = blocks.shape
-    return (blocks @ X.reshape(n_blocks, w, -1)).reshape(n_blocks * k, *X.shape[1:])
-
-
-def _station_map(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
+def _station_map(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """(I_M kron T) X for a k x N block T, in the block form of X: station
     blocks (M, N, w) give the (M, k, w) stack of T X_m, one (1, NM, w) block
-    one (1, Mk, w) block."""
-    if blocks.shape[0] > 1:
-        return T @ blocks
-    return _block_left(np.broadcast_to(T, (n_stations, *T.shape)), blocks[0])[None]
+    one (1, Mk, w) block. Both are one stacked product over the N-row slices
+    of X."""
+    n_blocks, _, w = blocks.shape
+    return (T @ blocks.reshape(-1, T.shape[1], w)).reshape(n_blocks, -1, w)
 
 
-def _block_congruence(T: np.ndarray, blocks: np.ndarray, n_stations: int) -> np.ndarray:
+def _block_congruence(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, in the block form of Sigma.
 
     Two station maps, one from each side: station blocks (M, N, N) give the
     stack of T (T S_m)^T = T S_m T^T, (M, k, k), and one (1, NM, NM) block
     gives one (1, Mk, Mk) block.
     """
-    out = _station_map(T, _station_map(T, blocks, n_stations).transpose(0, 2, 1), n_stations)
+    out = _station_map(T, _station_map(T, blocks).transpose(0, 2, 1))
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
@@ -441,17 +435,17 @@ class FieldDistribution:
         _readings(meas.mu_B, "mu_B", model)
         P = model.pseudoinverse(lam)
         K = model.A @ P - np.eye(model.n_rakes)
-        blocks, M = meas.station_blocks, model.n_stations
+        blocks = meas.station_blocks
         mu_X = P @ meas.mu_B
         mu_F = model.A @ mu_X
         return cls(
-            mu_X, _block_diagonal(_block_congruence(P, blocks, M)), mu_F, mu_F - meas.mu_B,
-            _block_congruence(K, blocks, M), meas.iid_sigma, lam, model.A,
+            mu_X, _block_diagonal(_block_congruence(P, blocks)), mu_F, mu_F - meas.mu_B,
+            _block_congruence(K, blocks), meas.iid_sigma, lam, model.A,
         )
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _block_congruence(self.design, self.Sigma_X[None], self.n_stations)[0]
+        return _block_congruence(self.design, self.Sigma_X[None])[0]
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:

@@ -13,10 +13,15 @@ the scaled residual power ||R||_F^2 / NM has the exact moments
     sigma^2(eps_p^2) = (2 ||Sigma_R||_F^2 + 4 mu_R^T Sigma_R mu_R) / NM^2
 
 Its law is a weighted sum of noncentral chi-square(1) terms (Imhof 1961).
-Only for iid probe noise sigma_b > 0 and an unregularized fit is
-Sigma_R / sigma_b^2 = I_M kron (I - H) a projector; then (NM/sigma_b^2) *
-||R||_F^2 / NM is noncentral chi-square with g = rank(Sigma_R) degrees of
-freedom and noncentrality phi = vec(mu_R)^T Sigma_R^+ vec(mu_R), and the
+Only for iid probe noise sigma_b > 0, an unregularized fit and more rakes
+than coefficients (N > K) is Sigma_R / sigma_b^2 = I_M kron (I - H) a
+projector, of rank M (N - K) since the design has full column rank; then
+(NM/sigma_b^2) * ||R||_F^2 / NM is noncentral chi-square with the closed
+forms
+
+    g = M (N - K)    phi = ||mu_R||_F^2 / sigma_b^2
+
+(mu_R lies in the range of I - H; Seber & Lee 2003, chs. 2-3), and the
 moments above reduce to
 
     mu(eps_p^2)      = sigma_b^2/(NM) * (g + phi)
@@ -64,9 +69,6 @@ from .fourier import (
 from .geometry import AnnulusGeometry, _whole
 from .propagation import FieldDistribution, MeasurementDistribution, _diagonal_blocks, vec
 
-# Singular values above this fraction of the largest count toward rank.
-RANK_RTOL = 1e-10
-
 # Stop the pdf series once a term falls below this fraction of the partial sum.
 SERIES_RTOL = 1e-14
 
@@ -93,42 +95,48 @@ class ChiSquareParams:
     scale: float  # sigma_b^2 / (NM)
 
 
-def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
-    """Degrees of freedom and noncentrality from the residual moments.
+def _law_refusal(field: FieldDistribution):
+    """None where the scaled residual power is noncentral chi-square, else
+    the error that says why it is not.
 
-    Only valid when the measurement noise was iid (Sigma_B = sigma_b^2 I);
-    other covariances raise RequiresIidNoise.
-    iid noise makes Sigma_R = I_M kron S_R with an N x N block S_R, so the
-    law is read off S_R alone: g = M rank(S_R) and phi sums
-    mu_R[:, m]^T S_R^+ mu_R[:, m] over the stations.
+    The law needs Sigma_R / sigma_b^2 = I_M kron (I - H), a projector of
+    rank M (N - K): iid noise with sigma_b > 0, an unregularized fit, and
+    more rakes than coefficients. The design of an unregularized field has
+    full column rank, since ``pseudoinverse(0)`` refuses a singular one.
     """
+    n_rakes, n_coeffs = field.design.shape
     if field.iid_sigma is None:
-        raise RequiresIidNoise(
-            "closed-form residual statistics need Sigma_B = sigma_b^2 I"
-        )
-    mu_R = np.asarray(field.mu_R, dtype=float)
-    n_rakes, n_stations = mu_R.shape
-    block = field.R_blocks[0][:n_rakes, :n_rakes]
-    sv, U = np.linalg.eigh(block)
-    sv = sv[::-1]
-    U = U[:, ::-1]
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax <= 0.0:
-        # Noise-free exact fit: define phi = 0, but a nonzero residual mean
-        # with zero residual covariance has no chi-square description.
-        if float(np.sum(mu_R**2)) > 1e-20:
-            raise InvalidParams(
-                "zero residual covariance with nonzero residual mean"
-            )
-        g = 0
-        phi = 0.0
+        return RequiresIidNoise("closed-form residual statistics need Sigma_B = sigma_b^2 I")
+    if not field.iid_sigma > 0.0:
+        why = f"sigma_b = {field.iid_sigma!r}; it needs sigma_b > 0"
+    elif field.lambda_used != 0.0:
+        why = f"lambda = {field.lambda_used!r}; a ridge fit's Sigma_R is not a projector"
+    elif n_rakes <= n_coeffs:
+        why = f"N = {n_rakes} rakes for K = {n_coeffs} coefficients; it needs N > K"
     else:
-        rank = int(np.count_nonzero(sv > RANK_RTOL * smax))
-        g = n_stations * rank
-        proj = U[:, :rank].T @ mu_R
-        phi = float(np.sum(proj * (proj / sv[:rank, None])))
-    scale = field.iid_sigma**2 / mu_R.size
-    return ChiSquareParams(g, phi, float(scale))
+        return None
+    return InvalidParams(f"no chi-square law: {why}")
+
+
+def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
+    """Degrees of freedom and noncentrality of the scaled residual power.
+
+    ||R||_F^2 / sigma_b^2 is noncentral chi-square with g = M (N - K)
+    degrees of freedom and noncentrality phi = ||mu_R||_F^2 / sigma_b^2,
+    both exact: Sigma_R / sigma_b^2 is the projector I_M kron (I - H), and
+    mu_R lies in its range. This holds only for iid noise (other
+    covariances raise RequiresIidNoise) with sigma_b > 0, an unregularized
+    fit and N > K; sigma_b = 0, lambda > 0 and N <= K raise InvalidParams
+    saying why. ``scale`` is sigma_b^2 / NM, so the moments of
+    eps^2 = ||R||_F^2 / NM are scale (g + phi) and scale^2 (2g + 4 phi).
+    """
+    refusal = _law_refusal(field)
+    if refusal is not None:
+        raise refusal
+    mu_R = np.asarray(field.mu_R, dtype=float)
+    variance = field.iid_sigma**2
+    g = mu_R.shape[1] * (field.design.shape[0] - field.design.shape[1])
+    return ChiSquareParams(g, float(np.sum(mu_R**2)) / variance, float(variance / mu_R.size))
 
 
 def _residual_power_moments(field: FieldDistribution):
@@ -156,10 +164,12 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
     Each term is a Poisson(phi/2) weight times a central chi-square density
     with g + 2j degrees of freedom; the series stops once a term drops below
     1e-14 of the running sum (past the Poisson mode). Scalar or array x;
-    x and phi must be finite.
+    x and phi must be finite, and g a whole number of at least 1, read by
+    ``geometry._whole``.
     """
+    g = _whole(g, "g")
     if g < 1:
-        raise InvalidParams("need g >= 1 degrees of freedom")
+        raise InvalidParams("g must be at least 1 degree of freedom")
     if not math.isfinite(phi):
         raise InvalidParams(f"phi must be finite, got {phi!r}")
     if phi < 0.0:
@@ -231,14 +241,13 @@ def compute_metrics(
     """Assemble both metrics from a fit and its propagated moments.
 
     The moments are exact for every noise model and ridge penalty. The
-    chi-square parameters are attached only where that law holds: iid
-    noise with sigma_b > 0 and an unregularized fit.
+    chi-square parameters are attached exactly where ``chi_square_params``
+    returns them: iid noise with sigma_b > 0, an unregularized fit and
+    N > K.
     """
     eps_p = sampling_metric(model, coeffs, meas)
     mean_eps, var_eps = _residual_power_moments(field)
-    chi2 = None
-    if field.iid_sigma is not None and field.iid_sigma > 0.0 and field.lambda_used == 0.0:
-        chi2 = chi_square_params(field)
+    chi2 = None if _law_refusal(field) else chi_square_params(field)
     return UncertaintyMetrics(
         eps_p_sq=eps_p,
         eps_m_sq=mean_eps - eps_p,

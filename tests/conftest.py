@@ -46,6 +46,13 @@ OMEGA = (1, 4)
 BETA = 1e4
 
 
+def readme_readings(theta):
+    """The README campaign's kelvin-scale readings, N x 7, at the rake angles
+    ``theta`` (degrees): 520 + 15 r + 5 cos t + 2 r sin 4t."""
+    t = np.radians(np.asarray(theta, dtype=float))[:, None]
+    return 520.0 + 15.0 * STATIONS + 5.0 * np.cos(t) + 2.0 * STATIONS * np.sin(4.0 * t)
+
+
 def coefficient_truth(stations=STATIONS):
     """Ground-truth coefficient matrix: mean ~520 K, gentle radial trends."""
     s = np.asarray(stations, dtype=float)

@@ -8,8 +8,9 @@ reader, which names the input when it refuses it. The table below sends one
 bad input of each kind through every entry point that takes it, together
 with the values that the range checks refuse: non-finite efficiency and
 legacy values, a ridge penalty lam that is not 0 or positive and finite, a
-failure fraction outside [0, 1], and non-finite arguments of the
-noncentral chi-square density. NaN fails every range. The CLI tests check
+failure fraction outside [0, 1], non-finite arguments of the
+noncentral chi-square density (and a g that is not a whole number), and a
+non-finite mean of the normal sampler. NaN fails every range. The CLI tests check
 that the same refusals reach the command line as exit 2 naming the file's
 block.
 """
@@ -49,6 +50,7 @@ from rakeuq import (
     predictive_grid,
     rake_position_mc,
     rss_total,
+    sample_mvn,
     sampling_metric,
     vec,
 )
@@ -209,6 +211,14 @@ CASES = {
     "pdf-inf-x": (lambda c: noncentral_chisq_pdf([1.0, math.inf], 3, 1.0), InvalidParams, "x"),
     "pdf-nan-phi": (lambda c: noncentral_chisq_pdf(1.0, 3, math.nan), InvalidParams, "phi"),
     "pdf-inf-phi": (lambda c: noncentral_chisq_pdf(1.0, 3, math.inf), InvalidParams, "phi"),
+    "pdf-nan-g": (lambda c: noncentral_chisq_pdf(1.0, math.nan, 1.0), InvalidParams, "g"),
+    "pdf-inf-g": (lambda c: noncentral_chisq_pdf(1.0, math.inf, 1.0), InvalidParams, "g"),
+    "pdf-fractional-g": (lambda c: noncentral_chisq_pdf(1.0, 2.5, 1.0), InvalidParams, "g"),
+    # the Monte Carlo normal sampler's mean
+    "mvn-nan-mean": (
+        lambda c: sample_mvn([math.nan, 0.0], np.eye(2), SamplerConfig(1, 10)), InvalidParams, "mean"),
+    "mvn-inf-mean": (
+        lambda c: sample_mvn([math.inf, 0.0], np.eye(2), SamplerConfig(1, 10)), InvalidParams, "mean"),
     # efficiency and legacy values: range checks that NaN fails
     "efficiency-nan-T01": (lambda c: efficiency(_state_z(0, math.nan)), InvalidParams, "z"),
     "efficiency-nan-gamma": (lambda c: efficiency(_state_z(4, math.nan)), InvalidParams, "z"),

@@ -37,6 +37,7 @@ from conftest import (
     SIGMA_B,
     STATIONS,
     coefficient_truth,
+    readme_readings,
 )
 
 
@@ -209,6 +210,22 @@ def test_fit_zero_noise_off_span(tmp_path):
     assert metrics["mean_eps_p_sq"] == pytest.approx(np.sum(resid**2) / 42, rel=1e-12)
     assert metrics["var_eps_p_sq"] == 0.0
     assert "g" not in metrics and "phi" not in metrics
+
+
+def test_fit_reports_no_chi_square_law_with_as_many_rakes_as_coefficients(tmp_path):
+    # the README campaign without its last rake, fitted with harmonics 1, 2:
+    # N = K = 5, so the residual is roundoff and there is no law to report
+    doc = campaign_doc(theta=ENGINE_THETA[:5])
+    doc["measurements"] = readme_readings(ENGINE_THETA[:5]).tolist()
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", "1,2", "--beta", str(BETA), "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["fit"]["lambda"] == 0.0
+    assert "g" not in report["metrics"] and "phi" not in report["metrics"]
+    assert report["metrics"]["mean_eps_p_sq"] < 1e-20
 
 
 def test_fit_correlated_noise_is_analytic(tmp_path):

@@ -442,8 +442,8 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
 
     A, P = engine_model.A, engine_model.pseudoinverse(lam)
     K = A @ P - np.eye(6)
-    Sigma_X = _block_congruence(P, Sigma_B[None], 7)[0]
-    Sigma_R = _block_congruence(K, Sigma_B[None], 7)[0]
+    Sigma_X = _block_congruence(P, Sigma_B[None])[0]
+    Sigma_R = _block_congruence(K, Sigma_B[None])[0]
     dense = dataclasses.replace(field, Sigma_X=Sigma_X, R_blocks=Sigma_R[None])
 
     def close(got, want):
@@ -452,7 +452,7 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
 
     for got, want in (
         (field.Sigma_X, Sigma_X),
-        (field.Sigma_F, _block_congruence(A, Sigma_X[None], 7)[0]),
+        (field.Sigma_F, _block_congruence(A, Sigma_X[None])[0]),
         (field.Sigma_R, Sigma_R),
     ):
         close(got, want)
@@ -518,12 +518,12 @@ def test_station_map_and_congruence_match_explicit_kron(M, layout):
         X = rng.standard_normal((M, N, w))
         S = np.stack([random_psd(N, rng) for _ in range(M)])
         X_dense, S_dense = block_diag(*X), block_diag(*S)
-        mapped = block_diag(*_station_map(T, X, M))
-        congruent = block_diag(*_block_congruence(T, S, M))
+        mapped = block_diag(*_station_map(T, X))
+        congruent = block_diag(*_block_congruence(T, S))
     else:
         X_dense, S_dense = rng.standard_normal((N * M, w)), random_psd(N * M, rng)
-        (mapped,) = _station_map(T, X_dense[None], M)
-        (congruent,) = _block_congruence(T, S_dense[None], M)
+        (mapped,) = _station_map(T, X_dense[None])
+        (congruent,) = _block_congruence(T, S_dense[None])
     for got, want in ((mapped, kron @ X_dense), (congruent, kron @ S_dense @ kron.T)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

@@ -21,7 +21,6 @@ from rakeuq import (
     noncentral_chisq_pdf,
     sampling_metric,
 )
-from rakeuq.residuals import RANK_RTOL
 
 from conftest import (
     BETA,
@@ -33,6 +32,7 @@ from conftest import (
     STATIONS,
     coefficient_truth,
     random_psd,
+    readme_readings,
 )
 
 
@@ -75,10 +75,15 @@ def test_noncentrality_scales_inversely_with_variance(engine_model, truth):
     assert phis[0] == pytest.approx(4.0 * phis[1], rel=1e-9)
 
 
+# Eigenvalues of the dense Sigma_R above this fraction of the largest count
+# toward the reference rank.
+REFERENCE_RTOL = 1e-10
+
+
 def dense_chi_square_reference(field):
     """g and phi from the eigendecomposition of the whole NM x NM Sigma_R."""
     sv, U = np.linalg.eigh(field.Sigma_R)
-    keep = sv > RANK_RTOL * sv.max()
+    keep = sv > REFERENCE_RTOL * sv.max()
     proj = U[:, keep].T @ field.mu_R.reshape(-1, order="F")
     return int(np.count_nonzero(keep)), float(proj @ (proj / sv[keep]))
 
@@ -86,14 +91,18 @@ def dense_chi_square_reference(field):
 @pytest.mark.parametrize("omega,lam", [((1, 4), 0.0), ((1, 9), 1e-4)])
 def test_block_chi_square_matches_dense_eigh(engine_data, omega, lam):
     # (1, 9) aliases on the 36-degree lattice (cos 9t = -cos t there), so
-    # its fit stops on the lambda = 1e-4 rung, whose off-projector
-    # eigenvalues fall under RANK_RTOL
+    # its fit stops on the lambda = 1e-4 rung. A ridge rung's
+    # Sigma_R / sigma_b^2 is no projector, so no chi-square law is reported
     geom = AnnulusGeometry(ENGINE_THETA, STATIONS, 0.45, 0.75)
     model = build_design_matrix(geom, HarmonicSet(omega), beta=BETA)
     coeffs = fit(model, engine_data)
     assert coeffs.lambda_used == lam
     meas = MeasurementDistribution.from_iid(engine_data, SIGMA_B)
     field = FieldDistribution.from_measurements(model, meas, lam)
+    if lam > 0.0:
+        with pytest.raises(InvalidParams, match="not a projector"):
+            chi_square_params(field)
+        return
     g, phi = dense_chi_square_reference(field)
     params = chi_square_params(field)
     assert params.g == g
@@ -123,6 +132,37 @@ def test_correlated_noise_refused(engine_data):
     field = FieldDistribution.from_measurements(model, meas)
     with pytest.raises(RequiresIidNoise):
         chi_square_params(field)
+
+
+def _no_law_field(case, engine_model, engine_data):
+    """(model, coefficients, measurements, field) of a fit where the
+    chi-square law does not hold, though the noise is iid."""
+    if case == "ridge":
+        model, data, sigma_b, lam = engine_model, engine_data, SIGMA_B, 0.1
+    elif case == "noise-free":
+        model, data, sigma_b, lam = engine_model, engine_data, 0.0, 0.0
+    else:
+        # the README campaign without its last rake: N = K = 5, cond 27.5,
+        # so the fit is exact and the residual is roundoff
+        geom = AnnulusGeometry(ENGINE_THETA[:5], STATIONS, R_INNER, R_OUTER)
+        model = build_design_matrix(geom, HarmonicSet((1, 2)), beta=BETA)
+        data, sigma_b, lam = readme_readings(ENGINE_THETA[:5]), SIGMA_B, 0.0
+    meas = MeasurementDistribution.from_iid(data, sigma_b)
+    field = FieldDistribution.from_measurements(model, meas, lam)
+    return model, fit(model, data), meas, field
+
+
+@pytest.mark.parametrize(
+    "case, reason", [("ridge", "not a projector"), ("noise-free", "sigma_b > 0"),
+                     ("N = K", "needs N > K")]
+)
+def test_chi_square_law_refused_where_it_does_not_hold(engine_model, engine_data, case, reason):
+    model, coeffs, meas, field = _no_law_field(case, engine_model, engine_data)
+    with pytest.raises(InvalidParams, match=reason):
+        chi_square_params(field)
+    metrics = compute_metrics(model, coeffs, meas, field)
+    assert metrics.chi2 is None
+    assert np.isfinite(metrics.mean_eps) and np.isfinite(metrics.var_eps)
 
 
 def test_sampling_metric_hand_example():
