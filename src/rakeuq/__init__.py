@@ -48,7 +48,6 @@ from .fourier import (
     RadialBasis,
     build_design_matrix,
     design_matrix,
-    design_row,
     fit,
     predict_point,
     station_predictions,

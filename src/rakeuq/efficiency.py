@@ -63,7 +63,7 @@ def efficiency(z):
 def _value_and_gradient(z):
     """(eta, its analytic gradient) at a single state z, from one ``_terms``."""
     if np.ndim(z) != 1:
-        raise DimensionMismatch("gradient takes a single state vector")
+        raise DimensionMismatch(f"z must be a single state vector, got shape {np.shape(z)}")
     T01, T02, P01, P02, gamma, D, pr, exponent = _terms(z)
     num = T01 - T02
     core = num * exponent * pr / (T01 * D**2)  # shared by both pressure terms

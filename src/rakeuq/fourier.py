@@ -58,45 +58,37 @@ DEFAULT_BETA = 1e3
 
 
 def design_matrix(theta_deg, omega) -> np.ndarray:
-    """Harmonic design matrix for angles in degrees.
+    """Harmonic design matrix for angles in degrees, of any shape.
 
-    ``theta_deg`` may be shape (N,) for a single design or (L, N) for a stack;
-    the result has one extra trailing axis of length 2k+1 laid out as
-    [1, cos(w1 t), sin(w1 t), ..., cos(wk t), sin(wk t)].
+    The result has one extra trailing axis of length 2k+1 laid out as
+    [1, cos(w1 t), sin(w1 t), ..., cos(wk t), sin(wk t)]: a scalar angle
+    gives the basis vector a(theta), (N,) angles one design and (L, N) a
+    stack of designs.
     """
     theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
-    scalar_input = theta.ndim == 1
-    theta = np.atleast_2d(theta)
     omega = np.asarray(tuple(omega), dtype=float)
-    arg = theta[..., :, None] * omega[None, :]  # (..., N, k)
+    arg = theta[..., None] * omega  # (..., k)
     out = np.empty(theta.shape + (2 * omega.size + 1,), dtype=float)
     out[..., 0] = 1.0
     out[..., 1::2] = np.cos(arg)
     out[..., 2::2] = np.sin(arg)
-    return out[0] if scalar_input else out
-
-
-def design_row(theta_deg, omega) -> np.ndarray:
-    """Basis vector a(theta); with an array argument, one row per angle."""
-    theta = np.asarray(theta_deg, dtype=float)
-    rows = design_matrix(np.atleast_1d(theta), omega)
-    return rows[0] if theta.ndim == 0 else rows
+    return out
 
 
 def qr_solve(A, B) -> np.ndarray:
     """Least-squares solve via reduced QR; A may be one design or a stack.
 
-    R is solved by back-substitution with the stack axes moved last, so each
-    of its K steps is a few elementwise operations over the whole stack and
-    every slice equals the same design solved alone, bit for bit. numpy's R
-    has exact zeros below the diagonal, so the solve breaks down exactly when
-    a diagonal entry is exactly zero: such a slice comes back as NaN, and the
-    others are solved as usual. Near-singular designs come back with huge or
-    non-finite entries. Both are left for the caller's norm guard. B may
-    have fewer rows than A; its missing rows are read as zeros.
+    B has two dimensions or more: a matrix, or a stack that broadcasts
+    against A's. R is solved by back-substitution with the stack axes moved
+    last, so each of its K steps is a few elementwise operations over the
+    whole stack and every slice equals the same design solved alone, bit for
+    bit. numpy's R has exact zeros below the diagonal, so the solve breaks
+    down exactly when a diagonal entry is exactly zero: such a slice comes
+    back as NaN, and the others are solved as usual. Near-singular designs
+    come back with huge or non-finite entries. Both are left for the
+    caller's norm guard. B may have fewer rows than A; its missing rows are
+    read as zeros.
     """
-    if np.ndim(B) == 1:
-        return qr_solve(A, np.asarray(B)[:, None])[..., 0]
     Q, R = np.linalg.qr(A)
     QtB = np.swapaxes(Q[..., : B.shape[-2], :], -1, -2) @ B
     n = R.ndim
@@ -175,15 +167,11 @@ class RadialBasis:
     def __post_init__(self):
         stations = np.atleast_1d(np.asarray(self.stations, dtype=float))
         if self.kind not in ("cubic", "linear"):
-            raise InvalidParams(f"unknown radial basis kind {self.kind!r}")
+            raise InvalidParams(f"kind must be 'cubic' or 'linear', got {self.kind!r}")
         object.__setattr__(self, "stations", stations)
         M = stations.size
         C = _natural_curvatures(stations) if self.kind == "cubic" else np.zeros((M, M))
         object.__setattr__(self, "_curvatures", C)
-
-    @property
-    def n_stations(self) -> int:
-        return self.stations.size
 
     def blend(self, frac) -> np.ndarray:
         """Cardinal weights v at span fraction(s) in [0, 1].
@@ -511,7 +499,7 @@ def fit(model: FourierModel, B) -> CoefficientMatrix:
     B = _readings(B, "B", model)
     plain = model.P is not None
     if not plain and not model.lambda_ladder:
-        raise SingularDesign("singular design and empty ladder")
+        raise SingularDesign("lambda_ladder must not be empty for a singular design")
     X, lambdas, ok = _fit_batch(model, model.A[None], B, plain=plain)
     if not ok[0]:
         raise RegularizationExhausted(
@@ -530,7 +518,7 @@ def predict_point(model: FourierModel, X, r_frac, theta_deg):
     X = _coefficients(X, "X", model)
     w = model.radial.blend(_location(r_frac, "r_frac", 0))
     theta = _location(theta_deg, "theta_deg")
-    values = design_row(theta, model.harmonics.omega) @ (X @ w)
+    values = design_matrix(theta, model.harmonics.omega) @ (X @ w)
     return float(values) if theta.ndim == 0 else values
 
 
@@ -540,4 +528,4 @@ def station_predictions(X, theta_deg, omega) -> np.ndarray:
     With zero angle scatter the rake-position Monte Carlo returns exactly
     this grid: its origin is the same product for the nominal fit.
     """
-    return design_matrix(np.atleast_1d(np.asarray(theta_deg, dtype=float)), omega) @ X
+    return design_matrix(np.atleast_1d(theta_deg), omega) @ X

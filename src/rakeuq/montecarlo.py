@@ -86,6 +86,8 @@ BATCH = 8192
 # split into two chunks of 256 draws broke even against one thread, and two
 # of 512 saved 13-24 % of rake_position_mc.
 MIN_CHUNK = 512
+# ``rake_position_mc`` aborts when more than this fraction of its draws fail.
+MAX_FAILURE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class SamplerConfig:
     def __post_init__(self):
         seed, n_samples = _whole(self.seed, "seed"), _whole(self.n_samples, "n_samples")
         if n_samples < 2:
-            raise InvalidParams("need at least two samples")
+            raise InvalidParams("n_samples must be at least 2")
         if seed < 0:
             raise InvalidParams("seed must be nonnegative")
         object.__setattr__(self, "seed", seed)
@@ -156,24 +158,19 @@ def _split_rows(work, rows: np.ndarray):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def psd_factor(cov) -> np.ndarray:
-    """Matrix L with cov = L L^T: Cholesky, or an eigen factor when cov is
-    only semidefinite, under the PSD rule of ``propagation._psd_factor``."""
-    return _psd_factor(cov)[1]
-
-
 def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
 
     All rows come in one block from ``np.random.default_rng(config.seed)``,
-    not in the engines' spawned batches. ``mean`` must be finite.
+    not in the engines' spawned batches. ``mean`` must be finite. cov is
+    factored under the PSD rule of ``propagation._psd_factor``.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     if not np.isfinite(mean).all():
         raise InvalidParams("mean must be finite")
-    L = psd_factor(cov)
+    L = _psd_factor(cov)[1]
     if L.shape[0] != mean.size:
-        raise DimensionMismatch("mean and covariance sizes differ")
+        raise DimensionMismatch(f"cov must be {mean.size} x {mean.size}, the size of mean")
     z = np.random.default_rng(config.seed).standard_normal((config.n_samples, mean.size))
     return mean + z @ L.T
 
@@ -352,7 +349,6 @@ def rake_position_mc(
     config: SamplerConfig,
     *,
     n_prediction: int = 360,
-    max_failure_fraction: float = 0.01,
 ) -> RakeMCResult:
     """Propagate rake-placement scatter by refitting perturbed angle draws.
 
@@ -362,11 +358,10 @@ def rake_position_mc(
     design matrix and fits the fixed measurement matrix B through ``fit``'s
     norm guard and ridge ladder, trying lambda = 0 only where ``fit`` does;
     draws whose ladder is exhausted are dropped and counted, and the run
-    aborts with DrawFailed when more than ``max_failure_fraction``, a
-    fraction in [0, 1], of draws fail. ``n_prediction`` is a whole number.
+    aborts with DrawFailed when more than MAX_FAILURE_FRACTION (1 %) of
+    draws fail, so also when all of them do. ``n_prediction`` is a whole
+    number.
     """
-    if not 0.0 <= max_failure_fraction <= 1.0:  # NaN fails too
-        raise InvalidParams(f"max_failure_fraction must lie in [0, 1], got {max_failure_fraction!r}")
     n_prediction = _whole(n_prediction, "n_prediction")
     B = _readings(B, "B", model)
     N = model.n_rakes
@@ -378,7 +373,7 @@ def rake_position_mc(
         raise DimensionMismatch("Sigma_theta must be N x N")
     L = _psd_factor(Sigma_theta, "Sigma_theta")[1]
     if n_prediction < 1:
-        raise InvalidParams("need at least one prediction angle")
+        raise InvalidParams("n_prediction must be at least 1")
     theta_pred = np.arange(n_prediction) * (360.0 / n_prediction)
     omega = model.harmonics.omega
     A_pred = design_matrix(theta_pred, omega)
@@ -410,10 +405,10 @@ def rake_position_mc(
     lambdas = np.concatenate([r[1] for r in results])
     n_failed = sum(r[2] for r in results)
     n = config.n_samples
-    if n_failed > max_failure_fraction * n or n_failed == n:
+    if n_failed > MAX_FAILURE_FRACTION * n:
         raise DrawFailed(
             f"{n_failed} of {n} rake-position draws failed to fit "
-            f"(> {max_failure_fraction:.0%})"
+            f"(> {MAX_FAILURE_FRACTION:.0%})"
         )
     n_ok = n - n_failed
     # A copy even for one batch, as in mc_propagate_model.

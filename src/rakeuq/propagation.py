@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
-from .fourier import FourierModel, _coefficients, _location, _readings, design_row
+from .fourier import FourierModel, _coefficients, _location, _readings, design_matrix
 
 
 def vec(matrix) -> np.ndarray:
@@ -181,20 +181,31 @@ def _iid_blocks(variance: float, sigma: float, n_rakes: int, n_stations: int):
     return blocks[0], blocks[1]
 
 
-def _diagonal_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
-    """The M diagonal N x N blocks of an NM x NM matrix S, shape (M, N, N)."""
-    idx = np.arange(n_stations)
-    return S.reshape(n_stations, n_rakes, n_stations, n_rakes)[idx, :, idx, :]
+def _diagonal_blocks(blocks: np.ndarray, n_rakes: int) -> np.ndarray:
+    """The M diagonal N x N blocks, shape (M, N, N), of a matrix in either
+    block form: its station blocks (M, N, N), or the whole of it (1, NM, NM).
+
+    Station blocks are viewed as (M, 1, N, 1, N) and the whole matrix as
+    (1, M, N, M, N), and one index takes the diagonal blocks, in station
+    order. Only these two forms are read: with more than one block of more
+    than one station, numpy would put the index axis first and the blocks
+    would come out of station order.
+    """
+    n_blocks, n, _ = blocks.shape
+    k = n // n_rakes
+    idx = np.arange(k)
+    diagonal = blocks.reshape(n_blocks, k, n_rakes, k, n_rakes)[:, idx, :, idx]
+    return diagonal.reshape(-1, n_rakes, n_rakes)
 
 
-def _station_blocks(S: np.ndarray, n_rakes: int, n_stations: int) -> np.ndarray:
+def _station_blocks(S: np.ndarray, n_rakes: int) -> np.ndarray:
     """Sigma's blocks: its M diagonal N x N blocks, or the whole of it.
 
     Returns (M, N, N) when every cross-station block is exactly zero (the
     diagonal blocks hold every nonzero entry; no tolerance), and
     (1, NM, NM), a view of S, otherwise.
     """
-    blocks = _diagonal_blocks(S, n_rakes, n_stations)
+    blocks = _diagonal_blocks(S[None], n_rakes)
     if np.count_nonzero(blocks) == np.count_nonzero(S):
         return blocks
     return S[None]
@@ -227,7 +238,7 @@ def _correlation_factor(rho, n_rakes: int, n_stations: int = 1):
         raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
     if not np.all(np.isfinite(rho)):
         raise InvalidCorrelation("correlation matrix must be finite")
-    blocks = _station_blocks(rho, n_rakes, n_stations)
+    blocks = _station_blocks(rho, n_rakes)
     work = np.subtract(blocks, blocks.transpose(0, 2, 1))
     if np.any(np.abs(work, out=work) > 1e-12):
         raise InvalidCorrelation("correlation matrix must be symmetric")
@@ -299,7 +310,7 @@ class MeasurementDistribution:
             raise DimensionMismatch(
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
-        blocks, factor = _psd_factor(_station_blocks(S, *mu.shape), "Sigma_B")
+        blocks, factor = _psd_factor(_station_blocks(S, mu.shape[0]), "Sigma_B")
         self._fill(mu, *_exact_iid_sigma(blocks, factor, *mu.shape))
 
     def _fill(self, mu, iid_sigma, station_blocks, factor_blocks):
@@ -379,14 +390,6 @@ class MeasurementDistribution:
         """The dense NM x NM covariance of vec(B)."""
         return _block_diagonal(self.station_blocks)
 
-    @property
-    def n_rakes(self) -> int:
-        return self.mu_B.shape[0]
-
-    @property
-    def n_stations(self) -> int:
-        return self.mu_B.shape[1]
-
 
 def _station_map(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """(I_M kron T) X for a k x N block T, in the block form of X: station
@@ -451,14 +454,6 @@ class FieldDistribution:
     def Sigma_R(self) -> np.ndarray:
         return _block_diagonal(self.R_blocks)
 
-    @property
-    def n_rakes(self) -> int:
-        return self.mu_F.shape[0]
-
-    @property
-    def n_stations(self) -> int:
-        return self.mu_F.shape[1]
-
 
 def _field_moments(field: FieldDistribution, model: FourierModel):
     """The one reader of a field against a model: (mu_X, Sigma_X).
@@ -512,5 +507,5 @@ def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, thet
     """
     mu_X, Sigma_X = _field_moments(field, model)
     W = np.atleast_2d(model.radial.blend(_location(r_fracs, "r_fracs")))
-    A_g = np.atleast_2d(design_row(_location(theta_deg, "theta_deg"), model.harmonics.omega))
+    A_g = np.atleast_2d(design_matrix(_location(theta_deg, "theta_deg"), model.harmonics.omega))
     return _grid_moments(W, A_g, mu_X, Sigma_X)

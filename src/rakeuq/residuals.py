@@ -342,10 +342,7 @@ def frequency_scan(
         DEFAULT_BETA if beta is None else beta,
     )
     N, M = mu_B.shape
-    blocks = meas.station_blocks
-    if blocks.shape[0] == 1:
-        blocks = _diagonal_blocks(blocks[0], N, M)
-    S_sum = blocks.sum(axis=0)
+    S_sum = _diagonal_blocks(meas.station_blocks, N).sum(axis=0)
     if not S_sum.any():
         raise InvalidParams("Sigma_B is zero: sigma_b or the sigmas must be positive")
     pairs = list(combinations(range(1, max_freq + 1), 2))

@@ -7,12 +7,12 @@ against a model, and every count, seed and harmonic order is checked by one
 reader, which names the input when it refuses it. The table below sends one
 bad input of each kind through every entry point that takes it, together
 with the values that the range checks refuse: non-finite efficiency and
-legacy values, a ridge penalty lam that is not 0 or positive and finite, a
-failure fraction outside [0, 1], non-finite arguments of the
-noncentral chi-square density (and a g that is not a whole number), and a
-non-finite mean of the normal sampler. NaN fails every range. The CLI tests check
-that the same refusals reach the command line as exit 2 naming the file's
-block.
+legacy values, a ridge penalty lam that is not 0 or positive and finite,
+non-finite arguments of the noncentral chi-square density (and a g that is
+not a whole number), and a non-finite mean of the normal sampler. NaN fails
+every range, and a wrong shape, count or kind is refused too. The CLI tests
+check that the same refusals reach the command line as exit 2 naming the
+file's block.
 """
 
 import json
@@ -31,16 +31,21 @@ from rakeuq import (
     FieldDistribution,
     HarmonicField,
     HarmonicSet,
+    InvalidCorrelation,
     InvalidParams,
     MeasurementDistribution,
     OutOfDomain,
+    RadialBasis,
     SamplerConfig,
+    SingularDesign,
     StationState,
     UncertaintyBudget,
     area_average,
     area_average_mean,
     build_design_matrix,
     efficiency,
+    efficiency_gradient,
+    efficiency_mc,
     fig1_demo,
     frequency_scan,
     fit,
@@ -196,16 +201,6 @@ CASES = {
     "field-negative-lam": (
         lambda c: FieldDistribution.from_measurements(c.model, c.meas, -0.1), InvalidParams, "lam"),
     "pseudoinverse-inf-lam": (lambda c: c.model.pseudoinverse(math.inf), InvalidParams, "lam"),
-    # fractions in [0, 1], NaN refused
-    "rake-nan-failure-fraction": (
-        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=math.nan),
-        InvalidParams, "max_failure_fraction"),
-    "rake-negative-failure-fraction": (
-        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=-1.0),
-        InvalidParams, "max_failure_fraction"),
-    "rake-failure-fraction-above-one": (
-        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, max_failure_fraction=1.5),
-        InvalidParams, "max_failure_fraction"),
     # the noncentral chi-square density at finite x and phi
     "pdf-nan-x": (lambda c: noncentral_chisq_pdf(math.nan, 3, 1.0), InvalidParams, "x"),
     "pdf-inf-x": (lambda c: noncentral_chisq_pdf([1.0, math.inf], 3, 1.0), InvalidParams, "x"),
@@ -214,6 +209,28 @@ CASES = {
     "pdf-nan-g": (lambda c: noncentral_chisq_pdf(1.0, math.nan, 1.0), InvalidParams, "g"),
     "pdf-inf-g": (lambda c: noncentral_chisq_pdf(1.0, math.inf, 1.0), InvalidParams, "g"),
     "pdf-fractional-g": (lambda c: noncentral_chisq_pdf(1.0, 2.5, 1.0), InvalidParams, "g"),
+    # shapes, counts and kinds
+    "geometry-no-rakes": (lambda c: AnnulusGeometry([], [0.5], 0.0, 1.0), InvalidParams, "theta_deg"),
+    "geometry-2d-stations": (
+        lambda c: AnnulusGeometry(ENGINE_THETA, [STATIONS], R_INNER, R_OUTER), InvalidParams, "r_stations"),
+    "harmonic-set-of-an-integer": (lambda c: HarmonicSet(3), InvalidParams, "harmonic orders"),
+    "correlation-one-reading-short": (
+        lambda c: MD.from_correlation(c.B, np.ones(42), np.eye(41)), InvalidCorrelation, "correlation matrix"),
+    "sampler-negative-seed": (lambda c: SamplerConfig(-1, 10), InvalidParams, "seed"),
+    "sampler-one-sample": (lambda c: SamplerConfig(1, 1), InvalidParams, "n_samples"),
+    "mvn-mean-and-covariance-sizes": (
+        lambda c: sample_mvn(np.zeros(3), np.eye(4), SamplerConfig(1, 10)), DimensionMismatch, "cov"),
+    "rake-Sigma_theta-one-rake-short": (
+        lambda c: rake_position_mc(c.model, c.B, np.eye(5), c.cfg), DimensionMismatch, "Sigma_theta"),
+    "rake-no-prediction-angles": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, n_prediction=0), InvalidParams, "n_prediction"),
+    "efficiency_mc-plain-array": (lambda c: efficiency_mc(DEFAULT_STATE.z, c.cfg), InvalidParams, "state"),
+    "efficiency-four-entries": (lambda c: efficiency(DEFAULT_STATE.z[:4]), DimensionMismatch, "state vector"),
+    "efficiency_gradient-stack": (
+        lambda c: efficiency_gradient(np.stack([DEFAULT_STATE.z] * 3)), DimensionMismatch, "z"),
+    "radial-basis-unknown-kind": (lambda c: RadialBasis(STATIONS, kind="quadratic"), InvalidParams, "kind"),
+    "fit-singular-design-empty-ladder": (
+        lambda c: fit(replace(c.model, P=None, lambda_ladder=()), c.B), SingularDesign, "lambda_ladder"),
     # the Monte Carlo normal sampler's mean
     "mvn-nan-mean": (
         lambda c: sample_mvn([math.nan, 0.0], np.eye(2), SamplerConfig(1, 10)), InvalidParams, "mean"),

@@ -88,6 +88,15 @@ def test_missing_uncertainty_block_names_field(tmp_path):
     assert "uncertainty" in str(err.value)
 
 
+def test_file_that_is_not_json_named(tmp_path):
+    path = tmp_path / "not_json.json"
+    path.write_text("{not json")
+    with pytest.raises(SchemaError) as err:
+        io.read_json(str(path))
+    assert err.value.field == str(path)
+    assert str(err.value).startswith(f"{path}: not valid JSON")
+
+
 def test_two_uncertainty_blocks_rejected(tmp_path):
     doc = campaign_doc()
     doc["uncertainty"]["diagonal"] = {"sigma": [0.5] * 42}

@@ -89,7 +89,7 @@ def test_sample_mvn_rejects_indefinite():
         with pytest.raises(InvalidParams, match="finite"):
             sample_mvn(np.zeros(2), cov, SamplerConfig(1, 10))
         with pytest.raises(InvalidParams, match="finite"):
-            mc_mod.psd_factor(cov)
+            mc_mod._psd_factor(cov)
 
 
 def test_sampler_config_validation():
@@ -182,7 +182,7 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
-    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(Sigma_B).T
+    vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(Sigma_B)[1].T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.P @ B
     W = engine_model.radial.blend(res.r_fracs)
@@ -216,7 +216,7 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise)
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
-    vb = engine_data.reshape(-1, order="F") + z @ mc_mod.psd_factor(meas.Sigma_B).T
+    vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(meas.Sigma_B)[1].T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.pseudoinverse(lam) @ B
     F = engine_model.A @ X
@@ -309,7 +309,7 @@ def test_from_diagonal_factor_is_sigma_exactly(engine_data, factorizations):
 
 def _per_draw_fits(model, meas, cfg, lam):
     """X, F, R and eps of every draw, rebuilt batch by batch from _batch_plan."""
-    L = mc_mod.psd_factor(meas.Sigma_B)
+    L = mc_mod._psd_factor(meas.Sigma_B)[1]
     children, sizes = mc_mod._batch_plan(cfg)
     z = np.concatenate([
         np.random.default_rng(child).standard_normal((size, 42))
@@ -792,7 +792,7 @@ def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
     children, sizes = mc_mod._batch_plan(cfg)
     assert sizes == [mc_mod.BATCH, 3]
     N = engine_model.n_rakes
-    L = mc_mod.psd_factor(np.eye(N))
+    L = mc_mod._psd_factor(np.eye(N))[1]
     thetas = np.concatenate([
         mc_mod._wrap_degrees(
             engine_model.geometry.theta_deg
@@ -864,7 +864,7 @@ def test_rake_mc_screen_matches_exact_norm(engine_geometry, engine_data, monkeyp
     def run():
         return rake_position_mc(
             model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=1000),
-            n_prediction=36, max_failure_fraction=0.5,
+            n_prediction=36,
         )
 
     screened = run()
@@ -875,6 +875,22 @@ def test_rake_mc_screen_matches_exact_norm(engine_geometry, engine_data, monkeyp
     np.testing.assert_array_equal(screened.lambdas, exact.lambdas)
     np.testing.assert_array_equal(screened.coefficients, exact.coefficients)
     np.testing.assert_array_equal(screened.grid_var, exact.grid_var)
+
+
+def test_rake_mc_aborts_when_more_than_one_percent_of_draws_fail(engine_geometry, engine_data):
+    # the campaign above: at beta 1396 5 of 1000 draws exhaust the ladder,
+    # and half a unit lower 130 do
+    def run(beta):
+        model = build_design_matrix(
+            engine_geometry, HarmonicSet((1, 4)), beta=beta, lambda_ladder=(1e-3, 0.03)
+        )
+        return rake_position_mc(
+            model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=1000), n_prediction=36
+        )
+
+    assert run(1396.0).n_failed == 5
+    with pytest.raises(DrawFailed, match=r"^130 of 1000 rake-position draws failed to fit \(> 1%\)$"):
+        run(1395.5)
 
 
 def test_rake_mc_makes_no_per_slice_lapack_calls(engine_model, engine_data, monkeypatch):
@@ -994,7 +1010,7 @@ def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
     )
     results, stacks = _at_cpu_counts(monkeypatch, lambda: rake_position_mc(
         model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=2500),
-        n_prediction=36, max_failure_fraction=0.5,
+        n_prediction=36,
     ))
     assert stacks == [[1, 2500], [1, 1250, 1250], [1, 625, 625, 625, 625]]
     assert results[0].n_failed > 0

@@ -22,7 +22,7 @@ from rakeuq import (
     area_average,
     build_design_matrix,
     compute_metrics,
-    design_row,
+    design_matrix,
     fit,
     predictive_grid,
     sample_mvn,
@@ -30,8 +30,7 @@ from rakeuq import (
     vec,
 )
 
-from rakeuq.montecarlo import psd_factor
-from rakeuq.propagation import _block_congruence, _station_map
+from rakeuq.propagation import _block_congruence, _psd_factor, _station_map
 
 from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
 
@@ -40,7 +39,7 @@ def point_vectors(model, points):
     """Rows kron(w(r), a(theta)) for (r, theta) points: a point's value is
     the row times vec(X), and two points' covariance the bilinear form of
     Sigma_X in two rows (station-major, as vec(X))."""
-    return np.array([np.kron(model.radial.blend(r), design_row(th, model.harmonics.omega))
+    return np.array([np.kron(model.radial.blend(r), design_matrix(th, model.harmonics.omega))
                      for r, th in points])
 
 
@@ -259,7 +258,7 @@ def test_non_finite_sigma_rejected(engine_data, bad):
     with pytest.raises(InvalidParams):
         MeasurementDistribution(engine_data, Sigma)
     with pytest.raises(InvalidParams):
-        psd_factor(Sigma)
+        _psd_factor(Sigma)
     # off the diagonal, across stations: the dense (1, NM, NM) block
     Sigma = np.eye(42)
     Sigma[3, 40] = Sigma[40, 3] = bad
@@ -327,7 +326,7 @@ def equicorrelation(n, low):
 # diagonal entry is s and whose smallest eigenvalue is low * s, with the error
 # type that it raises.
 PSD_ENTRY_POINTS = {
-    "psd_factor": (lambda mu, low: psd_factor(2.5 * equicorrelation(6, low)), NotPSD),
+    "psd_factor": (lambda mu, low: _psd_factor(2.5 * equicorrelation(6, low)), NotPSD),
     "sample_mvn": (
         lambda mu, low: sample_mvn(
             np.zeros(6), 2.5 * equicorrelation(6, low), SamplerConfig(1, 10)
