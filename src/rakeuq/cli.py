@@ -15,7 +15,6 @@ ladder exhausted.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -103,8 +102,7 @@ def _emit(report: dict, output):
     if output:
         io.write_json(report, output)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        io.dump_json(report, sys.stdout)
 
 
 def cmd_fit(args) -> int:

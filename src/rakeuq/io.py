@@ -29,12 +29,23 @@ fault raises SchemaError with the dotted path of that field (the document's
 name for a fault at the top level); the CLI maps it to exit code 2.
 
 Reports are plain dicts serialized with json, which round-trips every float
-bit-exactly.
+bit-exactly. Outputs are rewritten in place: an existing file is opened
+without truncating it, written over, and then cut at the end of what was
+written, so it holds exactly the new bytes. On ext4, truncating a file to
+zero shortly after it was written makes the kernel flush the old contents
+first (``auto_da_alloc``), and the next truncate waits on that I/O; a rewrite
+in place does not. The write is not atomic: a reader that opens the file
+mid-write may see the first new bytes followed by the old tail, and an
+exception from the data being written (a row source that fails) leaves only
+the bytes written before it.
 """
 
 import csv
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -234,10 +245,30 @@ def read_json(path):
         raise SchemaError(f"not valid JSON: {exc}", field=str(path)) from None
 
 
+@contextmanager
+def _rewrite(path, newline=None):
+    """Text handle that writes ``path`` from its start without truncating it
+    first; on every exit a regular file is cut at the handle's position, so
+    it holds exactly the bytes written. Other targets (``os.devnull``, a
+    pipe) cannot be truncated and are left as they are."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline) as handle:
+        try:
+            yield handle
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
+
+
+def dump_json(obj, handle):
+    """The one JSON encoding of reports, for files and stdout alike."""
+    json.dump(obj, handle, indent=2)
+    handle.write("\n")
+
+
 def write_json(obj, path):
-    with open(path, "w") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+    with _rewrite(path) as handle:
+        dump_json(obj, handle)
 
 
 @dataclass(frozen=True)
@@ -397,7 +428,7 @@ def coefficients_to_dict(model: FourierModel, coeffs: CoefficientMatrix) -> dict
 
 def write_csv(path, header, rows):
     """Write a header and rows; floats are written with repr, so they round-trip."""
-    with open(path, "w", newline="") as handle:
+    with _rewrite(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:

@@ -216,7 +216,9 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
             if past_mode and np.all(term <= SERIES_RTOL * np.maximum(total, 1e-300)):
                 break
             if j > 100000:
-                raise InvalidParams("noncentral chi-square series did not converge")
+                raise InvalidParams(
+                    f"phi must be small enough for the series to converge in 100000 terms, got {phi!r}"
+                )
         out[positive] = total
     return float(out[0]) if scalar_input else out
 

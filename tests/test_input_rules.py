@@ -209,6 +209,7 @@ CASES = {
     "pdf-nan-g": (lambda c: noncentral_chisq_pdf(1.0, math.nan, 1.0), InvalidParams, "g"),
     "pdf-inf-g": (lambda c: noncentral_chisq_pdf(1.0, math.inf, 1.0), InvalidParams, "g"),
     "pdf-fractional-g": (lambda c: noncentral_chisq_pdf(1.0, 2.5, 1.0), InvalidParams, "g"),
+    "pdf-phi-past-series": (lambda c: noncentral_chisq_pdf(2.1e5 + 35, 35, 2.1e5), InvalidParams, "phi"),
     # shapes, counts and kinds
     "geometry-no-rakes": (lambda c: AnnulusGeometry([], [0.5], 0.0, 1.0), InvalidParams, "theta_deg"),
     "geometry-2d-stations": (

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -766,6 +767,56 @@ def test_write_and_read_json_round_trip(tmp_path):
     assert again == doc
 
 
+WRITERS = {
+    "json": lambda path: io.write_json({"a": 0.1 + 0.2, "b": [1e-17, 3.14], "c": "text"}, path),
+    "csv": lambda path: io.write_csv(path, ["x", "y"], [(0.1 + 0.2, "a"), (1e-17, "b"), (3, "c")]),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+@pytest.mark.parametrize("old_size", ["longer", "shorter", "equal"])
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path, write, old_size):
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    write(fresh)
+    expected = fresh.read_bytes()
+    size = {"longer": 10 * len(expected), "shorter": len(expected) // 3, "equal": len(expected)}[old_size]
+    target.write_bytes(b"#" * size)
+    write(target)
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_new_output_file_mode_follows_umask(tmp_path, write):
+    old_mask = os.umask(0o027)
+    try:
+        write(tmp_path / "out")
+        with open(tmp_path / "by_open", "w"):
+            pass
+    finally:
+        os.umask(old_mask)
+    assert (tmp_path / "out").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "by_open").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_writers_accept_devnull(write):
+    write(os.devnull)
+
+
+def test_csv_write_that_fails_midway_keeps_no_old_tail(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("old,file\n" * 1000)
+
+    def rows():
+        yield (1, 2.5)
+        yield (3, 4.5)
+        raise ValueError("row source failed")
+
+    with pytest.raises(ValueError, match="row source failed"):
+        io.write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == b"a,b\r\n1,2.5\r\n3,4.5\r\n"
+
+
 @pytest.mark.parametrize("counts", ["1", "2", "3,2"])
 def test_fig1_demo_cli_rejects_counts_below_three(tmp_path, capsys, counts):
     out = tmp_path / "demo.csv"
@@ -986,17 +1037,17 @@ def test_diagonal_campaign_loads_and_fits(tmp_path):
     assert report["area_average"]["two_sigma"] == area_average(model, field).two_sigma
 
 
-def test_fit_without_output_prints_report(campaign_path, tmp_path, capsys):
+def test_fit_without_output_prints_report(campaign_path, tmp_path, capsysbinary):
+    # stdout and --output carry the same bytes, apart from the time stamp
     out = tmp_path / "report.json"
     args = ["fit", campaign_path, "--harmonics", "1,4", "--beta", str(BETA)]
     assert main([*args, "--output", str(out)]) == 0
-    capsys.readouterr()
+    capsysbinary.readouterr()
     assert main(args) == 0
-    printed = json.loads(capsys.readouterr().out)
-    written = json.loads(out.read_text())
-    for report in (printed, written):
-        del report["provenance"]["created_utc"]
-    assert printed == written
+    printed = capsysbinary.readouterr().out
+    stamp = re.compile(rb'"created_utc": "[^"]*"')
+    assert len(stamp.findall(printed)) == 1
+    assert stamp.sub(b"", printed) == stamp.sub(b"", out.read_bytes())
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "campaign.json", "report.json", "report.json.coefficients.json"
     ]
