@@ -57,7 +57,6 @@ from .io import Campaign, build_report, campaign_from_dict, load_campaign
 from .legacy import (
     DemoRow,
     HarmonicField,
-    UncertaintyBudget,
     fig1_demo,
     legacy_sampling_uncertainty,
     rss_total,

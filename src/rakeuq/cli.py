@@ -134,8 +134,10 @@ def cmd_fit(args) -> int:
     )
     _emit(report, args.output)
     coeff_path = args.coefficients
-    if coeff_path is None and args.output:
-        coeff_path = str(args.output) + ".coefficients.json"
+    # the sidecar goes only beside a regular file: beside a device such as
+    # /dev/null it would be a new file in /dev
+    if coeff_path is None and args.output and os.path.isfile(args.output):
+        coeff_path = args.output + ".coefficients.json"
     if coeff_path:
         io.write_json(io.coefficients_to_dict(model, coeffs), coeff_path)
     return 0
@@ -236,8 +238,7 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_legacy(args) -> int:
-    budget, samples = io.load_budget(args.budget)
-    components = list(budget.components)
+    components, samples = io.load_budget(args.budget)
     if samples is not None:
         components.append(("sampling", legacy_sampling_uncertainty(samples)))
     doc = {

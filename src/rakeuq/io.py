@@ -147,7 +147,7 @@ BUDGET_SCHEMA = {
                 },
             },
         },
-        "samples": _NUMBER_ARRAY,
+        "samples": {"type": "array", "items": _NUMBER, "minItems": 2},
     },
 }
 
@@ -336,18 +336,14 @@ def load_station_state(path):
 
 
 def load_budget(path):
-    """Read a budget file: labelled components plus optional raw samples."""
-    from .legacy import UncertaintyBudget
-
+    """Read a budget file: its (label, value) components in file order, each
+    value a float, plus the raw samples or None."""
     doc = read_json(path)
     _validate_schema(doc, BUDGET_SCHEMA, "budget")
     _require_finite(doc)
-    components = tuple((c["label"], float(c["value"])) for c in doc["components"])
+    components = [(c["label"], float(c["value"])) for c in doc["components"]]
     samples = np.asarray(doc["samples"], dtype=float) if "samples" in doc else None
-    try:
-        return UncertaintyBudget(components), samples
-    except RakeUqError as exc:
-        raise SchemaError(str(exc), field="components") from None
+    return components, samples
 
 
 def provenance() -> dict:
@@ -386,7 +382,8 @@ def build_report(
         "fit": {
             "omega": list(model.harmonics.omega),
             "lambda": float(coeffs.lambda_used),
-            "cond_AtA": float(model.cond_AtA),
+            # null where A^T A is numerically singular and cond is inf
+            "cond_AtA": None if model.P is None else float(model.cond_AtA),
             "beta": float(model.beta),
             "coefficient_norm": coeffs.spectral_norm,
         },

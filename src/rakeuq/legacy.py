@@ -45,26 +45,6 @@ def rss_total(components) -> float:
 
 
 @dataclass(frozen=True)
-class UncertaintyBudget:
-    """Labelled budget components combined by root-sum-square."""
-
-    components: tuple  # of (label, value) pairs
-
-    def __post_init__(self):
-        comps = tuple((str(label), float(value)) for label, value in self.components)
-        for label, value in comps:
-            if not math.isfinite(value):
-                raise InvalidParams(f"component {label!r} must be finite")
-            if value < 0.0:
-                raise NegativeComponent(f"component {label!r} is negative")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def total(self) -> float:
-        return rss_total([value for _, value in self.components])
-
-
-@dataclass(frozen=True)
 class HarmonicField:
     """Single-harmonic circumferential field for the demo table."""
 

@@ -75,8 +75,6 @@ SERIES_RTOL = 1e-14
 
 def sampling_metric(model: FourierModel, X, mu_B) -> float:
     """eps_p^2: mean-square misfit of the fit against the measured means."""
-    if isinstance(mu_B, MeasurementDistribution):
-        mu_B = mu_B.mu_B
     mu_B = _readings(mu_B, "mu_B", model)
     X = _coefficients(X.X if isinstance(X, CoefficientMatrix) else X, "X", model)
     n_meas = mu_B.size
@@ -247,7 +245,7 @@ def compute_metrics(
     returns them: iid noise with sigma_b > 0, an unregularized fit and
     N > K.
     """
-    eps_p = sampling_metric(model, coeffs, meas)
+    eps_p = sampling_metric(model, coeffs, meas.mu_B)
     mean_eps, var_eps = _residual_power_moments(field)
     chi2 = None if _law_refusal(field) else chi_square_params(field)
     return UncertaintyMetrics(
@@ -273,15 +271,9 @@ class ScanEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class FrequencyScanResult:
-    """All unordered harmonic pairs, best (smallest mean_eps) first.
-
-    ``sigma_b`` is the measurement distribution's ``iid_sigma``: the noise
-    level for iid noise, None for any other structure.
-    """
+    """All unordered harmonic pairs, best (smallest mean_eps) first."""
 
     entries: tuple
-    sigma_b: float
-    max_freq: int
 
     @property
     def best(self) -> ScanEntry:
@@ -375,4 +367,4 @@ def frequency_scan(
     lam = [l if fitted else None for l, fitted in zip(lambdas.tolist(), ok.tolist())]
     rows = zip(pairs, lam, mean_eps.tolist(), cond.tolist(), (~ok).tolist())
     entries = tuple(starmap(ScanEntry, sorted(rows, key=itemgetter(2, 0))))
-    return FrequencyScanResult(entries, meas.iid_sigma, max_freq)
+    return FrequencyScanResult(entries)

@@ -39,7 +39,6 @@ from rakeuq import (
     SamplerConfig,
     SingularDesign,
     StationState,
-    UncertaintyBudget,
     area_average,
     area_average_mean,
     build_design_matrix,
@@ -245,8 +244,6 @@ CASES = {
         lambda c: StationState(_state_z(0, math.nan), DEFAULT_STATE.sigma), InvalidParams, "z"),
     "rss-nan-component": (lambda c: rss_total([math.nan, 1.0]), InvalidParams, "components"),
     "legacy-nan-sample": (lambda c: legacy_sampling_uncertainty([1.0, math.nan]), InvalidParams, "samples"),
-    "budget-nan-component": (
-        lambda c: UncertaintyBudget((("probe", math.nan),)), InvalidParams, "component 'probe'"),
     "harmonic-field-nan-amplitude": (lambda c: HarmonicField(amplitude=math.nan), InvalidParams, "amplitude"),
 }
 
@@ -264,7 +261,8 @@ def test_whole_number_floats_and_numpy_integers_accepted(engine_geometry, engine
     assert HarmonicField(frequency=2.0).frequency == HarmonicField(frequency=np.int32(2)).frequency == 2
     assert [row.n_rakes for row in fig1_demo(rake_counts=(np.int64(3), 8.0))] == [3, 8]
     assert HarmonicSet((1.0, np.int64(4))).omega == (1, 4)
-    assert frequency_scan(engine_geometry, engine_data, SIGMA_B, max_freq=3.0, beta=BETA).max_freq == 3
+    scan = frequency_scan(engine_geometry, engine_data, SIGMA_B, max_freq=3.0, beta=BETA)
+    assert sorted(e.omega for e in scan.entries) == [(1, 2), (1, 3), (2, 3)]
     rake = rake_position_mc(engine_model, engine_data, 0.5, config, n_prediction=np.int64(4))
     assert rake.theta_pred_deg.tolist() == [0.0, 90.0, 180.0, 270.0]
 

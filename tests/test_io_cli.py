@@ -264,6 +264,37 @@ def test_fit_correlated_noise_is_analytic(tmp_path):
     assert abs(mc.eps_mean - metrics.mean_eps) < 5.0 * mc.eps_mean_se
 
 
+@pytest.mark.parametrize(
+    "theta, harmonics",
+    [(ENGINE_THETA, "1,2,3"), (np.array([0.0, 90.0, 180.0, 270.0]), "2")],
+    ids=["fewer-rakes-than-coefficients", "aliased-quarter-rakes"],
+)
+def test_fit_of_singular_design_reports_null_condition(tmp_path, theta, harmonics):
+    # A^T A is numerically singular (N = 6 < K = 7; sin 2t vanishes at every
+    # rake), so cond is inf: the ridge ladder fits it and the report writes null
+    doc = campaign_doc(theta=theta)
+    doc["measurements"] = readme_readings(theta).tolist()
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["fit", str(path), "--harmonics", harmonics, "--beta", str(BETA), "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["fit"]["cond_AtA"] is None
+    assert report["fit"]["lambda"] == 1e-4
+    assert "g" not in report["metrics"] and "phi" not in report["metrics"]
+    assert 500.0 < report["area_average"]["mean"] < 550.0
+
+
+def test_fit_to_devnull_writes_no_sidecar(campaign_path, monkeypatch):
+    # os.devnull is not a regular file, so no coefficients file goes beside it
+    written = []
+    monkeypatch.setattr(io, "write_json", lambda doc, path: written.append(path))
+    assert main(["fit", campaign_path, "--harmonics", "1,4", "--beta", str(BETA),
+                 "--output", os.devnull]) == 0
+    assert written == [os.devnull]
+
+
 @pytest.mark.parametrize("option,value", [("--seed", "1"), ("--samples", "10")])
 def test_fit_rejects_monte_carlo_options(campaign_path, capsys, option, value):
     with pytest.raises(SystemExit) as exc:
@@ -609,6 +640,16 @@ def test_legacy_cli_with_samples(tmp_path):
     labels = [c["label"] for c in doc["components"]]
     assert "sampling" in labels
     assert doc["total"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
+
+
+def test_load_budget_returns_float_pairs_in_file_order(tmp_path):
+    budget = {"components": [{"label": "spatial", "value": 2}, {"label": "calibration", "value": 1.5}]}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(budget))
+    components, samples = io.load_budget(str(path))
+    assert components == [("spatial", 2.0), ("calibration", 1.5)]
+    assert [type(value) for _, value in components] == [float, float]
+    assert samples is None
 
 
 def test_legacy_rejects_nan_component(tmp_path, capsys):

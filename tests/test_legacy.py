@@ -10,7 +10,6 @@ from rakeuq import (
     InvalidParams,
     NegativeComponent,
     TooFewSamples,
-    UncertaintyBudget,
     fig1_demo,
     legacy_sampling_uncertainty,
     rss_total,
@@ -62,19 +61,6 @@ def test_rss_grows_with_extra_component(components, extra):
 def test_rss_rejects_negative():
     with pytest.raises(NegativeComponent):
         rss_total([1.0, -0.5])
-
-
-def test_budget_total_and_labels():
-    budget = UncertaintyBudget(
-        components=(("calibration", 1.0), ("spatial sampling", 2.371))
-    )
-    assert budget.total == pytest.approx(2.573, abs=5e-4)
-    assert budget.components[0] == ("calibration", 1.0)
-
-
-def test_budget_validates():
-    with pytest.raises(NegativeComponent):
-        UncertaintyBudget(components=(("a", -1.0),))
 
 
 def test_harmonic_field_rms():

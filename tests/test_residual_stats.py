@@ -333,7 +333,6 @@ def test_scan_matches_compute_metrics_for_any_noise(engine_geometry, noise):
     meas = scan_measurements(noise)
     assert meas.station_blocks.shape[0] == (7 if noise == "diagonal" else 1)
     result = frequency_scan(engine_geometry, meas, beta=BETA)
-    assert result.sigma_b is None
     keys = [(e.mean_eps, e.omega) for e in result.entries]
     assert keys == sorted(keys)
     lams = set()
@@ -354,7 +353,6 @@ def test_scan_of_iid_measurement_distribution_matches_sigma_b(engine_geometry, e
     by_meas = frequency_scan(engine_geometry, meas, beta=BETA)
     by_sigma = frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
     assert by_meas == by_sigma
-    assert by_meas.sigma_b == SIGMA_B
 
 
 def test_scan_noise_arguments_refused(engine_geometry, engine_data):

@@ -114,6 +114,7 @@ BUDGET_FAULTS = [
     (("components", 1, "value"), -1.0),
     (("components", 1, "value"), True),
     (("samples",), []),
+    (("samples",), [1.0]),
     (("samples", 1), True),
     (("samples", 2), "3"),
 ]
