@@ -105,11 +105,27 @@ def _emit(report: dict, output):
         io.dump_json(report, sys.stdout)
 
 
-def cmd_fit(args) -> int:
+def _fit_field(args):
+    """(campaign, model, coefficients, field) of the fit chain of ``fit`` and
+    ``grid``; a ridge fit is named in one warning, since its bias is not in
+    the uncertainties those commands report."""
     campaign = io.load_campaign(args.campaign)
     model = _build_model(campaign, args)
     coeffs = fit(model, campaign.measurements)
+    if coeffs.lambda_used > 0.0:
+        import logging  # here, not at the top: its import costs start-up time
+
+        logging.getLogger("rakeuq").warning(
+            "ridge fit at lambda = %r: it shrinks every coefficient, the mean "
+            "included, and the reported uncertainties exclude that bias; "
+            "raising --beta may allow a smaller lambda", coeffs.lambda_used,
+        )
     field = FieldDistribution.from_measurements(model, campaign.meas, coeffs.lambda_used)
+    return campaign, model, coeffs, field
+
+
+def cmd_fit(args) -> int:
+    campaign, model, coeffs, field = _fit_field(args)
     metrics = compute_metrics(model, coeffs, campaign.meas, field)
     area = area_average(model, field)
     sigma_b = campaign.meas.iid_sigma
@@ -144,10 +160,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    campaign = io.load_campaign(args.campaign)
-    model = _build_model(campaign, args)
-    coeffs = fit(model, campaign.measurements)
-    field = FieldDistribution.from_measurements(model, campaign.meas, coeffs.lambda_used)
+    _, model, _, field = _fit_field(args)
     r_grid, t_grid = _grid_centers(args.n_r, args.n_theta)
     mean, var = predictive_grid(model, field, r_grid, t_grid)
     # row-major with theta fastest

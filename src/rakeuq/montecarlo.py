@@ -1,19 +1,25 @@
 """Seeded Monte Carlo engine and the two sampling studies built on it.
 
 Everything here is deterministic for a fixed seed and sample count. The two
-sampling engines draw in batches of at most BATCH, each from its own
-generator spawned off one seed sequence, and the batches run and are reduced
-in order. ``sample_mvn``, and ``efficiency_mc`` through it, draw every sample
-in one block from ``np.random.default_rng(seed)``.
+sampling engines draw in batches, each from its own generator spawned off
+one seed sequence (``_batch_plan``): ``mc_propagate_model`` in blocks of
+MC_BLOCK draws, ``rake_position_mc`` in batches of BATCH. ``sample_mvn``,
+and ``efficiency_mc`` through it, draw every sample in one block from
+``np.random.default_rng(seed)``.
 
-``rake_position_mc`` fits a batch's draws on every usable CPU: the stack of
-angle draws is split into contiguous row chunks, one per CPU the process may
-run on while each chunk keeps MIN_CHUNK draws, and the chunks are fitted at
-once on threads started for the call (numpy's linear algebra releases the
-GIL). Each draw's fit has the same bits in any stack, so the results are
-byte-identical for any CPU count, and there is no setting. A second thread
-costs one more malloc arena: on the benchmark's ``mc_sampling`` op the
-median peak RSS rose by 2.3 MB, to 109.9 MB.
+Both engines work on every usable CPU through one pool helper, ``_pooled``,
+on threads started for the call (numpy's generators and linear algebra
+release the GIL). ``mc_propagate_model`` draws and reduces up to one block
+per CPU at once and folds the blocks' sums in block order, so its memory
+does not grow with the number of blocks. ``rake_position_mc`` runs its
+batches in order and splits each batch's stack of angle draws into
+contiguous row chunks, one per CPU while each chunk keeps MIN_CHUNK draws,
+fitted at once. A block's draws and a draw's fit have the same bits on any
+thread, so the results are byte-identical for any CPU count, and there is
+no setting. A second thread costs one more malloc arena: on the
+benchmark's ``mc_sampling`` op the median peak RSS rose by 2.3 MB when the
+rake fits were split, and read 109.6 MB with the blocks drawn on threads
+too, against 109.2 MB without.
 
 Two sampling studies share the sampler:
 
@@ -44,10 +50,13 @@ from a reference fit of the mean input:
   (``MeasurementDistribution.factor_blocks``): a draw is vec(B) =
   vec(mu_B) + L z, and X and R are T mu_B + (I_M kron T) L z for T = P and
   AP - I. Those maps of z, G_X and G_R, are kept in L's block form by the
-  propagation module's ``_station_map``. A batch forms only the residuals
-  (one stacked product with G_R) for the sampling metric, and the sums of
-  z and z z^T; no draw of B is formed. After all batches the sums are
-  mapped by G_X for Sigma_X, and by G_R for Sigma_R when that is read.
+  propagation module's ``_station_map``. A draw's metric ||R||_F^2 / NM
+  needs only the range of AP - I = -U diag(d) U^T, so a block maps its
+  draws by E = diag(d) U^T, without the rows where d is zero (M(N - K)
+  numbers per draw for a plain fit, against NM), and forms the sums of z and
+  z z^T; no draw of B or R is formed. After all blocks the sums are
+  mapped by G_X for Sigma_X and mu_X, and by G_R for mu_R, and for
+  Sigma_R when that is read.
   Every draw has F = A X exactly, so, as in the closed form, mu_F = A mu_X
   and Sigma_F is the congruence of Sigma_X by A. The grid value at (r, t)
   is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean G mu_X and
@@ -82,6 +91,12 @@ from .propagation import (
 )
 
 BATCH = 8192
+# Draws per block of ``mc_propagate_model``, each block from its own spawned
+# generator, drawn and reduced on every usable CPU. On a 2-core x86 VM with
+# one OpenBLAS thread, 4096 draws on a 6 x 7 campaign with correlated noise
+# took 3.95 ms in blocks of 2048, against 4.00 ms in blocks of 1024, 4.54 ms
+# in blocks of 512 and 5.54 ms in one block (medians of six runs of 100).
+MC_BLOCK = 2048
 # Fewest draws a chunk of a split rake stack keeps. On a 2-core x86 VM a
 # split into two chunks of 256 draws broke even against one thread, and two
 # of 512 saved 13-24 % of rake_position_mc.
@@ -111,11 +126,12 @@ class SamplerConfig:
         object.__setattr__(self, "n_samples", n_samples)
 
 
-def _batch_plan(config: SamplerConfig):
-    """Spawned child seeds and batch sizes: the random stream of a run."""
+def _batch_plan(config: SamplerConfig, size: int):
+    """Spawned child seeds and batch sizes, batches of ``size`` draws but the
+    last: the random stream of a run."""
     n = config.n_samples
-    n_batches = max(1, math.ceil(n / BATCH))
-    sizes = [BATCH] * (n_batches - 1) + [n - BATCH * (n_batches - 1)]
+    n_batches = max(1, math.ceil(n / size))
+    sizes = [size] * (n_batches - 1) + [n - size * (n_batches - 1)]
     children = np.random.SeedSequence(config.seed).spawn(n_batches)
     return children, sizes
 
@@ -128,33 +144,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pooled(work, tasks):
+    """Yield ``work(*task)`` for every task, in task order, with up to one
+    task per usable CPU worked on at once.
+
+    The tasks go in rounds of k, k the usable CPU count or the number of
+    tasks if smaller. A round's first task runs on the calling thread and
+    the rest on a pool of k - 1 threads made for this call, each in a copy
+    of the caller's context (where numpy 2 keeps ``np.errstate``), so no
+    thread outlives the call. A round's results are yielded in order once
+    the caller's task is done, and the next round starts when they have been
+    taken, so at most k results are held at once. An exception in any task
+    reaches the caller once every task of its round has finished; no later
+    round starts. With k < 2 every task runs on the calling thread and no
+    thread is started.
+    """
+    k = min(_usable_cpus(), len(tasks))
+    if k < 2:
+        for task in tasks:
+            yield work(*task)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(k - 1) as pool:
+        for i in range(0, len(tasks), k):
+            futures = [
+                pool.submit(contextvars.copy_context().run, work, *task)
+                for task in tasks[i + 1 : i + k]
+            ]
+            yield work(*tasks[i])
+            for future in futures:
+                yield future.result()
+
+
 def _split_rows(work, rows: np.ndarray):
     """``work(rows)``, a tuple of arrays with one leading entry per row,
-    computed over contiguous row chunks at once.
+    computed over contiguous row chunks at once by ``_pooled``.
 
     There is one chunk per usable CPU while each keeps at least MIN_CHUNK
-    rows; a smaller stack is worked on the calling thread alone. Chunk 0
-    runs on the calling thread and every other chunk on a thread of a pool
-    made for this call, in a copy of the caller's context (where numpy 2
-    keeps ``np.errstate``), so no thread outlives the call. The results are
-    joined in order; an exception in any chunk reaches the caller once all
-    have finished. ``work`` must treat each row independently of the rest
-    of the stack, bit for bit, so the result is the same for any number of
-    chunks.
+    rows, so every chunk is in one round; a smaller stack is worked on the
+    calling thread alone. The results are joined in order. ``work`` must
+    treat each row independently of the rest of the stack, bit for bit, so
+    the result is the same for any number of chunks.
     """
     n = rows.shape[0]
     k = min(_usable_cpus(), n // MIN_CHUNK)
     if k < 2:
         return work(rows)
-    from concurrent.futures import ThreadPoolExecutor
-
     bounds = [n * i // k for i in range(k + 1)]
-    with ThreadPoolExecutor(k - 1) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, work, rows[a:b])
-            for a, b in zip(bounds[1:-1], bounds[2:])
-        ]
-        parts = [work(rows[: bounds[1]])] + [future.result() for future in futures]
+    parts = list(_pooled(work, [(rows[a:b],) for a, b in zip(bounds, bounds[1:])]))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -249,6 +287,12 @@ def mc_propagate_model(
     unregularized fit), matching the linear map behind the closed forms this
     function cross-checks; the ridge ladder is deliberately not walked here.
     The predictive grid is taken at the model's stations, every 10 degrees.
+
+    The draws come in blocks of MC_BLOCK, each from its own generator
+    spawned off the seed, drawn on every usable CPU and summed in block
+    order: the results are byte-identical for any CPU count. Up to MC_BLOCK
+    draws are those of the former single 8192-draw batch; seeded results
+    above MC_BLOCK draws changed once when the blocks replaced it.
     """
     _readings(meas.mu_B, "mu_B", model)
     N, M = model.n_rakes, model.n_stations
@@ -261,32 +305,43 @@ def mc_propagate_model(
     L = meas.factor_blocks
     n_blocks, width = L.shape[:2]
     G_X, G_R = (_station_map(T, L) for T in (P, resid))
-    R_mapT = G_R.transpose(0, 2, 1)
-    mu_R0 = (resid @ meas.mu_B).T.reshape(n_blocks, 1, width)
+    # A draw's metric needs only ||R||_F, so only the range of AP - I: with
+    # A = U S V^T (U full), AP - I = -U diag(d) U^T, d_i = lam^2 / (s_i^2 +
+    # lam^2) for the first min(N, K) columns and 1 beyond. Rows with d_i = 0,
+    # all K of them at lam = 0, drop out of E = diag(d) U^T.
+    U, s = np.linalg.svd(model.A)[:2]
+    d = np.ones(N)
+    d[: s.size] = lam * lam / (s * s + lam * lam) if lam else 0.0
+    keep = d != 0.0
+    E = d[keep, None] * U[:, keep].T
+    E_mapT = _station_map(E, L).transpose(0, 2, 1)
+    mu_E0 = (E @ meas.mu_B).T.reshape(n_blocks, 1, -1)
     r_fracs = model.geometry.r_stations
     theta_grid_deg = np.arange(0.0, 360.0, 10.0)
     W = np.atleast_2d(model.radial.blend(r_fracs))
     A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
-    def run_batch(seed_child, size):
-        z = np.random.default_rng(seed_child).standard_normal((size, NM))
-        # Each block of G_R maps its own slice of z: one stacked product.
-        r = z.reshape(size, n_blocks, width).transpose(1, 0, 2) @ R_mapT
-        r += mu_R0
-        eps = np.einsum("bsi,bsi->s", r, r) / NM
-        return z.sum(axis=0), z.T @ z, eps
-
-    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config))]
-
+    # The results are allocated before any block runs, so they sit below the
+    # blocks' temporaries in the heap: arrays kept from a block pinned the
+    # top of the heap and raised the peak RSS of repeated runs.
     n = config.n_samples
-    # sum() and concatenate() copy even a single batch's arrays, on purpose:
-    # arrays the result keeps, allocated once the batches' temporaries are
-    # freed, sit low in the heap. Keeping a batch's own arrays pins the top
-    # of the heap and raised the peak RSS of repeated runs on the paper
-    # campaign by up to 2.5 MB.
-    z_sum = sum(res[0] for res in results)
-    z_cross = sum(res[1] for res in results)
-    eps = np.concatenate([res[2] for res in results])
+    z_sum, z_cross, eps = np.zeros(NM), np.zeros((NM, NM)), np.empty(n)
+
+    def run_block(seed_child, eps_out):
+        z = np.random.default_rng(seed_child).standard_normal((eps_out.size, NM))
+        # Each block of G_E maps its own slice of z: one stacked product.
+        e = z.reshape(eps_out.size, n_blocks, width).transpose(1, 0, 2) @ E_mapT
+        e += mu_E0
+        np.einsum("bsi,bsi->s", e, e, out=eps_out)
+        return z.sum(axis=0), z.T @ z
+
+    children, sizes = _batch_plan(config, MC_BLOCK)
+    blocks = zip(children, np.split(eps, np.cumsum(sizes[:-1])))
+    # Folded in block order, so the sums have the same bits for any CPU count.
+    for block_sum, block_cross in _pooled(run_block, list(blocks)):
+        z_sum += block_sum
+        z_cross += block_cross
+    eps /= NM
     # Sigma_B = 0 makes every G_T zero, and so every covariance exactly zero.
     mu_X, mu_R = (
         T @ meas.mu_B + unvec(_block_left(G, z_sum) / n, T.shape[0], M)
@@ -399,7 +454,7 @@ def rake_position_mc(
             return X, lambdas, 0
         return X[ok], lambdas[ok], int(np.sum(~ok))
 
-    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config))]
+    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config, BATCH))]
 
     slices = [r[0] for r in results]
     lambdas = np.concatenate([r[1] for r in results])

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
@@ -293,6 +294,38 @@ def test_fit_to_devnull_writes_no_sidecar(campaign_path, monkeypatch):
     assert main(["fit", campaign_path, "--harmonics", "1,4", "--beta", str(BETA),
                  "--output", os.devnull]) == 0
     assert written == [os.devnull]
+
+
+@pytest.mark.parametrize("command,output", [("fit", "report.json"), ("grid", "grid.csv")])
+def test_ridge_fit_warns_of_its_bias(tmp_path, caplog, command, output):
+    # four rakes at 0/90/180/270 with harmonic 2 at the default beta: the
+    # ladder accepts lambda = 10, which pulls the area mean far below the
+    # readings while the reported uncertainty stays tiny
+    theta = np.array([0.0, 90.0, 180.0, 270.0])
+    doc = campaign_doc(theta=theta)
+    doc["measurements"] = readme_readings(theta).tolist()
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / output
+    with caplog.at_level(logging.WARNING, logger="rakeuq"):
+        assert main([command, str(path), "--harmonics", "2", "--output", str(out)]) == 0
+    assert [(r.name, r.levelno) for r in caplog.records] == [("rakeuq", logging.WARNING)]
+    message = caplog.records[0].getMessage()
+    for part in ("lambda = 10.0", "every coefficient, the mean included",
+                 "uncertainties exclude that bias", "--beta"):
+        assert part in message
+    if command == "fit":
+        report = json.loads(out.read_text())
+        assert report["fit"]["lambda"] == 10.0
+        assert report["area_average"]["mean"] < 0.05 * readme_readings(theta).min()
+
+
+@pytest.mark.parametrize("command,output", [("fit", "report.json"), ("grid", "grid.csv")])
+def test_plain_fit_logs_nothing(campaign_path, tmp_path, caplog, command, output):
+    with caplog.at_level(logging.DEBUG, logger="rakeuq"):
+        assert main([command, campaign_path, "--harmonics", "1,4", "--beta", str(BETA),
+                     "--output", str(tmp_path / output)]) == 0
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("option,value", [("--seed", "1"), ("--samples", "10")])

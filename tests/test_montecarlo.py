@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -177,7 +178,7 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     meas = MeasurementDistribution(engine_data, Sigma_B)
     cfg = SamplerConfig(seed=31, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg)
-    children, sizes = mc_mod._batch_plan(cfg)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(Sigma_B)[1].T
@@ -211,7 +212,7 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise)
     assert meas.factor_blocks.shape[0] == (1 if noise == "dense" else 7)
     cfg = SamplerConfig(seed=43, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
-    children, sizes = mc_mod._batch_plan(cfg)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(meas.Sigma_B)[1].T
@@ -305,19 +306,47 @@ def test_from_diagonal_factor_is_sigma_exactly(engine_data, factorizations):
     np.testing.assert_array_equal(meas.station_blocks, blocks**2)
 
 
-def _per_draw_fits(model, meas, cfg, lam):
-    """X, F, R and eps of every draw, rebuilt batch by batch from _batch_plan."""
+def _per_draw_readings(meas, cfg):
+    """Every draw's B, rebuilt block by block from _batch_plan."""
     L = mc_mod._psd_factor(meas.Sigma_B)[1]
-    children, sizes = mc_mod._batch_plan(cfg)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
     z = np.concatenate([
         np.random.default_rng(child).standard_normal((size, 42))
         for child, size in zip(children, sizes)
     ])
-    B = (meas.mu_B.reshape(-1, order="F") + z @ L.T).reshape(-1, 7, 6).transpose(0, 2, 1)
+    return (meas.mu_B.reshape(-1, order="F") + z @ L.T).reshape(-1, 7, 6).transpose(0, 2, 1)
+
+
+def _per_draw_fits(model, meas, cfg, lam):
+    """X, F, R and eps of every draw, rebuilt block by block from _batch_plan."""
+    B = _per_draw_readings(meas, cfg)
     X = model.pseudoinverse(lam) @ B
     F = model.A @ X
     R = F - B
     return X, F, R, np.einsum("bij,bij->b", R, R) / 42
+
+
+@pytest.mark.parametrize(
+    "harmonics,lam",
+    [((1, 4), 0.0), ((1, 4), 0.1), ((1, 2, 3), 1e-4)],
+    ids=["plain", "ridge", "fewer rakes than coefficients"],
+)
+def test_mc_one_block_eps_match_per_draw_residuals(engine_geometry, engine_data, harmonics, lam):
+    # the engine takes each draw's metric from the range of AP - I only
+    model = build_design_matrix(engine_geometry, HarmonicSet(harmonics), beta=BETA)
+    meas = NOISE["dense"](engine_data)
+    cfg = SamplerConfig(seed=53, n_samples=mc_mod.MC_BLOCK)
+    res = mc_propagate_model(model, meas, cfg, lam=lam)
+    if model.P is not None:
+        eps = _per_draw_fits(model, meas, cfg, lam)[3]
+    else:
+        # N = 6 < K = 7 at a ladder lambda: A P B - B loses about 1e-7 of
+        # ||R||^2 to cancellation on these kelvin-scale readings, while
+        # AP - I = -lam^2 (A A^T + lam^2 I)^{-1} is free of it
+        A = model.A
+        R = -lam**2 * np.linalg.solve(A @ A.T + lam**2 * np.eye(6), _per_draw_readings(meas, cfg))
+        eps = np.einsum("bij,bij->b", R, R) / 42
+    np.testing.assert_allclose(res.eps_samples, eps, rtol=1e-10)
 
 
 @pytest.mark.parametrize("noise", ["dense", "station blocks"])
@@ -771,7 +800,7 @@ def test_rake_mc_grid_moments_match_kept_draws(engine_model, engine_data):
 
 def test_rake_mc_deterministic_run_to_run(engine_model, engine_data):
     cfg = SamplerConfig(seed=21, n_samples=10_000)
-    assert len(mc_mod._batch_plan(cfg)[1]) == 2
+    assert len(mc_mod._batch_plan(cfg, mc_mod.BATCH)[1]) == 2
     a = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     b = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     np.testing.assert_array_equal(a.grid_mean, b.grid_mean)
@@ -785,7 +814,7 @@ def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
     cfg = SamplerConfig(seed=23, n_samples=mc_mod.BATCH + 3)
     res = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     assert res.n_failed == 0
-    children, sizes = mc_mod._batch_plan(cfg)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BATCH)
     assert sizes == [mc_mod.BATCH, 3]
     N = engine_model.n_rakes
     L = mc_mod._psd_factor(np.eye(N))[1]
@@ -943,10 +972,12 @@ def test_rake_mc_aborts_when_fits_fail(engine_geometry, engine_data):
 
 
 def test_batch_plan_partitions_samples():
-    children, sizes = mc_mod._batch_plan(SamplerConfig(seed=1, n_samples=20_000))
-    assert sum(sizes) == 20_000
-    assert all(s > 0 for s in sizes)
-    assert len(children) == len(sizes)
+    cfg = SamplerConfig(seed=1, n_samples=20_000)
+    for size, last in ((mc_mod.BATCH, 3616), (mc_mod.MC_BLOCK, 1568)):
+        children, sizes = mc_mod._batch_plan(cfg, size)
+        assert sizes == [size] * (len(sizes) - 1) + [last]
+        assert sum(sizes) == 20_000
+        assert len(children) == len(sizes)
 
 
 # A rake batch's draws are split into contiguous row chunks, one per usable
@@ -1026,7 +1057,9 @@ class _NoThreads(Exception):
     pass
 
 
-def test_fit_scan_and_small_stacks_start_no_thread(engine_model, engine_geometry, engine_data, monkeypatch):
+def test_fit_scan_and_small_stacks_start_no_thread(
+    engine_model, engine_geometry, engine_data, engine_meas, monkeypatch
+):
     import concurrent.futures
 
     def refuse(*args, **kwargs):
@@ -1038,9 +1071,13 @@ def test_fit_scan_and_small_stacks_start_no_thread(engine_model, engine_geometry
     fit(engine_model, engine_data)
     frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
     rake_position_mc(engine_model, engine_data, 0.5, small)
-    # the refusal is live: one more draw splits the stack
+    one_block = SamplerConfig(seed=5, n_samples=mc_mod.MC_BLOCK)
+    mc_propagate_model(engine_model, engine_meas, one_block)
+    # the refusals are live: one more draw splits the stack, or adds a block
     with pytest.raises(_NoThreads):
         rake_position_mc(engine_model, engine_data, 0.5, replace(small, n_samples=small.n_samples + 1))
+    with pytest.raises(_NoThreads):
+        mc_propagate_model(engine_model, engine_meas, replace(one_block, n_samples=mc_mod.MC_BLOCK + 1))
 
 
 def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkeypatch):
@@ -1057,6 +1094,60 @@ def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkey
     with pytest.raises(RegularizationExhausted, match="worker chunk"):
         rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=2048))
     assert threading.active_count() == threads
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+def test_worker_block_exception_reaches_caller_after_every_block(engine_model, engine_meas, monkeypatch):
+    # three blocks in one round on three CPUs: block 0 on the calling thread,
+    # block 1 raises on a worker, and block 2 is still running when it does
+    pooled = mc_mod._pooled
+    finished, raised_on_worker = [], []
+
+    def with_failing_block(work, tasks):
+        def block(seed_child, *rest):
+            index = seed_child.spawn_key[-1]
+            if index == 1:
+                raised_on_worker.append(threading.current_thread() is not threading.main_thread())
+                raise _BlockFailed
+            if index == 2:
+                time.sleep(0.1)
+            out = work(seed_child, *rest)
+            finished.append(index)
+            return out
+
+        return pooled(block, tasks)
+
+    monkeypatch.setattr(mc_mod, "_pooled", with_failing_block)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
+    threads = threading.active_count()
+    with pytest.raises(_BlockFailed):
+        mc_propagate_model(engine_model, engine_meas, SamplerConfig(seed=1, n_samples=3 * mc_mod.MC_BLOCK))
+    assert raised_on_worker == [True]
+    assert sorted(finished) == [0, 2]
+    assert threading.active_count() == threads
+
+
+def test_mc_memory_does_not_grow_with_the_block_count(monkeypatch):
+    # every block's sums are folded as its round completes: at 24 x 20
+    # (NM = 480) a run of 16 blocks peaks like one of 2 on the same two CPUs
+    import tracemalloc
+
+    geometry = AnnulusGeometry(15.0 * np.arange(24), np.linspace(0.05, 0.95, 20), R_INNER, R_OUTER)
+    model = build_design_matrix(geometry, HarmonicSet((1, 4)), beta=BETA)
+    meas = MeasurementDistribution.from_iid(np.full((24, 20), 500.0), SIGMA_B)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    peaks = []
+    for n_blocks in (2, 16):
+        tracemalloc.start()
+        try:
+            mc_propagate_model(model, meas, SamplerConfig(seed=3, n_samples=n_blocks * mc_mod.MC_BLOCK))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
