@@ -382,9 +382,10 @@ def build_report(
         "fit": {
             "omega": list(model.harmonics.omega),
             "lambda": float(coeffs.lambda_used),
-            # null where A^T A is numerically singular and cond is inf
+            # null where A^T A is numerically singular and cond is inf, and
+            # where beta is inf (the guard is off)
             "cond_AtA": None if model.P is None else float(model.cond_AtA),
-            "beta": float(model.beta),
+            "beta": None if math.isinf(model.beta) else float(model.beta),
             "coefficient_norm": coeffs.spectral_norm,
         },
         "metrics": {

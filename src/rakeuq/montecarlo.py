@@ -1,25 +1,18 @@
 """Seeded Monte Carlo engine and the two sampling studies built on it.
 
-Everything here is deterministic for a fixed seed and sample count. The two
-sampling engines draw in batches, each from its own generator spawned off
-one seed sequence (``_batch_plan``): ``mc_propagate_model`` in blocks of
-MC_BLOCK draws, ``rake_position_mc`` in batches of BATCH. ``sample_mvn``,
-and ``efficiency_mc`` through it, draw every sample in one block from
-``np.random.default_rng(seed)``.
-
-Both engines work on every usable CPU through one pool helper, ``_pooled``,
-on threads started for the call (numpy's generators and linear algebra
-release the GIL). ``mc_propagate_model`` draws and reduces up to one block
-per CPU at once and folds the blocks' sums in block order, so its memory
-does not grow with the number of blocks. ``rake_position_mc`` runs its
-batches in order and splits each batch's stack of angle draws into
-contiguous row chunks, one per CPU while each chunk keeps MIN_CHUNK draws,
-fitted at once. A block's draws and a draw's fit have the same bits on any
-thread, so the results are byte-identical for any CPU count, and there is
-no setting. A second thread costs one more malloc arena: on the
-benchmark's ``mc_sampling`` op the median peak RSS rose by 2.3 MB when the
-rake fits were split, and read 109.6 MB with the blocks drawn on threads
-too, against 109.2 MB without.
+Everything here is deterministic for a fixed seed and sample count. Both
+sampling engines draw in blocks of BLOCK draws, each block from its own
+generator spawned off one seed sequence (``_batch_plan``), and work their
+blocks through one pool helper, ``_pooled``: up to one block per usable CPU
+at once, on threads started for the call (numpy's generators and linear
+algebra release the GIL), with the blocks' results taken in block order. A
+block of ``mc_propagate_model`` draws its noise and reduces it to sums, which
+are folded as each round completes, so its memory does not grow with the
+number of blocks; a block of ``rake_position_mc`` draws, wraps and fits its
+own angles. A block's draws and fits have the same bits on any thread, so
+the results are byte-identical for any CPU count, and there is no setting.
+``sample_mvn``, and ``efficiency_mc`` through it, draw every sample in one
+block from ``np.random.default_rng(seed)``.
 
 Two sampling studies share the sampler:
 
@@ -63,7 +56,7 @@ from a reference fit of the mean input:
   variance diag(G Sigma_X G^T), taken by the same contraction as
   ``predictive_grid``.
 * ``rake_position_mc`` sums the kept draws' deviations once, after all
-  batches: per station m a K-vector, and the K x K cross products, read off
+  blocks: per station m a K-vector, and the K x K cross products, read off
   the block diagonal of one (n, KM) product. The variance at prediction
   angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
 """
@@ -90,17 +83,14 @@ from .propagation import (
     unvec,
 )
 
-BATCH = 8192
-# Draws per block of ``mc_propagate_model``, each block from its own spawned
-# generator, drawn and reduced on every usable CPU. On a 2-core x86 VM with
-# one OpenBLAS thread, 4096 draws on a 6 x 7 campaign with correlated noise
-# took 3.95 ms in blocks of 2048, against 4.00 ms in blocks of 1024, 4.54 ms
+# Draws per block of both sampling engines. On a 2-core x86 VM with one
+# OpenBLAS thread, fitting rake draws on two threads broke even against one
+# thread at 256 draws a thread and saved 13-24 % of rake_position_mc at 512,
+# and the benchmark's 2048 rake draws still make a block for each CPU. There,
+# 4096 mc_propagate_model draws on a 6 x 7 campaign with correlated noise
+# took 4.00 ms in blocks of 1024, against 3.95 ms in blocks of 2048, 4.54 ms
 # in blocks of 512 and 5.54 ms in one block (medians of six runs of 100).
-MC_BLOCK = 2048
-# Fewest draws a chunk of a split rake stack keeps. On a 2-core x86 VM a
-# split into two chunks of 256 draws broke even against one thread, and two
-# of 512 saved 13-24 % of rake_position_mc.
-MIN_CHUNK = 512
+BLOCK = 1024
 # ``rake_position_mc`` aborts when more than this fraction of its draws fail.
 MAX_FAILURE_FRACTION = 0.01
 
@@ -127,12 +117,12 @@ class SamplerConfig:
 
 
 def _batch_plan(config: SamplerConfig, size: int):
-    """Spawned child seeds and batch sizes, batches of ``size`` draws but the
+    """Spawned child seeds and block sizes, blocks of ``size`` draws but the
     last: the random stream of a run."""
     n = config.n_samples
-    n_batches = max(1, math.ceil(n / size))
-    sizes = [size] * (n_batches - 1) + [n - size * (n_batches - 1)]
-    children = np.random.SeedSequence(config.seed).spawn(n_batches)
+    n_blocks = max(1, math.ceil(n / size))
+    sizes = [size] * (n_blocks - 1) + [n - size * (n_blocks - 1)]
+    children = np.random.SeedSequence(config.seed).spawn(n_blocks)
     return children, sizes
 
 
@@ -177,30 +167,11 @@ def _pooled(work, tasks):
                 yield future.result()
 
 
-def _split_rows(work, rows: np.ndarray):
-    """``work(rows)``, a tuple of arrays with one leading entry per row,
-    computed over contiguous row chunks at once by ``_pooled``.
-
-    There is one chunk per usable CPU while each keeps at least MIN_CHUNK
-    rows, so every chunk is in one round; a smaller stack is worked on the
-    calling thread alone. The results are joined in order. ``work`` must
-    treat each row independently of the rest of the stack, bit for bit, so
-    the result is the same for any number of chunks.
-    """
-    n = rows.shape[0]
-    k = min(_usable_cpus(), n // MIN_CHUNK)
-    if k < 2:
-        return work(rows)
-    bounds = [n * i // k for i in range(k + 1)]
-    parts = list(_pooled(work, [(rows[a:b],) for a, b in zip(bounds, bounds[1:])]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
 def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
 
     All rows come in one block from ``np.random.default_rng(config.seed)``,
-    not in the engines' spawned batches. ``mean`` must be finite. cov is
+    not in the engines' spawned blocks. ``mean`` must be finite. cov is
     factored under the PSD rule of ``propagation._psd_factor``.
     """
     mean = np.asarray(mean, dtype=float).ravel()
@@ -288,11 +259,9 @@ def mc_propagate_model(
     function cross-checks; the ridge ladder is deliberately not walked here.
     The predictive grid is taken at the model's stations, every 10 degrees.
 
-    The draws come in blocks of MC_BLOCK, each from its own generator
-    spawned off the seed, drawn on every usable CPU and summed in block
-    order: the results are byte-identical for any CPU count. Up to MC_BLOCK
-    draws are those of the former single 8192-draw batch; seeded results
-    above MC_BLOCK draws changed once when the blocks replaced it.
+    The draws come in blocks of BLOCK, each from its own generator spawned
+    off the seed, drawn on every usable CPU and summed in block order: the
+    results are byte-identical for any CPU count.
     """
     _readings(meas.mu_B, "mu_B", model)
     N, M = model.n_rakes, model.n_stations
@@ -335,7 +304,7 @@ def mc_propagate_model(
         np.einsum("bsi,bsi->s", e, e, out=eps_out)
         return z.sum(axis=0), z.T @ z
 
-    children, sizes = _batch_plan(config, MC_BLOCK)
+    children, sizes = _batch_plan(config, BLOCK)
     blocks = zip(children, np.split(eps, np.cumsum(sizes[:-1])))
     # Folded in block order, so the sums have the same bits for any CPU count.
     for block_sum, block_cross in _pooled(run_block, list(blocks)):
@@ -416,6 +385,10 @@ def rake_position_mc(
     aborts with DrawFailed when more than MAX_FAILURE_FRACTION (1 %) of
     draws fail, so also when all of them do. ``n_prediction`` is a whole
     number.
+
+    The draws come in blocks of BLOCK, each from its own generator spawned
+    off the seed and fitted on every usable CPU: the results are
+    byte-identical for any CPU count.
     """
     n_prediction = _whole(n_prediction, "n_prediction")
     B = _readings(B, "B", model)
@@ -443,22 +416,18 @@ def rake_position_mc(
     X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
     G_ref = A_pred @ X_ref
 
-    def fit_draws(thetas):
-        return _fit_batch(model, design_matrix(thetas, omega), B, plain=plain)
-
-    def run_batch(seed_child, size):
+    def run_block(seed_child, size):
         z = np.random.default_rng(seed_child).standard_normal((size, N))
         thetas = _wrap_degrees(mu_theta + z @ L.T)
-        X, lambdas, ok = _split_rows(fit_draws, thetas)
+        X, lambdas, ok = _fit_batch(model, design_matrix(thetas, omega), B, plain=plain)
         if ok.all():
             return X, lambdas, 0
         return X[ok], lambdas[ok], int(np.sum(~ok))
 
-    results = [run_batch(child, size) for child, size in zip(*_batch_plan(config, BATCH))]
-
-    slices = [r[0] for r in results]
-    lambdas = np.concatenate([r[1] for r in results])
-    n_failed = sum(r[2] for r in results)
+    blocks = list(zip(*_batch_plan(config, BLOCK)))
+    coeff_blocks, lambda_blocks, failed = zip(*_pooled(run_block, blocks))
+    lambdas = np.concatenate(lambda_blocks)
+    n_failed = sum(failed)
     n = config.n_samples
     if n_failed > MAX_FAILURE_FRACTION * n:
         raise DrawFailed(
@@ -466,8 +435,7 @@ def rake_position_mc(
             f"(> {MAX_FAILURE_FRACTION:.0%})"
         )
     n_ok = n - n_failed
-    # A copy even for one batch, as in mc_propagate_model.
-    coeffs = np.concatenate(slices, axis=0)
+    coeffs = np.concatenate(coeff_blocks)
     # Per station m: mean a_p^T mean(dX) about G_ref, variance a_p^T S_m a_p.
     # One (n_ok, KM) cross product holds every station's K x K sums on its
     # block diagonal.

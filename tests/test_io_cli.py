@@ -360,6 +360,15 @@ def test_scan_cli_accepts_infinite_beta(campaign_path, tmp_path, capsys):
     assert "best pair" in capsys.readouterr().out
 
 
+def test_fit_cli_reports_infinite_beta_as_null(campaign_path, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["fit", campaign_path, "--harmonics", "1,4", "--beta", "inf", "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["fit"]["beta"] is None
+    assert report["fit"]["lambda"] == 0.0
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [

@@ -173,12 +173,12 @@ def test_mc_grid_variance_matches_closed_form(engine_model, engine_field, mc_ora
 
 
 def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
-    # rebuild the draws of a one-batch run and evaluate W X A_g^T per draw
+    # rebuild the draws of a one-block run and evaluate W X A_g^T per draw
     Sigma_B = random_psd(42, np.random.default_rng(29))
     meas = MeasurementDistribution(engine_data, Sigma_B)
     cfg = SamplerConfig(seed=31, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg)
-    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(Sigma_B)[1].T
@@ -206,13 +206,13 @@ NOISE = {
 
 @pytest.mark.parametrize("noise", list(NOISE))
 def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise):
-    # one batch rebuilt draw by draw: X = P B, F = A X and R = F - B
+    # one block rebuilt draw by draw: X = P B, F = A X and R = F - B
     lam = 0.1
     meas = NOISE[noise](engine_data)
     assert meas.factor_blocks.shape[0] == (1 if noise == "dense" else 7)
     cfg = SamplerConfig(seed=43, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
-    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)
     assert sizes == [512]
     z = np.random.default_rng(children[0]).standard_normal((512, 42))
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(meas.Sigma_B)[1].T
@@ -309,7 +309,7 @@ def test_from_diagonal_factor_is_sigma_exactly(engine_data, factorizations):
 def _per_draw_readings(meas, cfg):
     """Every draw's B, rebuilt block by block from _batch_plan."""
     L = mc_mod._psd_factor(meas.Sigma_B)[1]
-    children, sizes = mc_mod._batch_plan(cfg, mc_mod.MC_BLOCK)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)
     z = np.concatenate([
         np.random.default_rng(child).standard_normal((size, 42))
         for child, size in zip(children, sizes)
@@ -335,7 +335,7 @@ def test_mc_one_block_eps_match_per_draw_residuals(engine_geometry, engine_data,
     # the engine takes each draw's metric from the range of AP - I only
     model = build_design_matrix(engine_geometry, HarmonicSet(harmonics), beta=BETA)
     meas = NOISE["dense"](engine_data)
-    cfg = SamplerConfig(seed=53, n_samples=mc_mod.MC_BLOCK)
+    cfg = SamplerConfig(seed=53, n_samples=mc_mod.BLOCK)
     res = mc_propagate_model(model, meas, cfg, lam=lam)
     if model.P is not None:
         eps = _per_draw_fits(model, meas, cfg, lam)[3]
@@ -350,17 +350,9 @@ def test_mc_one_block_eps_match_per_draw_residuals(engine_geometry, engine_data,
 
 
 @pytest.mark.parametrize("noise", ["dense", "station blocks"])
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SamplerConfig(seed=47, n_samples=mc_mod.BATCH + 3),
-    ],
-    ids=["two batches"],
-)
-def test_mc_multi_batch_and_antithetic_match_per_draw_samples(
-    engine_model, engine_data, noise, cfg
-):
+def test_mc_several_blocks_match_per_draw_samples(engine_model, engine_data, noise):
     lam = 0.1
+    cfg = SamplerConfig(seed=47, n_samples=3 * mc_mod.BLOCK + 3)
     meas = NOISE[noise](engine_data)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
     X, F, R, eps = _per_draw_fits(engine_model, meas, cfg, lam)
@@ -800,7 +792,7 @@ def test_rake_mc_grid_moments_match_kept_draws(engine_model, engine_data):
 
 def test_rake_mc_deterministic_run_to_run(engine_model, engine_data):
     cfg = SamplerConfig(seed=21, n_samples=10_000)
-    assert len(mc_mod._batch_plan(cfg, mc_mod.BATCH)[1]) == 2
+    assert len(mc_mod._batch_plan(cfg, mc_mod.BLOCK)[1]) == 10
     a = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     b = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     np.testing.assert_array_equal(a.grid_mean, b.grid_mean)
@@ -809,13 +801,13 @@ def test_rake_mc_deterministic_run_to_run(engine_model, engine_data):
 
 
 def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
-    # rebuild each draw's angles from the batch plan, then fit every draw
+    # rebuild each draw's angles from the block plan, then fit every draw
     # alone with fit() on a model built at that draw's angles
-    cfg = SamplerConfig(seed=23, n_samples=mc_mod.BATCH + 3)
+    cfg = SamplerConfig(seed=23, n_samples=mc_mod.BLOCK + 3)
     res = rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36)
     assert res.n_failed == 0
-    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BATCH)
-    assert sizes == [mc_mod.BATCH, 3]
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)
+    assert sizes == [mc_mod.BLOCK, 3]
     N = engine_model.n_rakes
     L = mc_mod._psd_factor(np.eye(N))[1]
     thetas = np.concatenate([
@@ -973,17 +965,14 @@ def test_rake_mc_aborts_when_fits_fail(engine_geometry, engine_data):
 
 def test_batch_plan_partitions_samples():
     cfg = SamplerConfig(seed=1, n_samples=20_000)
-    for size, last in ((mc_mod.BATCH, 3616), (mc_mod.MC_BLOCK, 1568)):
-        children, sizes = mc_mod._batch_plan(cfg, size)
-        assert sizes == [size] * (len(sizes) - 1) + [last]
-        assert sum(sizes) == 20_000
-        assert len(children) == len(sizes)
+    children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)
+    assert sizes == [mc_mod.BLOCK] * 19 + [544]
+    assert len(children) == len(sizes)
 
 
-# A rake batch's draws are split into contiguous row chunks, one per usable
-# CPU while each chunk keeps MIN_CHUNK draws, and fitted on short-lived
-# threads. Every slice's fit is independent of the rest of its stack, bit for
-# bit, so no result may depend on the CPU count.
+# Both engines work their blocks on short-lived threads, one block per usable
+# CPU at once. A block's draws, and every slice's fit, are independent of the
+# rest of the run, bit for bit, so no result may depend on the CPU count.
 
 RAKE_FIELDS = ("coefficients", "lambdas", "grid_mean", "grid_var")
 MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "grid_mean", "grid_var", "Sigma_R")
@@ -1018,12 +1007,17 @@ def _assert_same_bytes(results, fields):
             assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
 
 
+def _rake_stacks(cfg):
+    """The stack sizes ``_fit_batch`` sees in a rake run: the nominal fit,
+    then one stack per block of the plan, sorted."""
+    return sorted([1] + mc_mod._batch_plan(cfg, mc_mod.BLOCK)[1])
+
+
 def test_rake_mc_two_batches_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
-    cfg = SamplerConfig(seed=21, n_samples=mc_mod.BATCH + 2000)
+    cfg = SamplerConfig(seed=21, n_samples=mc_mod.BLOCK + 2000)
     results, stacks = _at_cpu_counts(
         monkeypatch, lambda: rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36))
-    # the nominal fit, then 8192 draws in 1, 2 and 4 chunks and 2000 in 1, 2 and 3
-    assert stacks == [[1, 2000, 8192], [1, 1000, 1000, 4096, 4096], [1, 666, 667, 667] + [2048] * 4]
+    assert stacks == [_rake_stacks(cfg)] * 3
     _assert_same_bytes(results, RAKE_FIELDS)
 
 
@@ -1035,11 +1029,10 @@ def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
     model = build_design_matrix(
         engine_geometry, HarmonicSet((1, 4)), beta=1396.0, lambda_ladder=(1e-3, 0.03)
     )
-    results, stacks = _at_cpu_counts(monkeypatch, lambda: rake_position_mc(
-        model, engine_data, 2.0, SamplerConfig(seed=3, n_samples=2500),
-        n_prediction=36,
-    ))
-    assert stacks == [[1, 2500], [1, 1250, 1250], [1, 625, 625, 625, 625]]
+    cfg = SamplerConfig(seed=3, n_samples=2500)
+    results, stacks = _at_cpu_counts(
+        monkeypatch, lambda: rake_position_mc(model, engine_data, 2.0, cfg, n_prediction=36))
+    assert stacks == [_rake_stacks(cfg)] * 3
     assert results[0].n_failed > 0
     assert set(results[0].lambdas.tolist()) == {0.0, 1e-3, 0.03}
     assert len({r.n_failed for r in results}) == 1
@@ -1048,7 +1041,7 @@ def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
 
 def test_mc_multi_batch_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
     meas = MeasurementDistribution.from_diagonal(engine_data, np.linspace(0.3, 0.7, 42))
-    cfg = SamplerConfig(seed=99, n_samples=mc_mod.BATCH + 3000)
+    cfg = SamplerConfig(seed=99, n_samples=3 * mc_mod.BLOCK + 1000)
     results, _ = _at_cpu_counts(monkeypatch, lambda: mc_propagate_model(engine_model, meas, cfg))
     _assert_same_bytes(results, MC_FIELDS)
 
@@ -1067,17 +1060,17 @@ def test_fit_scan_and_small_stacks_start_no_thread(
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 4)
-    small = SamplerConfig(seed=5, n_samples=2 * mc_mod.MIN_CHUNK - 1)
+    one_block = SamplerConfig(seed=5, n_samples=mc_mod.BLOCK)
+    two_blocks = replace(one_block, n_samples=mc_mod.BLOCK + 1)
     fit(engine_model, engine_data)
     frequency_scan(engine_geometry, engine_data, SIGMA_B, beta=BETA)
-    rake_position_mc(engine_model, engine_data, 0.5, small)
-    one_block = SamplerConfig(seed=5, n_samples=mc_mod.MC_BLOCK)
+    rake_position_mc(engine_model, engine_data, 0.5, one_block)
     mc_propagate_model(engine_model, engine_meas, one_block)
-    # the refusals are live: one more draw splits the stack, or adds a block
+    # the refusals are live: one more draw adds a block
     with pytest.raises(_NoThreads):
-        rake_position_mc(engine_model, engine_data, 0.5, replace(small, n_samples=small.n_samples + 1))
+        rake_position_mc(engine_model, engine_data, 0.5, two_blocks)
     with pytest.raises(_NoThreads):
-        mc_propagate_model(engine_model, engine_meas, replace(one_block, n_samples=mc_mod.MC_BLOCK + 1))
+        mc_propagate_model(engine_model, engine_meas, two_blocks)
 
 
 def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkeypatch):
@@ -1085,13 +1078,13 @@ def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkey
 
     def fail_off_main(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            raise RegularizationExhausted("worker chunk")
+            raise RegularizationExhausted("worker block")
         return fit_batch(*args, **kwargs)
 
     monkeypatch.setattr(mc_mod, "_fit_batch", fail_off_main)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
-    with pytest.raises(RegularizationExhausted, match="worker chunk"):
+    with pytest.raises(RegularizationExhausted, match="worker block"):
         rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=2048))
     assert threading.active_count() == threads
 
@@ -1124,7 +1117,7 @@ def test_worker_block_exception_reaches_caller_after_every_block(engine_model, e
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
     threads = threading.active_count()
     with pytest.raises(_BlockFailed):
-        mc_propagate_model(engine_model, engine_meas, SamplerConfig(seed=1, n_samples=3 * mc_mod.MC_BLOCK))
+        mc_propagate_model(engine_model, engine_meas, SamplerConfig(seed=1, n_samples=3 * mc_mod.BLOCK))
     assert raised_on_worker == [True]
     assert sorted(finished) == [0, 2]
     assert threading.active_count() == threads
@@ -1143,7 +1136,7 @@ def test_mc_memory_does_not_grow_with_the_block_count(monkeypatch):
     for n_blocks in (2, 16):
         tracemalloc.start()
         try:
-            mc_propagate_model(model, meas, SamplerConfig(seed=3, n_samples=n_blocks * mc_mod.MC_BLOCK))
+            mc_propagate_model(model, meas, SamplerConfig(seed=3, n_samples=n_blocks * mc_mod.BLOCK))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1152,24 +1145,20 @@ def test_mc_memory_does_not_grow_with_the_block_count(monkeypatch):
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                     reason="np.errstate is a context variable from numpy 2")
-def test_worker_chunks_run_under_the_callers_errstate(monkeypatch):
-    def work(rows):
+def test_worker_chunks_run_under_the_callers_errstate(engine_model, engine_data, monkeypatch):
+    # the second rake block divides by zero on a worker thread
+    fit_batch = mc_mod._fit_batch
+
+    def divide_off_main(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            rows = rows / 0.0
-        return (rows,)
+            np.ones(1) / 0.0
+        return fit_batch(*args, **kwargs)
 
+    monkeypatch.setattr(mc_mod, "_fit_batch", divide_off_main)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
-    rows = np.ones((2 * mc_mod.MIN_CHUNK, 1))
+    cfg = SamplerConfig(seed=1, n_samples=2 * mc_mod.BLOCK)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        mc_mod._split_rows(work, rows)
-
-
-def test_split_rows_joins_chunks_in_order(monkeypatch):
-    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
-    rows = np.arange(5 * mc_mod.MIN_CHUNK, dtype=float)[:, None]
-    out, index = mc_mod._split_rows(lambda r: (2.0 * r, r[:, 0].astype(int)), rows)
-    np.testing.assert_array_equal(out, 2.0 * rows)
-    np.testing.assert_array_equal(index, np.arange(rows.shape[0]))
+        rake_position_mc(engine_model, engine_data, 0.5, cfg)
 
 
 def test_usable_cpus_reads_affinity_then_cpu_count(monkeypatch):
