@@ -13,12 +13,17 @@ same radius weighting on both arguments:
     var = 4/(r_o^2 - r_i^2)^2 * double integral r r' K(f, f') dr dr',
     K(f, f') = v(f)^T C00 v(f'),
 
-where C00 picks the constant-row block Cov(X[0, m], X[0, m']) out of Sigma_X.
-Both reduce to the station weight vector q = integral r v(f) dr. The
-blend v is a cubic (or linear) polynomial on each panel between neighbouring
-stations and constant on the edge panels, and r is linear in f, so r * v(f)
-is at most quartic per panel and a 3-point Gauss-Legendre rule (exact to
-degree 5) on each panel gives q exactly, up to roundoff.
+where C00 is the constant-row block Cov(X[0, m], X[0, m']) of Sigma_X. Both
+reduce to the station weight vector q = integral r v(f) dr, the variance to
+a multiple of q^T C00 q. C00 is read from the field's X_blocks: with M
+station blocks it is diagonal, c_m the (0, 0) entry of block m, so
+q^T C00 q = sum_m c_m q_m^2; with one KM x KM block it is picked out of
+that block.
+
+The blend v is a cubic (or linear) polynomial on each panel between
+neighbouring stations and constant on the edge panels, and r is linear in
+f, so r * v(f) is at most quartic per panel and a 3-point Gauss-Legendre
+rule (exact to degree 5) on each panel gives q exactly, up to roundoff.
 """
 
 from dataclasses import dataclass
@@ -75,13 +80,16 @@ def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageRe
     The field must come from ``model``. A variance below -1e-10 times the
     norm of Sigma_X raises NegativeVariance; roundoff below zero reads 0.
     """
-    mu_X, Sigma_X = _field_moments(field, model)
-    K, M = model.n_coeffs, model.n_stations
+    mu_X, X_blocks = _field_moments(field, model)
+    K, M = mu_X.shape
     q = _radius_weight_vector(model)
-    C00 = Sigma_X.reshape(M, K, M, K)[:, 0, :, 0]
-    var = float(_area_norm(model) ** 2 * (q @ C00 @ q))
+    if X_blocks.shape[0] == M:
+        qCq = (q * X_blocks[:, 0, 0]) @ q
+    else:
+        qCq = q @ X_blocks[0].reshape(M, K, M, K)[:, 0, :, 0] @ q
+    var = float(_area_norm(model) ** 2 * qCq)
     if var < 0.0:
-        if var < -1e-10 * float(np.linalg.norm(Sigma_X)):
+        if var < -1e-10 * float(np.linalg.norm(X_blocks)):
             raise NegativeVariance(f"area-average variance {var:.3e} is negative")
         var = 0.0
     return AreaAverageResult(_mean_from_weights(model, q, mu_X), var, 1.96 * float(np.sqrt(var)))

@@ -319,7 +319,7 @@ def mc_propagate_model(
     cov_x = _mapped_covariance(G_X, z_sum, z_cross, n)
     # Every grid value is linear in X, so its sample moments follow exactly
     # from the sample moments of the coefficients.
-    grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x)
+    grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x[None])
     eps_mean = float(eps.mean())
     eps_var = float(eps.var(ddof=1))
     sq = eps - eps_mean

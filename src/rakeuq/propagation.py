@@ -19,17 +19,19 @@ itself when the MeasurementDistribution is built:
 - when every cross-station block of Sigma_B is exactly zero (iid noise,
   diagonal noise, correlation within a station), as its M diagonal N x N
   blocks S_m, and each congruence is the stack of small blocks T S_m T^T; for
-  iid noise one sigma_b^2 I block stands for all M stations (a broadcast,
-  not a copy), so no NM x NM matrix is formed;
+  iid noise one sigma_b^2 I block stands for all M stations (a zero stride,
+  not a copy), and each congruence maps that one block and repeats the
+  result the same way, so the cost does not grow with M;
 - otherwise as one NM x NM block, mapped from both sides by two station
   maps, O(N^3 M^2) work instead of O((NM)^3). Sigma_F, the congruence of
-  the KM x KM Sigma_X by A, takes this path.
+  the dense KM x KM Sigma_X by A, takes this path.
 
 The Monte Carlo engine maps its noise factor with ``_station_map`` too.
-No reported number needs a dense NM x NM matrix: the residual moments read
-the blocks, the chi-square law only mu_R, and the area average and the
-predictive grid read the KM x KM Sigma_X, which is assembled at once. The
-dense Sigma_B, Sigma_F and Sigma_R are built on first read only.
+No reported number needs a dense matrix: the residual moments read the
+blocks of Sigma_R, the chi-square law only mu_R, and the area average and
+the predictive grid the blocks of Sigma_X, M of K x K or one of KM x KM.
+The dense Sigma_B, Sigma_X, Sigma_F and Sigma_R are built on first read
+only.
 
 Every PSD check in the package is one rule, ``_psd_factor``: non-finite
 input is refused, a Cholesky factor that exists is kept, and otherwise the
@@ -164,21 +166,33 @@ def _vec_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
     return _sigmas(sigma, "sigma")
 
 
-def _iid_blocks(variance: float, sigma: float, n_rakes: int, n_stations: int):
-    """variance I and its factor sigma I as station blocks: one N x N block
-    each, repeated M times by a zero stride in a read-only view.
+def _repeated(base: np.ndarray, n_blocks: int) -> np.ndarray:
+    """A C-contiguous base (..., k, w) repeated n_blocks times along a new
+    axis before its last two, by a zero stride, in a read-only view.
 
     The view is made directly rather than by ``np.broadcast_to``, which
     costs several times the arithmetic here; every iid fit pays this.
     """
-    base = np.multiply.outer((variance, sigma), np.eye(n_rakes))
-    row = base.itemsize * n_rakes
-    blocks = np.ndarray(
-        (2, n_stations, n_rakes, n_rakes), buffer=base,
-        strides=(row * n_rakes, 0, row, base.itemsize),
+    *lead, k, w = base.shape
+    strides = base.strides
+    view = np.ndarray(
+        (*lead, n_blocks, k, w), buffer=base, strides=(*strides[:-2], 0, *strides[-2:])
     )
-    blocks.flags.writeable = False
+    view.flags.writeable = False
+    return view
+
+
+def _iid_blocks(variance: float, sigma: float, n_rakes: int, n_stations: int):
+    """variance I and its factor sigma I as station blocks: one N x N block
+    each, repeated M times by a zero stride (``_repeated``)."""
+    blocks = _repeated(np.multiply.outer((variance, sigma), np.eye(n_rakes)), n_stations)
     return blocks[0], blocks[1]
+
+
+def _shared(blocks: np.ndarray) -> bool:
+    """Whether a stack of blocks is one block standing for all of them: the
+    zero-stride stack of ``_repeated``, as iid noise gives."""
+    return blocks.shape[0] > 1 and blocks.strides[0] == 0
 
 
 def _diagonal_blocks(blocks: np.ndarray, n_rakes: int) -> np.ndarray:
@@ -395,8 +409,11 @@ def _station_map(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """(I_M kron T) X for a k x N block T, in the block form of X: station
     blocks (M, N, w) give the (M, k, w) stack of T X_m, one (1, NM, w) block
     one (1, Mk, w) block. Both are one stacked product over the N-row slices
-    of X."""
+    of X. One block standing for all M stations (``_shared``) is mapped
+    once, and comes back in the same zero-stride form."""
     n_blocks, _, w = blocks.shape
+    if _shared(blocks):
+        return _repeated(_station_map(T, blocks[:1])[0], n_blocks)
     return (T @ blocks.reshape(-1, T.shape[1], w)).reshape(n_blocks, -1, w)
 
 
@@ -405,8 +422,12 @@ def _block_congruence(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
     Two station maps, one from each side: station blocks (M, N, N) give the
     stack of T (T S_m)^T = T S_m T^T, (M, k, k), and one (1, NM, NM) block
-    gives one (1, Mk, Mk) block.
+    gives one (1, Mk, Mk) block. One block standing for all M stations
+    (``_shared``) is mapped once, and comes back in the same zero-stride
+    form.
     """
+    if _shared(blocks):
+        return _repeated(_block_congruence(T, blocks[:1])[0], blocks.shape[0])
     out = _station_map(T, _station_map(T, blocks).transpose(0, 2, 1))
     return 0.5 * (out + out.transpose(0, 2, 1))
 
@@ -415,14 +436,16 @@ def _block_congruence(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 class FieldDistribution:
     """All propagated Gaussian moments for one model and measurement set.
 
-    ``R_blocks`` is Sigma_R in the block form of the measurement covariance
-    (see MeasurementDistribution.station_blocks), and ``design`` the N x K
-    rake design A. Sigma_X (KM x KM) is assembled at once; the NM x NM
-    Sigma_F and Sigma_R are built on first read.
+    ``X_blocks`` and ``R_blocks`` are Sigma_X and Sigma_R in the block form
+    of the measurement covariance (see MeasurementDistribution.station_blocks):
+    M station blocks of K x K and of N x N when no two stations correlate
+    (for iid noise one block of each, repeated by a zero stride), and one
+    KM x KM and one NM x NM block otherwise. ``design`` is the N x K rake
+    design A. The dense Sigma_X, Sigma_F and Sigma_R are built on first read.
     """
 
     mu_X: np.ndarray
-    Sigma_X: np.ndarray
+    X_blocks: np.ndarray
     mu_F: np.ndarray
     mu_R: np.ndarray
     R_blocks: np.ndarray
@@ -442,9 +465,13 @@ class FieldDistribution:
         mu_X = P @ meas.mu_B
         mu_F = model.A @ mu_X
         return cls(
-            mu_X, _block_diagonal(_block_congruence(P, blocks)), mu_F, mu_F - meas.mu_B,
+            mu_X, _block_congruence(P, blocks), mu_F, mu_F - meas.mu_B,
             _block_congruence(K, blocks), meas.iid_sigma, lam, model.A,
         )
+
+    @cached_property
+    def Sigma_X(self) -> np.ndarray:
+        return _block_diagonal(self.X_blocks)
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
@@ -456,19 +483,22 @@ class FieldDistribution:
 
 
 def _field_moments(field: FieldDistribution, model: FourierModel):
-    """The one reader of a field against a model: (mu_X, Sigma_X).
+    """The one reader of a field against a model: (mu_X, X_blocks).
 
-    mu_X is read by ``_coefficients``, and Sigma_X must be KM x KM for the
-    model's K x M, else DimensionMismatch naming it; so a field from
-    another model is refused, not reshaped.
+    mu_X is read by ``_coefficients``, and X_blocks must be Sigma_X in one
+    of its block forms for the model's K x M, M station blocks (M, K, K) or
+    one (1, KM, KM) block, else DimensionMismatch naming it; so a field
+    from another model is refused, not reshaped.
     """
     mu_X = _coefficients(field.mu_X, "mu_X", model)
-    Sigma_X = np.asarray(field.Sigma_X, dtype=float)
-    if Sigma_X.shape != (mu_X.size, mu_X.size):
+    X_blocks = np.asarray(field.X_blocks, dtype=float)
+    K, M = mu_X.shape
+    if X_blocks.shape not in ((M, K, K), (1, K * M, K * M)):
         raise DimensionMismatch(
-            f"Sigma_X must be {mu_X.size} x {mu_X.size}, got shape {Sigma_X.shape}"
+            f"X_blocks must be {M} x {K} x {K} or 1 x {K * M} x {K * M}, "
+            f"got shape {X_blocks.shape}"
         )
-    return mu_X, Sigma_X
+    return mu_X, X_blocks
 
 
 def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -481,21 +511,26 @@ def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S.reshape(-1, K * K) @ (A[:, :, None] * A[:, None, :]).reshape(T, K * K).T
 
 
-def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, Sigma_X: np.ndarray):
+def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, X_blocks: np.ndarray):
     """Mean and variance of the grid W X A_g^T for coefficients X (K x M).
 
-    X has mean mu_X and covariance Sigma_X in vec order (K fastest), so the
-    value at (r, t) is g^T vec(X) with g = W[r] kron A_g[t]. The variance
-    g^T Sigma_X g is taken with matrix products: W contracts both station
-    axes of the (M, K, M, K) view, leaving one K x K block per radius, and
-    A_g closes each block from both sides.
+    X has mean mu_X and covariance Sigma_X in vec order (K fastest), given
+    as ``X_blocks`` in one of its block forms, so the value at (r, t) is
+    g^T vec(X) with g = W[r] kron A_g[t]. For M station blocks X_m the
+    variance g^T Sigma_X g is sum_m W[r, m]^2 a_t^T X_m a_t. For one KM x KM
+    block it is taken with matrix products: W contracts both station axes
+    of the (M, K, M, K) view, leaving one K x K block per radius, and A_g
+    closes each block from both sides.
     """
     R, M = W.shape
     K = mu_X.shape[0]
     mean = W @ mu_X.T @ A_g.T
-    left = (W @ Sigma_X.reshape(M, K * M * K)).reshape(R, K, M, K)
-    S_r = (W[:, None, None, :] @ left)[:, :, 0, :]
-    return mean, np.maximum(_row_quadratic_forms(A_g, S_r), 0.0)
+    if X_blocks.shape[0] == M:
+        var = (W * W) @ _row_quadratic_forms(A_g, X_blocks)
+    else:
+        left = (W @ X_blocks.reshape(M, K * M * K)).reshape(R, K, M, K)
+        var = _row_quadratic_forms(A_g, (W[:, None, None, :] @ left)[:, :, 0, :])
+    return mean, np.maximum(var, 0.0)
 
 
 def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
@@ -505,7 +540,7 @@ def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, thet
     arrays of shape (len(r_fracs), len(theta_deg)). Span fractions must lie
     in [0, 1] and angles be finite; the field must come from ``model``.
     """
-    mu_X, Sigma_X = _field_moments(field, model)
+    mu_X, X_blocks = _field_moments(field, model)
     W = np.atleast_2d(model.radial.blend(_location(r_fracs, "r_fracs")))
     A_g = np.atleast_2d(design_matrix(_location(theta_deg, "theta_deg"), model.harmonics.omega))
-    return _grid_moments(W, A_g, mu_X, Sigma_X)
+    return _grid_moments(W, A_g, mu_X, X_blocks)

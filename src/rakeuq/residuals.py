@@ -69,8 +69,10 @@ from .fourier import (
 from .geometry import AnnulusGeometry, _whole
 from .propagation import FieldDistribution, MeasurementDistribution, _diagonal_blocks, vec
 
-# Stop the pdf series once a term falls below this fraction of the partial sum.
+# Stop the pdf series once a term falls below this fraction of the partial
+# sum, and refuse phi once the series has taken MAX_TERMS terms.
 SERIES_RTOL = 1e-14
+MAX_TERMS = 100000
 
 
 def sampling_metric(model: FourierModel, X, mu_B) -> float:
@@ -192,6 +194,13 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
         log_x = np.log(xp)
         total = np.zeros_like(xp)
         half_phi = 0.5 * phi
+        too_long = (
+            f"phi must be small enough for the series to converge in {MAX_TERMS} terms, got {phi!r}"
+        )
+        # The series stops only past the Poisson mode, j > phi/2, and is
+        # refused after MAX_TERMS terms: refuse a mode beyond that at once.
+        if half_phi >= MAX_TERMS + 1:
+            raise InvalidParams(too_long)
         log_half_phi = np.log(half_phi) if half_phi > 0.0 else -np.inf
         j = 0
         while True:
@@ -213,10 +222,8 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
             past_mode = j > half_phi
             if past_mode and np.all(term <= SERIES_RTOL * np.maximum(total, 1e-300)):
                 break
-            if j > 100000:
-                raise InvalidParams(
-                    f"phi must be small enough for the series to converge in 100000 terms, got {phi!r}"
-                )
+            if j > MAX_TERMS:
+                raise InvalidParams(too_long)
         out[positive] = total
     return float(out[0]) if scalar_input else out
 

@@ -270,7 +270,7 @@ def test_criterion_07_area_average(engine_model, engine_field):
                 abs(result.variance - mc_var) / mc_var < 0.03
             ),
             "harmonic covariance blocks cannot move it": (
-                area_average(engine_model, replace(engine_field, Sigma_X=Sigma)).variance
+                area_average(engine_model, replace(engine_field, X_blocks=Sigma[None])).variance
                 == result.variance
             ),
         },

@@ -48,7 +48,7 @@ def dense_weight_oracle(model, n_r=4000):
 
 def area_variance(model, field, Sigma_X):
     """The area-average variance of ``field`` with its Sigma_X replaced."""
-    return area_average(model, replace(field, Sigma_X=Sigma_X)).variance
+    return area_average(model, replace(field, X_blocks=Sigma_X[None])).variance
 
 
 def ring_average_covariance(model, Sigma_X, frac, frac_other=None):

@@ -156,10 +156,10 @@ CASES = {
     "grid-field-of-another-model": (
         lambda c: predictive_grid(c.model, c.lean_field, [0.5], [0.0]), DimensionMismatch, "mu_X"),
     "area-wrong-size-Sigma_X": (
-        lambda c: area_average(c.model, replace(c.field, Sigma_X=np.eye(10))), DimensionMismatch, "Sigma_X"),
+        lambda c: area_average(c.model, replace(c.field, X_blocks=np.eye(10)[None])), DimensionMismatch, "X_blocks"),
     "grid-wrong-size-Sigma_X": (
-        lambda c: predictive_grid(c.model, replace(c.field, Sigma_X=np.eye(10)), [0.5], [0.0]),
-        DimensionMismatch, "Sigma_X"),
+        lambda c: predictive_grid(c.model, replace(c.field, X_blocks=np.eye(10)[None]), [0.5], [0.0]),
+        DimensionMismatch, "X_blocks"),
     # locations: one reader, fourier._location; span fractions in [0, 1],
     # finite angles, a scalar r_frac and at most a vector of either
     "predict-nan-radius": (lambda c: predict_point(c.model, c.X, math.nan, 10.0), OutOfDomain, "radial fraction"),

@@ -800,7 +800,7 @@ def test_rake_mc_deterministic_run_to_run(engine_model, engine_data):
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
 
-def test_rake_mc_two_batches_match_per_draw_fits(engine_model, engine_data):
+def test_rake_mc_two_blocks_match_per_draw_fits(engine_model, engine_data):
     # rebuild each draw's angles from the block plan, then fit every draw
     # alone with fit() on a model built at that draw's angles
     cfg = SamplerConfig(seed=23, n_samples=mc_mod.BLOCK + 3)
@@ -1013,7 +1013,7 @@ def _rake_stacks(cfg):
     return sorted([1] + mc_mod._batch_plan(cfg, mc_mod.BLOCK)[1])
 
 
-def test_rake_mc_two_batches_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
+def test_rake_mc_three_blocks_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
     cfg = SamplerConfig(seed=21, n_samples=mc_mod.BLOCK + 2000)
     results, stacks = _at_cpu_counts(
         monkeypatch, lambda: rake_position_mc(engine_model, engine_data, 1.0, cfg, n_prediction=36))
@@ -1039,7 +1039,7 @@ def test_rake_mc_ridge_rungs_and_dropped_draws_same_bytes_for_any_cpu_count(
     _assert_same_bytes(results, RAKE_FIELDS)
 
 
-def test_mc_multi_batch_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
+def test_mc_several_blocks_same_bytes_for_any_cpu_count(engine_model, engine_data, monkeypatch):
     meas = MeasurementDistribution.from_diagonal(engine_data, np.linspace(0.3, 0.7, 42))
     cfg = SamplerConfig(seed=99, n_samples=3 * mc_mod.BLOCK + 1000)
     results, _ = _at_cpu_counts(monkeypatch, lambda: mc_propagate_model(engine_model, meas, cfg))
@@ -1073,7 +1073,7 @@ def test_fit_scan_and_small_stacks_start_no_thread(
         mc_propagate_model(engine_model, engine_meas, two_blocks)
 
 
-def test_worker_chunk_exception_reaches_caller(engine_model, engine_data, monkeypatch):
+def test_worker_block_exception_reaches_caller(engine_model, engine_data, monkeypatch):
     fit_batch = mc_mod._fit_batch
 
     def fail_off_main(*args, **kwargs):
@@ -1145,7 +1145,7 @@ def test_mc_memory_does_not_grow_with_the_block_count(monkeypatch):
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                     reason="np.errstate is a context variable from numpy 2")
-def test_worker_chunks_run_under_the_callers_errstate(engine_model, engine_data, monkeypatch):
+def test_worker_blocks_run_under_the_callers_errstate(engine_model, engine_data, monkeypatch):
     # the second rake block divides by zero on a worker thread
     fit_batch = mc_mod._fit_batch
 

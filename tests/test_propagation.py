@@ -30,7 +30,7 @@ from rakeuq import (
     vec,
 )
 
-from rakeuq.propagation import _block_congruence, _psd_factor, _station_map
+from rakeuq.propagation import _block_congruence, _psd_factor, _repeated, _station_map
 
 from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
 
@@ -443,7 +443,7 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
     K = A @ P - np.eye(6)
     Sigma_X = _block_congruence(P, Sigma_B[None])[0]
     Sigma_R = _block_congruence(K, Sigma_B[None])[0]
-    dense = dataclasses.replace(field, Sigma_X=Sigma_X, R_blocks=Sigma_R[None])
+    dense = dataclasses.replace(field, X_blocks=Sigma_X[None], R_blocks=Sigma_R[None])
 
     def close(got, want):
         got, want = np.asarray(got), np.asarray(want)
@@ -499,26 +499,34 @@ def test_iid_chain_builds_no_nm_by_nm_matrix():
     finally:
         tracemalloc.stop()
     assert metrics.chi2 is not None
-    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
     # the dense covariances are cached properties that nothing above read
     assert "Sigma_B" not in vars(meas)
+    assert "Sigma_X" not in vars(field)
     assert "Sigma_F" not in vars(field) and "Sigma_R" not in vars(field)
+    # one K x K and one N x N block stand for all 40 stations
+    assert field.X_blocks.strides[0] == 0 and field.R_blocks.strides[0] == 0
 
 
 @pytest.mark.parametrize("M", [7, 1])
-@pytest.mark.parametrize("layout", ["station blocks", "one block"])
+@pytest.mark.parametrize("layout", ["station blocks", "one block", "one shared block"])
 def test_station_map_and_congruence_match_explicit_kron(M, layout):
     # the block forms against explicit products with I_M kron T
     rng = np.random.default_rng(M)
     N, k, w = 6, 5, 4
     T = rng.standard_normal((k, N))
     kron = np.kron(np.eye(M), T)
-    if layout == "station blocks":
+    if layout != "one block":
         X = rng.standard_normal((M, N, w))
         S = np.stack([random_psd(N, rng) for _ in range(M)])
+        if layout == "one shared block":
+            # as iid noise gives: one block repeated by a zero stride
+            X, S = _repeated(X[0], M), _repeated(S[0], M)
         X_dense, S_dense = block_diag(*X), block_diag(*S)
-        mapped = block_diag(*_station_map(T, X))
-        congruent = block_diag(*_block_congruence(T, S))
+        X_mapped, S_mapped = _station_map(T, X), _block_congruence(T, S)
+        if layout == "one shared block" and M > 1:
+            assert X_mapped.strides[0] == 0 and S_mapped.strides[0] == 0
+        mapped, congruent = block_diag(*X_mapped), block_diag(*S_mapped)
     else:
         X_dense, S_dense = rng.standard_normal((N * M, w)), random_psd(N * M, rng)
         (mapped,) = _station_map(T, X_dense[None])
