@@ -15,8 +15,9 @@ same radius weighting on both arguments:
 
 where C00 is the constant-row block Cov(X[0, m], X[0, m']) of Sigma_X. Both
 reduce to the station weight vector q = integral r v(f) dr, the variance to
-a multiple of q^T C00 q. C00 is read from the field's X_blocks: with M
-station blocks it is diagonal, c_m the (0, 0) entry of block m, so
+a multiple of q^T C00 q. C00 is read from the field's X_blocks: with K x K
+station blocks it is diagonal, c_m the (0, 0) entry of block m (one entry
+for all m when one block stands for every station), so
 q^T C00 q = sum_m c_m q_m^2; with one KM x KM block it is picked out of
 that block.
 
@@ -26,6 +27,7 @@ f, so r * v(f) is at most quartic per panel and a 3-point Gauss-Legendre
 rule (exact to degree 5) on each panel gives q exactly, up to roundoff.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +80,21 @@ def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageRe
     """Area-average the propagated field distribution.
 
     The field must come from ``model``. A variance below -1e-10 times the
-    norm of Sigma_X raises NegativeVariance; roundoff below zero reads 0.
+    Frobenius norm of Sigma_X raises NegativeVariance; roundoff below zero
+    reads 0. One block standing for M stations counts M times in that norm.
     """
     mu_X, X_blocks = _field_moments(field, model)
     K, M = mu_X.shape
     q = _radius_weight_vector(model)
-    if X_blocks.shape[0] == M:
+    n_blocks, width, _ = X_blocks.shape
+    if width == K:
         qCq = (q * X_blocks[:, 0, 0]) @ q
     else:
         qCq = q @ X_blocks[0].reshape(M, K, M, K)[:, 0, :, 0] @ q
     var = float(_area_norm(model) ** 2 * qCq)
     if var < 0.0:
-        if var < -1e-10 * float(np.linalg.norm(X_blocks)):
+        copies = mu_X.size // (n_blocks * width)
+        if var < -1e-10 * math.sqrt(copies) * float(np.linalg.norm(X_blocks)):
             raise NegativeVariance(f"area-average variance {var:.3e} is negative")
         var = 0.0
     return AreaAverageResult(_mean_from_weights(model, q, mu_X), var, 1.96 * float(np.sqrt(var)))

@@ -43,13 +43,14 @@ from a reference fit of the mean input:
   (``MeasurementDistribution.factor_blocks``): a draw is vec(B) =
   vec(mu_B) + L z, and X and R are T mu_B + (I_M kron T) L z for T = P and
   AP - I. Those maps of z, G_X and G_R, are kept in L's block form by the
-  propagation module's ``_station_map``. A draw's metric ||R||_F^2 / NM
-  needs only the range of AP - I = -U diag(d) U^T, so a block maps its
-  draws by E = diag(d) U^T, without the rows where d is zero (M(N - K)
-  numbers per draw for a plain fit, against NM), and forms the sums of z and
-  z z^T; no draw of B or R is formed. After all blocks the sums are
-  mapped by G_X for Sigma_X and mu_X, and by G_R for mu_R, and for
-  Sigma_R when that is read.
+  propagation module's ``_station_map``: M station blocks, one block
+  standing for every station (iid noise), or one NM x NM block. A draw's
+  metric ||R||_F^2 / NM needs only the range of AP - I = -U diag(d) U^T,
+  so a block maps its draws by E = diag(d) U^T, without the rows where d
+  is zero (M(N - K) numbers per draw for a plain fit, against NM), and
+  forms the sums of z and z z^T; no draw of B or R is formed. After all
+  blocks the sums are mapped by G_X for Sigma_X and mu_X, and by G_R for
+  mu_R, and for Sigma_R when that is read, with the same ``_station_map``.
   Every draw has F = A X exactly, so, as in the closed form, mu_F = A mu_X
   and Sigma_F is the congruence of Sigma_X by A. The grid value at (r, t)
   is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean G mu_X and
@@ -171,39 +172,42 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     """Draw config.n_samples rows from N(mean, cov); bitwise seed-stable.
 
     All rows come in one block from ``np.random.default_rng(config.seed)``,
-    not in the engines' spawned blocks. ``mean`` must be finite. cov is
-    factored under the PSD rule of ``propagation._psd_factor``.
+    not in the engines' spawned blocks. ``mean`` must be finite, and cov a
+    square matrix of its size, factored under the PSD rule of
+    ``propagation._psd_factor``.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     if not np.isfinite(mean).all():
         raise InvalidParams("mean must be finite")
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (mean.size, mean.size):
+        raise DimensionMismatch(
+            f"cov must be {mean.size} x {mean.size}, the size of mean, got shape {cov.shape}"
+        )
     L = _psd_factor(cov)[1]
-    if L.shape[0] != mean.size:
-        raise DimensionMismatch(f"cov must be {mean.size} x {mean.size}, the size of mean")
     z = np.random.default_rng(config.seed).standard_normal((config.n_samples, mean.size))
     return mean + z @ L.T
-
-
-def _block_left(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """D X for D block diagonal with (B, k, w) blocks; X has B w rows."""
-    n_blocks, k, w = blocks.shape
-    return (blocks @ X.reshape(n_blocks, w, -1)).reshape(n_blocks * k, *X.shape[1:])
 
 
 def _mapped_covariance(G: np.ndarray, z_sum: np.ndarray, z_cross: np.ndarray, n: int):
     """Sample covariance of G z over n draws z, from their sums.
 
-    G is block diagonal with (B, k, w) blocks, z_sum is the sum of the draws
-    and z_cross the sum of z z^T (Bw x Bw, symmetric). The covariance is
+    G is block diagonal with (B, k, w) blocks, each repeated as often as
+    the draws' length needs (``_station_map``), z_sum is the sum of the
+    draws and z_cross the sum of z z^T (symmetric). The covariance is
     (G z_cross G^T - g g^T / n) / (n - 1) with g = G z_sum: the mean comes
-    off after the mapping, so no Bw x Bw outer product is formed, and
-    G z_cross G^T is G (G z_cross)^T, two block maps.
+    off after the mapping, so no outer product of the draws' size is
+    formed, and G z_cross G^T is one block congruence.
     """
-    out = _block_left(G, _block_left(G, z_cross).T)
-    g = _block_left(G, z_sum)
-    out = 0.5 * (out + out.T) - np.outer(g, g / n)
+    g = _mapped_sum(G, z_sum)
+    out = _block_congruence(G, z_cross[None])[0] - np.outer(g, g / n)
     out /= n - 1
     return out
+
+
+def _mapped_sum(G: np.ndarray, z_sum: np.ndarray) -> np.ndarray:
+    """G z_sum, a vector, for G block diagonal as in ``_mapped_covariance``."""
+    return _station_map(G, z_sum[None, :, None]).ravel()
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,8 @@ def mc_propagate_model(
     # B, T in {P, AP - I}) are T mu_B plus G_T z, G_T = (I_M kron T) L in the
     # block form of L. F = A X exactly, so it needs no map of its own.
     L = meas.factor_blocks
-    n_blocks, width = L.shape[:2]
+    # z in slices of L's block width, each mapped by its block of L
+    n_slices = NM // L.shape[1]
     G_X, G_R = (_station_map(T, L) for T in (P, resid))
     # A draw's metric needs only ||R||_F, so only the range of AP - I: with
     # A = U S V^T (U full), AP - I = -U diag(d) U^T, d_i = lam^2 / (s_i^2 +
@@ -284,7 +289,7 @@ def mc_propagate_model(
     keep = d != 0.0
     E = d[keep, None] * U[:, keep].T
     E_mapT = _station_map(E, L).transpose(0, 2, 1)
-    mu_E0 = (E @ meas.mu_B).T.reshape(n_blocks, 1, -1)
+    mu_E0 = (E @ meas.mu_B).T.reshape(n_slices, 1, -1)
     r_fracs = model.geometry.r_stations
     theta_grid_deg = np.arange(0.0, 360.0, 10.0)
     W = np.atleast_2d(model.radial.blend(r_fracs))
@@ -298,8 +303,8 @@ def mc_propagate_model(
 
     def run_block(seed_child, eps_out):
         z = np.random.default_rng(seed_child).standard_normal((eps_out.size, NM))
-        # Each block of G_E maps its own slice of z: one stacked product.
-        e = z.reshape(eps_out.size, n_blocks, width).transpose(1, 0, 2) @ E_mapT
+        # Each slice of z meets its block of G_E: one stacked product.
+        e = z.reshape(eps_out.size, n_slices, -1).transpose(1, 0, 2) @ E_mapT
         e += mu_E0
         np.einsum("bsi,bsi->s", e, e, out=eps_out)
         return z.sum(axis=0), z.T @ z
@@ -313,7 +318,7 @@ def mc_propagate_model(
     eps /= NM
     # Sigma_B = 0 makes every G_T zero, and so every covariance exactly zero.
     mu_X, mu_R = (
-        T @ meas.mu_B + unvec(_block_left(G, z_sum) / n, T.shape[0], M)
+        T @ meas.mu_B + unvec(_mapped_sum(G, z_sum) / n, T.shape[0], M)
         for T, G in ((P, G_X), (resid, G_R))
     )
     cov_x = _mapped_covariance(G_X, z_sum, z_cross, n)

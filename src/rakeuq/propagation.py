@@ -14,24 +14,26 @@ F is the fitted value at the rakes and R = F - B the fit residual.
 
 Every covariance is a congruence by I_M kron T, T in {P, A, AP - I}, taken
 by ``_station_map`` in the block form of Sigma_B, which is read from Sigma_B
-itself when the MeasurementDistribution is built:
+itself when the MeasurementDistribution is built. A (B, n, n) stack of
+blocks stands for the block-diagonal matrix whose diagonal repeats each
+block size / (B n) times, size being the matrix's order (NM for Sigma_B):
 
 - when every cross-station block of Sigma_B is exactly zero (iid noise,
   diagonal noise, correlation within a station), as its M diagonal N x N
-  blocks S_m, and each congruence is the stack of small blocks T S_m T^T; for
-  iid noise one sigma_b^2 I block stands for all M stations (a zero stride,
-  not a copy), and each congruence maps that one block and repeats the
-  result the same way, so the cost does not grow with M;
+  blocks S_m, and each congruence is the stack of small blocks T S_m T^T;
+  for iid noise one sigma_b^2 I block, shape (1, N, N), stands for all M
+  stations, so each congruence maps one block and its cost does not grow
+  with M;
 - otherwise as one NM x NM block, mapped from both sides by two station
   maps, O(N^3 M^2) work instead of O((NM)^3). Sigma_F, the congruence of
   the dense KM x KM Sigma_X by A, takes this path.
 
-The Monte Carlo engine maps its noise factor with ``_station_map`` too.
-No reported number needs a dense matrix: the residual moments read the
-blocks of Sigma_R, the chi-square law only mu_R, and the area average and
-the predictive grid the blocks of Sigma_X, M of K x K or one of KM x KM.
-The dense Sigma_B, Sigma_X, Sigma_F and Sigma_R are built on first read
-only.
+The Monte Carlo engine maps its noise factor and its sums of draws with
+``_station_map`` too. No reported number needs a dense matrix: the residual
+moments read the blocks of Sigma_R, the chi-square law only mu_R, and the
+area average and the predictive grid the blocks of Sigma_X, one K x K block
+per station (or one for all of them) or one KM x KM block. The dense
+Sigma_B, Sigma_X, Sigma_F and Sigma_R are built on first read only.
 
 Every PSD check in the package is one rule, ``_psd_factor``: non-finite
 input is refused, a Cholesky factor that exists is kept, and otherwise the
@@ -48,7 +50,8 @@ symmetrized.
 Every standard deviation is checked by one rule too, ``_sigmas``, and every
 N x M readings and K x M coefficient input by one reader each,
 ``fourier._readings`` and ``fourier._coefficients``. A field read against a
-model goes through ``_field_moments``, built on the latter.
+model goes through ``_field_moments``, built on the latter, and its
+covariance blocks through ``_blocks_of``.
 """
 
 import math
@@ -166,44 +169,16 @@ def _vec_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
     return _sigmas(sigma, "sigma")
 
 
-def _repeated(base: np.ndarray, n_blocks: int) -> np.ndarray:
-    """A C-contiguous base (..., k, w) repeated n_blocks times along a new
-    axis before its last two, by a zero stride, in a read-only view.
-
-    The view is made directly rather than by ``np.broadcast_to``, which
-    costs several times the arithmetic here; every iid fit pays this.
-    """
-    *lead, k, w = base.shape
-    strides = base.strides
-    view = np.ndarray(
-        (*lead, n_blocks, k, w), buffer=base, strides=(*strides[:-2], 0, *strides[-2:])
-    )
-    view.flags.writeable = False
-    return view
-
-
-def _iid_blocks(variance: float, sigma: float, n_rakes: int, n_stations: int):
-    """variance I and its factor sigma I as station blocks: one N x N block
-    each, repeated M times by a zero stride (``_repeated``)."""
-    blocks = _repeated(np.multiply.outer((variance, sigma), np.eye(n_rakes)), n_stations)
-    return blocks[0], blocks[1]
-
-
-def _shared(blocks: np.ndarray) -> bool:
-    """Whether a stack of blocks is one block standing for all of them: the
-    zero-stride stack of ``_repeated``, as iid noise gives."""
-    return blocks.shape[0] > 1 and blocks.strides[0] == 0
-
-
 def _diagonal_blocks(blocks: np.ndarray, n_rakes: int) -> np.ndarray:
-    """The M diagonal N x N blocks, shape (M, N, N), of a matrix in either
-    block form: its station blocks (M, N, N), or the whole of it (1, NM, NM).
+    """The diagonal N x N blocks of a matrix in block form, (M, N, N) or,
+    for one block standing for all stations, (1, N, N): station blocks come
+    back as they are, and the whole matrix (1, NM, NM) gives its M diagonal
+    blocks, in station order.
 
-    Station blocks are viewed as (M, 1, N, 1, N) and the whole matrix as
-    (1, M, N, M, N), and one index takes the diagonal blocks, in station
-    order. Only these two forms are read: with more than one block of more
-    than one station, numpy would put the index axis first and the blocks
-    would come out of station order.
+    The blocks are viewed as (B, k, N, k, N), k stations to a block, and
+    one index takes the diagonal blocks. Only these forms are read: with
+    more than one block of more than one station, numpy would put the index
+    axis first and the blocks would come out of station order.
     """
     n_blocks, n, _ = blocks.shape
     k = n // n_rakes
@@ -225,15 +200,17 @@ def _station_blocks(S: np.ndarray, n_rakes: int) -> np.ndarray:
     return S[None]
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The dense matrix with diagonal blocks (B, n, n) and zeros elsewhere."""
-    n_blocks, n, _ = blocks.shape
-    if n_blocks == 1:
+def _block_diagonal(blocks: np.ndarray, size: int) -> np.ndarray:
+    """The dense size x size matrix whose diagonal repeats the (B, n, n)
+    blocks size / (B n) times, with zeros elsewhere."""
+    n = blocks.shape[1]
+    if n == size:
         return blocks[0]
+    n_blocks = size // n
     out = np.zeros((n_blocks, n, n_blocks, n))
     idx = np.arange(n_blocks)
     out[idx, :, idx, :] = blocks
-    return out.reshape(n_blocks * n, n_blocks * n)
+    return out.reshape(size, size)
 
 
 def _correlation_factor(rho, n_rakes: int, n_stations: int = 1):
@@ -263,19 +240,19 @@ def _correlation_factor(rho, n_rakes: int, n_stations: int = 1):
     return _psd_factor(blocks, "correlation matrix", InvalidCorrelation)
 
 
-def _exact_iid_sigma(blocks: np.ndarray, factor: np.ndarray, n_rakes: int, n_stations: int):
+def _exact_iid_sigma(blocks: np.ndarray, factor: np.ndarray, n_rakes: int):
     """(iid_sigma, station_blocks, factor_blocks) from a (B, n, n) stack of
     checked blocks and their factor.
 
     iid_sigma is sqrt(v) if every block is exactly v I, and the blocks are
-    then one v I block broadcast over the stations, v as given, with factor
-    sqrt(v) I; otherwise it is None and the blocks are kept. Exactly: every
-    off-diagonal entry is zero and every diagonal entry equals the first, a
-    finite nonnegative number. No tolerance, so a block one ulp away is not
-    iid. Where v is not the square of a double (v = 2, say), fl(sqrt(v))^2
-    is one ulp off v: the gap reaches only what reads the factor or
-    iid_sigma (the Monte Carlo draws, and chi2.scale = iid_sigma^2 / NM),
-    as a Cholesky factor's rounding would.
+    then one N x N block v I, shape (1, N, N), standing for every station,
+    v as given, with factor sqrt(v) I; otherwise it is None and the blocks
+    are kept. Exactly: every off-diagonal entry is zero and every diagonal
+    entry equals the first, a finite nonnegative number. No tolerance, so a
+    block one ulp away is not iid. Where v is not the square of a double
+    (v = 2, say), fl(sqrt(v))^2 is one ulp off v: the gap reaches only what
+    reads the factor or iid_sigma (the Monte Carlo draws, and chi2.scale =
+    iid_sigma^2 / NM), as a Cholesky factor's rounding would.
     """
     d = np.diagonal(blocks, axis1=1, axis2=2)
     if (d.size == 0 or not 0.0 <= d[0, 0] < math.inf or np.any(d != d[0, 0])
@@ -283,7 +260,8 @@ def _exact_iid_sigma(blocks: np.ndarray, factor: np.ndarray, n_rakes: int, n_sta
         return None, blocks, factor
     variance = float(d[0, 0])
     sigma = math.sqrt(variance)
-    return (sigma, *_iid_blocks(variance, sigma, n_rakes, n_stations))
+    eye = np.eye(n_rakes)[None]
+    return sigma, variance * eye, sigma * eye
 
 
 @dataclass(frozen=True)
@@ -295,8 +273,8 @@ class MeasurementDistribution:
 
     ``station_blocks`` is Sigma_B as the propagation reads it: the M
     diagonal N x N blocks, shape (M, N, N), when no two stations correlate
-    (for iid noise one v I block broadcast over the stations), and
-    the whole matrix as one block, shape (1, NM, NM), otherwise.
+    (for iid noise one v I block, shape (1, N, N), standing for all M),
+    and the whole matrix as one block, shape (1, NM, NM), otherwise.
     ``factor_blocks`` holds L_b with block b = L_b L_b^T. The general
     constructor reads the block form off Sigma_B (every cross-station entry
     exactly zero) and factors the blocks in its one PSD check. For
@@ -325,7 +303,7 @@ class MeasurementDistribution:
                 f"Sigma_B must be {mu.size} x {mu.size} for mu_B {mu.shape}"
             )
         blocks, factor = _psd_factor(_station_blocks(S, mu.shape[0]), "Sigma_B")
-        self._fill(mu, *_exact_iid_sigma(blocks, factor, *mu.shape))
+        self._fill(mu, *_exact_iid_sigma(blocks, factor, mu.shape[0]))
 
     def _fill(self, mu, iid_sigma, station_blocks, factor_blocks):
         object.__setattr__(self, "mu_B", mu)
@@ -355,7 +333,7 @@ class MeasurementDistribution:
         blocks = d * d.transpose(0, 2, 1)
         blocks *= rho_blocks
         L_blocks *= d
-        return cls._from_blocks(mu, *_exact_iid_sigma(blocks, L_blocks, *mu.shape))
+        return cls._from_blocks(mu, *_exact_iid_sigma(blocks, L_blocks, mu.shape[0]))
 
     @classmethod
     def from_iid(cls, mu_B, sigma_b: float) -> "MeasurementDistribution":
@@ -367,7 +345,8 @@ class MeasurementDistribution:
         """
         sigma_b = _sigmas(float(sigma_b), "sigma_b")
         mu = _readings(mu_B, "mu_B")
-        return cls._from_blocks(mu, sigma_b, *_iid_blocks(sigma_b**2, sigma_b, *mu.shape))
+        eye = np.eye(mu.shape[0])[None]
+        return cls._from_blocks(mu, sigma_b, sigma_b**2 * eye, sigma_b * eye)
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":
@@ -402,33 +381,32 @@ class MeasurementDistribution:
     @cached_property
     def Sigma_B(self) -> np.ndarray:
         """The dense NM x NM covariance of vec(B)."""
-        return _block_diagonal(self.station_blocks)
+        return _block_diagonal(self.station_blocks, self.mu_B.size)
 
 
-def _station_map(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """(I_M kron T) X for a k x N block T, in the block form of X: station
-    blocks (M, N, w) give the (M, k, w) stack of T X_m, one (1, NM, w) block
-    one (1, Mk, w) block. Both are one stacked product over the N-row slices
-    of X. One block standing for all M stations (``_shared``) is mapped
-    once, and comes back in the same zero-stride form."""
-    n_blocks, _, w = blocks.shape
-    if _shared(blocks):
-        return _repeated(_station_map(T, blocks[:1])[0], n_blocks)
-    return (T @ blocks.reshape(-1, T.shape[1], w)).reshape(n_blocks, -1, w)
+def _station_map(D: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """D X in the block form of X, for D block diagonal: a k x w matrix T
+    stands for I kron T, and a (B, k, w) stack of blocks for the matrix
+    whose diagonal repeats them as often as the rows of X need.
+
+    Station blocks (M, N, c) give the (M, k, c) stack of T X_m, one
+    (1, NM, c) block one (1, Mk, c) block. Both are one stacked product over
+    the w-row slices of X, and one block of D meets every slice.
+    """
+    n_blocks, _, c = blocks.shape
+    return (D @ blocks.reshape(-1, D.shape[-1], c)).reshape(n_blocks, -1, c)
 
 
-def _block_congruence(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """(I_M kron T) Sigma (I_M kron T)^T, symmetrized, in the block form of Sigma.
+def _block_congruence(D: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """D Sigma D^T, symmetrized, in the block form of Sigma, for D as in
+    ``_station_map``.
 
     Two station maps, one from each side: station blocks (M, N, N) give the
-    stack of T (T S_m)^T = T S_m T^T, (M, k, k), and one (1, NM, NM) block
-    gives one (1, Mk, Mk) block. One block standing for all M stations
-    (``_shared``) is mapped once, and comes back in the same zero-stride
-    form.
+    stack of T (T S_m)^T = T S_m T^T, (M, k, k), one block standing for
+    every station gives one such block, and one (1, NM, NM) block gives one
+    (1, Mk, Mk) block.
     """
-    if _shared(blocks):
-        return _repeated(_block_congruence(T, blocks[:1])[0], blocks.shape[0])
-    out = _station_map(T, _station_map(T, blocks).transpose(0, 2, 1))
+    out = _station_map(D, _station_map(D, blocks).transpose(0, 2, 1))
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
@@ -439,9 +417,10 @@ class FieldDistribution:
     ``X_blocks`` and ``R_blocks`` are Sigma_X and Sigma_R in the block form
     of the measurement covariance (see MeasurementDistribution.station_blocks):
     M station blocks of K x K and of N x N when no two stations correlate
-    (for iid noise one block of each, repeated by a zero stride), and one
-    KM x KM and one NM x NM block otherwise. ``design`` is the N x K rake
-    design A. The dense Sigma_X, Sigma_F and Sigma_R are built on first read.
+    (for iid noise one (1, K, K) and one (1, N, N) block standing for every
+    station), and one KM x KM and one NM x NM block otherwise. ``design`` is
+    the N x K rake design A. The dense Sigma_X, Sigma_F and Sigma_R are
+    built on first read.
     """
 
     mu_X: np.ndarray
@@ -471,7 +450,7 @@ class FieldDistribution:
 
     @cached_property
     def Sigma_X(self) -> np.ndarray:
-        return _block_diagonal(self.X_blocks)
+        return _block_diagonal(self.X_blocks, self.mu_X.size)
 
     @cached_property
     def Sigma_F(self) -> np.ndarray:
@@ -479,26 +458,35 @@ class FieldDistribution:
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:
-        return _block_diagonal(self.R_blocks)
+        return _block_diagonal(self.R_blocks, self.mu_R.size)
+
+
+def _blocks_of(blocks, name: str, n: int, n_stations: int) -> np.ndarray:
+    """The covariance of an n x M matrix in one of its block forms, as a
+    float array: M station blocks (M, n, n), one (1, n, n) block standing
+    for every station, or one (1, nM, nM) block; else DimensionMismatch
+    naming it."""
+    blocks = np.asarray(blocks, dtype=float)
+    nm = n * n_stations
+    if blocks.shape not in ((n_stations, n, n), (1, n, n), (1, nm, nm)):
+        raise DimensionMismatch(
+            f"{name} must be {n_stations} x {n} x {n}, 1 x {n} x {n} or 1 x {nm} x {nm}, "
+            f"got shape {blocks.shape}"
+        )
+    return blocks
 
 
 def _field_moments(field: FieldDistribution, model: FourierModel):
     """The one reader of a field against a model: (mu_X, X_blocks).
 
     mu_X is read by ``_coefficients``, and X_blocks must be Sigma_X in one
-    of its block forms for the model's K x M, M station blocks (M, K, K) or
-    one (1, KM, KM) block, else DimensionMismatch naming it; so a field
-    from another model is refused, not reshaped.
+    of its block forms for the model's K x M: M station blocks (M, K, K),
+    one (1, K, K) block standing for every station, or one (1, KM, KM)
+    block, else DimensionMismatch naming it; so a field from another model
+    is refused, not reshaped.
     """
     mu_X = _coefficients(field.mu_X, "mu_X", model)
-    X_blocks = np.asarray(field.X_blocks, dtype=float)
-    K, M = mu_X.shape
-    if X_blocks.shape not in ((M, K, K), (1, K * M, K * M)):
-        raise DimensionMismatch(
-            f"X_blocks must be {M} x {K} x {K} or 1 x {K * M} x {K * M}, "
-            f"got shape {X_blocks.shape}"
-        )
-    return mu_X, X_blocks
+    return mu_X, _blocks_of(field.X_blocks, "X_blocks", *mu_X.shape)
 
 
 def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -516,17 +504,20 @@ def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, X_blocks: np
 
     X has mean mu_X and covariance Sigma_X in vec order (K fastest), given
     as ``X_blocks`` in one of its block forms, so the value at (r, t) is
-    g^T vec(X) with g = W[r] kron A_g[t]. For M station blocks X_m the
-    variance g^T Sigma_X g is sum_m W[r, m]^2 a_t^T X_m a_t. For one KM x KM
-    block it is taken with matrix products: W contracts both station axes
-    of the (M, K, M, K) view, leaving one K x K block per radius, and A_g
-    closes each block from both sides.
+    g^T vec(X) with g = W[r] kron A_g[t]. For K x K station blocks X_m the
+    variance g^T Sigma_X g is sum_m W[r, m]^2 a_t^T X_m a_t; one block
+    standing for every station has its one row of forms repeated to M rows,
+    so one (R, M) @ (M, T) product takes the sum either way. For one
+    KM x KM block it is taken with matrix products: W contracts both
+    station axes of the (M, K, M, K) view, leaving one K x K block per
+    radius, and A_g closes each block from both sides.
     """
     R, M = W.shape
     K = mu_X.shape[0]
     mean = W @ mu_X.T @ A_g.T
-    if X_blocks.shape[0] == M:
-        var = (W * W) @ _row_quadratic_forms(A_g, X_blocks)
+    if X_blocks.shape[1] == K:
+        forms = _row_quadratic_forms(A_g, X_blocks)
+        var = (W * W) @ (forms if len(forms) == M else forms.repeat(M, axis=0))
     else:
         left = (W @ X_blocks.reshape(M, K * M * K)).reshape(R, K, M, K)
         var = _row_quadratic_forms(A_g, (W[:, None, None, :] @ left)[:, :, 0, :])

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, RequiresIidNoise, TooFewSamples
+from .errors import DimensionMismatch, InvalidParams, RequiresIidNoise, TooFewSamples
 from .fourier import (
     DEFAULT_BETA,
     DEFAULT_LADDER,
@@ -67,7 +67,7 @@ from .fourier import (
     design_matrix,
 )
 from .geometry import AnnulusGeometry, _whole
-from .propagation import FieldDistribution, MeasurementDistribution, _diagonal_blocks, vec
+from .propagation import FieldDistribution, MeasurementDistribution, _blocks_of, _diagonal_blocks, vec
 
 # Stop the pdf series once a term falls below this fraction of the partial
 # sum, and refuse phi once the series has taken MAX_TERMS terms.
@@ -142,16 +142,20 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
 def _residual_power_moments(field: FieldDistribution):
     """Exact mean and variance of ||R||_F^2 / NM for Gaussian R, any Sigma_R.
 
-    Sigma_R is block diagonal with the blocks R_b of field.R_blocks, so
-    tr Sigma_R = sum_b tr R_b, ||Sigma_R||_F^2 = sum_b ||R_b||_F^2 and
-    mu^T Sigma_R mu = sum_b mu_b^T R_b mu_b, with mu_b the readings of block b.
+    Sigma_R is block diagonal, its diagonal the (B, n, n) blocks R_b of
+    field.R_blocks, each repeated c = NM / (B n) times, so
+    tr Sigma_R = c sum_b tr R_b, ||Sigma_R||_F^2 = c sum_b ||R_b||_F^2, and
+    mu^T Sigma_R mu sums mu_s^T R mu_s over the n-reading slices mu_s of mu,
+    each with its block R.
     """
     R = field.R_blocks
     mu = vec(field.mu_R)
     n_meas = mu.size
-    mu_b = mu.reshape(R.shape[0], -1, 1)
-    trace = np.trace(R, axis1=1, axis2=2).sum()
-    frobenius_sq = np.einsum("bij,bij->", R, R)
+    copies = n_meas // (R.shape[0] * R.shape[1])
+    mu_b = mu.reshape(-1, R.shape[1], 1)
+    # the traces repeated, not multiplied by c: the sum keeps its bits
+    trace = np.repeat(np.trace(R, axis1=1, axis2=2), copies).sum()
+    frobenius_sq = copies * np.einsum("bij,bij->", R, R)
     quadratic = np.vdot(mu_b, R @ mu_b)
     mean = (trace + mu @ mu) / n_meas
     var = (2.0 * frobenius_sq + 4.0 * quadratic) / n_meas**2
@@ -250,9 +254,16 @@ def compute_metrics(
     The moments are exact for every noise model and ridge penalty. The
     chi-square parameters are attached exactly where ``chi_square_params``
     returns them: iid noise with sigma_b > 0, an unregularized fit and
-    N > K.
+    N > K. The field must come from ``model``: its mu_R passes the readings
+    rule, its R_blocks are Sigma_R in one of its block forms and its design
+    has the model's shape, else DimensionMismatch naming the field's entry.
     """
     eps_p = sampling_metric(model, coeffs, meas.mu_B)
+    _blocks_of(field.R_blocks, "R_blocks", *_readings(field.mu_R, "mu_R", model).shape)
+    if np.shape(field.design) != model.A.shape:
+        raise DimensionMismatch(
+            f"design must be {model.n_rakes} x {model.n_coeffs}, got shape {np.shape(field.design)}"
+        )
     mean_eps, var_eps = _residual_power_moments(field)
     chi2 = None if _law_refusal(field) else chi_square_params(field)
     return UncertaintyMetrics(
@@ -343,7 +354,9 @@ def frequency_scan(
         DEFAULT_BETA if beta is None else beta,
     )
     N, M = mu_B.shape
-    S_sum = _diagonal_blocks(meas.station_blocks, N).sum(axis=0)
+    # a sum over the M stations even where one block stands for them all:
+    # M times the block would put some pairs' mean_eps an ulp apart
+    S_sum = np.broadcast_to(_diagonal_blocks(meas.station_blocks, N), (M, N, N)).sum(axis=0)
     if not S_sum.any():
         raise InvalidParams("Sigma_B is zero: sigma_b or the sigmas must be positive")
     pairs = list(combinations(range(1, max_freq + 1), 2))

@@ -42,6 +42,7 @@ from rakeuq import (
     area_average,
     area_average_mean,
     build_design_matrix,
+    compute_metrics,
     efficiency,
     efficiency_gradient,
     efficiency_mc,
@@ -81,11 +82,14 @@ def _state_z(index, value):
 @pytest.fixture(scope="module")
 def ctx(engine_geometry, engine_model, engine_data, engine_meas, engine_field, truth):
     lean = build_design_matrix(engine_geometry, HarmonicSet((1,)), beta=BETA)
+    nine_rakes = AnnulusGeometry(np.arange(9) * 40.0 + 5.0, STATIONS, R_INNER, R_OUTER)
+    nine = build_design_matrix(nine_rakes, HarmonicSet((1, 2)), beta=BETA)
     return SimpleNamespace(
         geometry=engine_geometry,
         model=engine_model,
         lean=lean,
         lean_field=FieldDistribution.from_measurements(lean, engine_meas),
+        nine_rake_field=FieldDistribution.from_measurements(nine, MD.from_iid(np.ones((9, 7)), 0.5)),
         B=engine_data,
         nan_B=_with_nan(engine_data),
         meas=engine_meas,
@@ -160,6 +164,14 @@ CASES = {
     "grid-wrong-size-Sigma_X": (
         lambda c: predictive_grid(c.model, replace(c.field, X_blocks=np.eye(10)[None]), [0.5], [0.0]),
         DimensionMismatch, "X_blocks"),
+    "metrics-field-of-a-nine-rake-model": (
+        lambda c: compute_metrics(c.model, c.X, c.meas, c.nine_rake_field),
+        DimensionMismatch, "mu_R"),
+    "metrics-two-station-blocks-for-seven": (
+        lambda c: compute_metrics(c.model, c.X, c.meas, replace(c.field, R_blocks=np.ones((2, 6, 6)))),
+        DimensionMismatch, "R_blocks"),
+    "metrics-field-of-another-basis": (
+        lambda c: compute_metrics(c.model, c.X, c.meas, c.lean_field), DimensionMismatch, "design"),
     # locations: one reader, fourier._location; span fractions in [0, 1],
     # finite angles, a scalar r_frac and at most a vector of either
     "predict-nan-radius": (lambda c: predict_point(c.model, c.X, math.nan, 10.0), OutOfDomain, "radial fraction"),
@@ -220,6 +232,17 @@ CASES = {
     "sampler-one-sample": (lambda c: SamplerConfig(1, 1), InvalidParams, "n_samples"),
     "mvn-mean-and-covariance-sizes": (
         lambda c: sample_mvn(np.zeros(3), np.eye(4), SamplerConfig(1, 10)), DimensionMismatch, "cov"),
+    "mvn-stack-of-covariances": (
+        lambda c: sample_mvn(np.zeros(3), np.stack([np.eye(3)] * 3), SamplerConfig(1, 10)),
+        DimensionMismatch, "cov"),
+    "mvn-vector-covariance": (
+        lambda c: sample_mvn(np.zeros(3), np.ones(3), SamplerConfig(1, 10)),
+        DimensionMismatch, "cov"),
+    "mvn-scalar-covariance": (
+        lambda c: sample_mvn(np.zeros(3), 1.0, SamplerConfig(1, 10)), DimensionMismatch, "cov"),
+    "mvn-non-square-covariance": (
+        lambda c: sample_mvn(np.zeros(3), np.ones((3, 4)), SamplerConfig(1, 10)),
+        DimensionMismatch, "cov"),
     "rake-Sigma_theta-one-rake-short": (
         lambda c: rake_position_mc(c.model, c.B, np.eye(5), c.cfg), DimensionMismatch, "Sigma_theta"),
     "rake-no-prediction-angles": (

@@ -193,7 +193,7 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
 
 # One noise model per block shape of MeasurementDistribution.factor_blocks:
 # one (1, NM, NM) block, (M, N, N) station blocks, diagonal blocks, and one
-# sigma_b I block broadcast over the stations.
+# (1, N, N) sigma_b I block standing for every station.
 NOISE = {
     "dense": lambda mu: MeasurementDistribution(mu, random_psd(42, np.random.default_rng(37))),
     "station blocks": lambda mu: MeasurementDistribution(
@@ -209,7 +209,8 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise)
     # one block rebuilt draw by draw: X = P B, F = A X and R = F - B
     lam = 0.1
     meas = NOISE[noise](engine_data)
-    assert meas.factor_blocks.shape[0] == (1 if noise == "dense" else 7)
+    n_blocks, n = {"dense": (1, 42), "iid": (1, 6)}.get(noise, (7, 6))
+    assert meas.factor_blocks.shape == (n_blocks, n, n)
     cfg = SamplerConfig(seed=43, n_samples=512)
     res = mc_propagate_model(engine_model, meas, cfg, lam=lam)
     children, sizes = mc_mod._batch_plan(cfg, mc_mod.BLOCK)

@@ -30,9 +30,11 @@ from rakeuq import (
     vec,
 )
 
-from rakeuq.propagation import _block_congruence, _psd_factor, _repeated, _station_map
+from rakeuq.propagation import _block_congruence, _psd_factor, _station_map
 
-from conftest import BETA, SIGMA_B, STATIONS, coefficient_truth, random_psd
+from conftest import (
+    BETA, ENGINE_THETA, R_INNER, R_OUTER, SIGMA_B, STATIONS, coefficient_truth, random_psd,
+)
 
 
 def point_vectors(model, points):
@@ -396,10 +398,10 @@ def test_iid_blocks_keep_the_given_variance(engine_data, v):
     # (fl(sqrt(2))^2 = 2.0000000000000004); only the factor is sqrt(v) I
     meas = MeasurementDistribution(engine_data, v * np.eye(42))
     assert meas.iid_sigma == math.sqrt(v)
-    assert meas.station_blocks.strides[0] == 0  # one block broadcast
     np.testing.assert_array_equal(meas.Sigma_B, v * np.eye(42))
-    np.testing.assert_array_equal(meas.station_blocks, v * np.eye(6)[None].repeat(7, 0))
-    np.testing.assert_array_equal(meas.factor_blocks, math.sqrt(v) * np.eye(6)[None].repeat(7, 0))
+    # one N x N block stands for all seven stations
+    np.testing.assert_array_equal(meas.station_blocks, v * np.eye(6)[None])
+    np.testing.assert_array_equal(meas.factor_blocks, math.sqrt(v) * np.eye(6)[None])
 
 
 def test_iid_sigma_is_derived_from_sigma_b(engine_data):
@@ -431,7 +433,7 @@ def test_block_propagation_matches_dense_congruence(engine_model, truth, case, l
     data = engine_model.A @ truth + 0.3 * rng.standard_normal((6, 7))  # off the model span
     if case == "iid":
         meas = MeasurementDistribution.from_iid(data, SIGMA_B)
-        assert meas.station_blocks.strides[0] == 0  # one block broadcast
+        assert meas.station_blocks.shape == (1, 6, 6)  # one block for all stations
         np.testing.assert_array_equal(meas.Sigma_B, Sigma_B)
     else:
         meas = MeasurementDistribution(data, Sigma_B)
@@ -505,7 +507,40 @@ def test_iid_chain_builds_no_nm_by_nm_matrix():
     assert "Sigma_X" not in vars(field)
     assert "Sigma_F" not in vars(field) and "Sigma_R" not in vars(field)
     # one K x K and one N x N block stand for all 40 stations
-    assert field.X_blocks.strides[0] == 0 and field.R_blocks.strides[0] == 0
+    assert meas.station_blocks.shape == meas.factor_blocks.shape == (1, 60, 60)
+    assert field.X_blocks.shape == (1, 5, 5) and field.R_blocks.shape == (1, 60, 60)
+
+
+@pytest.mark.parametrize("M", [1, 7, 40])
+def test_shared_block_counts_once_per_station(M):
+    # iid noise gives one (1, K, K) and one (1, N, N) block standing for all
+    # M stations; every consumer must weight it M times, as it weights the
+    # same block repeated M times
+    rng = np.random.default_rng(M)
+    stations = np.linspace(0.05, 0.95, M) if M > 1 else np.array([0.5])
+    geometry = AnnulusGeometry(ENGINE_THETA, stations, R_INNER, R_OUTER)
+    model = build_design_matrix(geometry, HarmonicSet((1, 2)), beta=BETA)
+    data = model.A @ rng.standard_normal((5, M)) + 0.3 * rng.standard_normal((6, M))
+    meas = MeasurementDistribution.from_iid(data, SIGMA_B)
+    shared = FieldDistribution.from_measurements(model, meas)
+    assert shared.X_blocks.shape == (1, 5, 5) and shared.R_blocks.shape == (1, 6, 6)
+    repeated = dataclasses.replace(
+        shared, X_blocks=shared.X_blocks.repeat(M, 0), R_blocks=shared.R_blocks.repeat(M, 0)
+    )
+    coeffs = fit(model, data)
+    r, th = np.linspace(0.0, 1.0, 11), np.arange(0.0, 360.0, 15.0)
+
+    def numbers(field):
+        metrics = compute_metrics(model, coeffs, meas, field)
+        return (
+            metrics.mean_eps, metrics.var_eps, area_average(model, field).variance,
+            predictive_grid(model, field, r, th)[1], field.Sigma_X, field.Sigma_R,
+        )
+
+    for got, want in zip(numbers(shared), numbers(repeated)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("M", [7, 1])
@@ -516,16 +551,20 @@ def test_station_map_and_congruence_match_explicit_kron(M, layout):
     N, k, w = 6, 5, 4
     T = rng.standard_normal((k, N))
     kron = np.kron(np.eye(M), T)
-    if layout != "one block":
+    if layout == "one shared block":
+        # as iid noise gives: one (1, N, N) block S standing for all M
+        # stations, and one (1, k, N) map block meeting every slice of X
+        X_dense, S = rng.standard_normal((N * M, w)), random_psd(N, rng)[None]
+        S_dense = block_diag(*S.repeat(M, 0))
+        S_mapped = _block_congruence(T, S)
+        assert S_mapped.shape == (1, k, k)
+        (mapped,) = _station_map(T[None], X_dense[None])
+        congruent = block_diag(*S_mapped.repeat(M, 0))
+    elif layout == "station blocks":
         X = rng.standard_normal((M, N, w))
         S = np.stack([random_psd(N, rng) for _ in range(M)])
-        if layout == "one shared block":
-            # as iid noise gives: one block repeated by a zero stride
-            X, S = _repeated(X[0], M), _repeated(S[0], M)
         X_dense, S_dense = block_diag(*X), block_diag(*S)
         X_mapped, S_mapped = _station_map(T, X), _block_congruence(T, S)
-        if layout == "one shared block" and M > 1:
-            assert X_mapped.strides[0] == 0 and S_mapped.strides[0] == 0
         mapped, congruent = block_diag(*X_mapped), block_diag(*S_mapped)
     else:
         X_dense, S_dense = rng.standard_normal((N * M, w)), random_psd(N * M, rng)
