@@ -70,16 +70,6 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _build_model(campaign, args):
-    return build_design_matrix(
-        campaign.geometry,
-        args.harmonics,
-        lambda_ladder=args.lambda_ladder,
-        beta=args.beta,
-        radial_basis=args.radial_basis,
-    )
-
-
 def _int_at_least(low: int, or_zero: bool = False):
     """argparse type for an integer of at least ``low``, or 0 with ``or_zero``."""
 
@@ -110,7 +100,13 @@ def _fit_field(args):
     ``grid``; a ridge fit is named in one warning, since its bias is not in
     the uncertainties those commands report."""
     campaign = io.load_campaign(args.campaign)
-    model = _build_model(campaign, args)
+    model = build_design_matrix(
+        campaign.geometry,
+        args.harmonics,
+        lambda_ladder=args.lambda_ladder,
+        beta=args.beta,
+        radial_basis=args.radial_basis,
+    )
     coeffs = fit(model, campaign.measurements)
     if coeffs.lambda_used > 0.0:
         import logging  # here, not at the top: its import costs start-up time
@@ -199,7 +195,10 @@ def cmd_scan(args) -> int:
 
 def cmd_rake_mc(args) -> int:
     campaign = io.load_campaign(args.campaign)
-    model = _build_model(campaign, args)
+    # the grid sits at the stations, so no radial basis is read
+    model = build_design_matrix(
+        campaign.geometry, args.harmonics, lambda_ladder=args.lambda_ladder, beta=args.beta
+    )
     config = SamplerConfig(args.seed, args.draws)
     result = rake_position_mc(
         model,
@@ -298,11 +297,21 @@ def _add_common(parser, *, ridge=True, seed=False, samples_default=None):
     parser.add_argument("--output", type=_output_path, default=None, help="output path")
 
 
-def _add_model_args(parser):
+def _add_harmonics(parser):
     parser.add_argument("--harmonics", type=_harmonics, required=True,
                         help="comma-separated harmonic orders, e.g. 1,4")
+
+
+def _add_fit_args(parser):
+    """The arguments ``fit`` and ``grid`` share: the campaign, its model,
+    the ridge options and the (r, theta) grid."""
+    parser.add_argument("campaign")
+    _add_harmonics(parser)
     parser.add_argument("--radial-basis", choices=("cubic", "linear"),
                         default="cubic", help="radial blending basis")
+    _add_common(parser)
+    parser.add_argument("--n-theta", type=_int_at_least(1), default=360)
+    parser.add_argument("--n-r", type=_int_at_least(1), default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,21 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a campaign and write the JSON report")
-    p.add_argument("campaign")
-    _add_model_args(p)
-    _add_common(p)
-    p.add_argument("--n-theta", type=_int_at_least(1), default=360)
-    p.add_argument("--n-r", type=_int_at_least(1), default=50)
+    _add_fit_args(p)
     p.add_argument("--coefficients", type=_output_path, default=None,
                    help="path for the fitted-coefficient JSON")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("grid", help="predictive mean/variance grid as CSV")
-    p.add_argument("campaign")
-    _add_model_args(p)
-    _add_common(p)
-    p.add_argument("--n-theta", type=_int_at_least(1), default=360)
-    p.add_argument("--n-r", type=_int_at_least(1), default=50)
+    _add_fit_args(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("scan", help="rank harmonic pairs by expected misfit")
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rake-mc", help="Monte Carlo over rake placement scatter")
     p.add_argument("campaign")
-    _add_model_args(p)
+    _add_harmonics(p)
     _add_common(p, seed=True)
     p.add_argument("--sigma-theta", type=float, required=True,
                    help="angle scatter std dev in degrees")

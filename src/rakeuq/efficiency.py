@@ -11,7 +11,7 @@ matrix. Per-parameter contributions (d eta/d z_i)^2 sigma_i^2 show where the
 budget goes; they sum to the variance only when rho = I.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,13 +162,11 @@ def block_correlation(rho_value: float) -> np.ndarray:
 def correlation_sweep(state: StationState, rho_values) -> np.ndarray:
     """sigma(eta) as the temperature and pressure pair correlations sweep.
 
-    Returns one standard deviation per requested correlation value. The
-    state's own rho is ignored; each sweep point uses the block pattern.
+    Returns one standard deviation per requested correlation value: that of
+    ``taylor_variance`` at the state with its rho replaced by the block
+    pattern ``block_correlation(r)``.
     """
-    out = np.empty(len(rho_values))
-    grad = efficiency_gradient(state.z)
-    for i, r in enumerate(rho_values):
-        rho = block_correlation(float(r))
-        cov = (state.sigma[:, None] * rho) * state.sigma[None, :]
-        out[i] = np.sqrt(max(float(grad @ cov @ grad), 0.0))
-    return out
+    return np.array([
+        taylor_variance(replace(state, rho=block_correlation(float(r)))).sigma_eta
+        for r in rho_values
+    ])

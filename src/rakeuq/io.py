@@ -24,9 +24,11 @@ with ``minItems``, ``minProperties`` / ``maxProperties`` and ``minimum``. A
 number is an int or a float, never a bool, and an int too large for a
 double is refused. The walker stops at the first fault it meets and checks
 an object's or array's own keywords before its members, so for a document
-with one fault it names the field jsonschema's best match would name. A
-fault raises SchemaError with the dotted path of that field (the document's
-name for a fault at the top level); the CLI maps it to exit code 2.
+with one fault it names the field jsonschema's best match would name. One
+rule is the walker's own, checked after a matrix's rows: they must have
+equal lengths, so a ragged matrix never reaches numpy. A fault raises
+SchemaError with the dotted path of that field (the document's name for a
+fault at the top level); the CLI maps it to exit code 2.
 
 Reports are plain dicts serialized with json, which round-trips every float
 bit-exactly. Outputs are rewritten in place: an existing file is opened
@@ -59,7 +61,7 @@ from .propagation import MeasurementDistribution
 
 _NUMBER = {"type": "number"}
 _NUMBER_ARRAY = {"type": "array", "items": _NUMBER, "minItems": 1}
-_MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
+_MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}  # rows of equal length
 
 CAMPAIGN_SCHEMA = {
     "type": "object",
@@ -206,6 +208,8 @@ def _schema_fault(doc, schema, path):
         fault = _schema_fault(value, sub, path + (key,))
         if fault is not None:
             return fault
+    if schema is _MATRIX and len({len(row) for row in doc}) > 1:
+        return path, "rows have unequal lengths"
     return None
 
 
@@ -294,11 +298,8 @@ def campaign_from_dict(doc) -> Campaign:
         )
     except RakeUqError as exc:
         raise SchemaError(str(exc), field="geometry") from None
-    rows = doc["measurements"]
-    if len({len(row) for row in rows}) != 1:
-        raise SchemaError("rows have unequal lengths", field="measurements")
     try:
-        B = _readings(rows, "measurements", geometry)
+        B = _readings(doc["measurements"], "measurements", geometry)
     except RakeUqError as exc:
         raise SchemaError(str(exc), field="measurements") from None
     unc = doc["uncertainty"]

@@ -401,7 +401,8 @@ def rake_position_mc(
     mu_theta = model.geometry.theta_deg
     Sigma_theta = np.asarray(sigma_theta, dtype=float)
     if Sigma_theta.ndim == 0:
-        Sigma_theta = _sigmas(float(Sigma_theta), "sigma_theta") ** 2 * np.eye(N)
+        s = float(_sigmas(Sigma_theta, "sigma_theta"))
+        Sigma_theta = s * s * np.eye(N)
     if Sigma_theta.shape != (N, N):
         raise DimensionMismatch("Sigma_theta must be N x N")
     L = _psd_factor(Sigma_theta, "Sigma_theta")[1]
@@ -448,7 +449,8 @@ def rake_position_mc(
     s1 = dX.sum(axis=0).reshape(K, M).T
     idx = np.arange(M)
     s2 = (dX.T @ dX).reshape(K, M, K, M)[:, idx, :, idx]
-    cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / max(n_ok - 1, 1)
+    # n_ok >= 2: a run has at least 2 draws, and below 100 draws none may fail
+    cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / (n_ok - 1)
     grid_mean = G_ref + A_pred @ (s1.T / n_ok)
     grid_var = np.maximum(_row_quadratic_forms(A_pred, cov).T, 0.0)
     return RakeMCResult(

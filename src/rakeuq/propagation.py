@@ -134,24 +134,17 @@ def _sigmas(value, name: str):
     A sigma must be finite and nonnegative, and either 0 or with a square
     that is a finite normal double; NaN fails the comparisons. On that
     range sqrt(fl(s^2)) = s under round-to-nearest, so the variance s^2 and
-    the factor s describe the same noise. A Python float takes a path
-    without numpy and comes back as it is; anything else comes back as a
-    float array. InvalidParams reports the first sigma that breaks the rule.
+    the factor s describe the same noise. The sigmas come back as a float
+    array; InvalidParams reports the first sigma that breaks the rule.
     """
-    if isinstance(value, float):
-        if value == 0.0 or _SIGMA_MIN <= value <= _SIGMA_MAX:
-            return value
-        bad = value
-    else:
-        value = np.asarray(value, dtype=float)
-        bad = value[~((value == 0.0) | ((value >= _SIGMA_MIN) & (value <= _SIGMA_MAX)))]
-        if not bad.size:
-            return value
-        bad = float(bad[0])
-    raise InvalidParams(
-        f"{name} must be 0 or in [{_SIGMA_MIN:.4g}, {_SIGMA_MAX:.4g}], where its square "
-        f"is a finite normal double; got {bad!r}"
-    )
+    value = np.asarray(value, dtype=float)
+    bad = value[~((value == 0.0) | ((value >= _SIGMA_MIN) & (value <= _SIGMA_MAX)))]
+    if bad.size:
+        raise InvalidParams(
+            f"{name} must be 0 or in [{_SIGMA_MIN:.4g}, {_SIGMA_MAX:.4g}], where its square "
+            f"is a finite normal double; got {float(bad[0])!r}"
+        )
+    return value
 
 
 def _vec_sigmas(mu: np.ndarray, sigma) -> np.ndarray:
@@ -343,10 +336,10 @@ class MeasurementDistribution:
         PSD with factor sigma_b I, so nothing is factored, and no NM x NM
         matrix is built until Sigma_B is read.
         """
-        sigma_b = _sigmas(float(sigma_b), "sigma_b")
+        sigma_b = float(_sigmas(sigma_b, "sigma_b"))
         mu = _readings(mu_B, "mu_B")
         eye = np.eye(mu.shape[0])[None]
-        return cls._from_blocks(mu, sigma_b, sigma_b**2 * eye, sigma_b * eye)
+        return cls._from_blocks(mu, sigma_b, sigma_b * sigma_b * eye, sigma_b * eye)
 
     @classmethod
     def from_diagonal(cls, mu_B, sigma) -> "MeasurementDistribution":

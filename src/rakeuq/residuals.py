@@ -134,7 +134,7 @@ def chi_square_params(field: FieldDistribution) -> ChiSquareParams:
     if refusal is not None:
         raise refusal
     mu_R = np.asarray(field.mu_R, dtype=float)
-    variance = field.iid_sigma**2
+    variance = field.iid_sigma * field.iid_sigma
     g = mu_R.shape[1] * (field.design.shape[0] - field.design.shape[1])
     return ChiSquareParams(g, float(np.sum(mu_R**2)) / variance, float(variance / mu_R.size))
 

@@ -118,13 +118,30 @@ def test_negative_sigma_named(tmp_path):
     assert "sigma_b" in str(err.value)
 
 
-def test_ragged_measurements_rejected(tmp_path):
-    doc = campaign_doc()
-    doc["measurements"][2] = doc["measurements"][2][:-1]
-    path = tmp_path / "bad.json"
+@pytest.mark.parametrize("field", ["measurements", "uncertainty.correlation.rho", "rho"])
+def test_ragged_matrix_exits_2_naming_its_path(tmp_path, capsys, field):
+    # a row one entry short is refused by the schema walker, before numpy
+    # would fail to build an array from it
+    if field == "rho":
+        command = ["efficiency"]
+        doc = {
+            "means": {"T01": 1000.0, "T02": 800.0, "P01": 8e5, "P02": 2e5, "gamma": 1.4},
+            "sigmas": {"T01": 2.0, "T02": 2.0, "P01": 500.0, "P02": 500.0, "gamma": 0.001},
+            "rho": np.eye(5).tolist(),
+        }
+    else:
+        command = ["fit", "--harmonics", "1,4"]
+        doc = campaign_doc(noise="correlated")
+    matrix = doc
+    for key in field.split("."):
+        matrix = matrix[key]
+    matrix[2].pop()
+    path = tmp_path / "ragged.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
-        io.load_campaign(str(path))
+    out = tmp_path / "out.json"
+    assert main([command[0], str(path), *command[1:], "--output", str(out)]) == 2
+    assert f"error: {field}: rows have unequal lengths" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measurement_rake_count_must_match_geometry(tmp_path):
@@ -472,13 +489,20 @@ def test_scan_accepts_correlated_campaign(tmp_path):
     ]
 
 
-def test_scan_rejects_radial_basis(campaign_path, capsys):
-    # the expected misfit lives at the rakes, so the radial basis never
-    # entered the scan and its option is gone
+@pytest.mark.parametrize("args", [
+    ["scan"],
+    ["rake-mc", "--harmonics", "1,4", "--sigma-theta", "0.5", "--draws", "64"],
+], ids=["scan", "rake-mc"])
+def test_scan_rejects_radial_basis(campaign_path, tmp_path, capsys, args):
+    # the scan's expected misfit lives at the rakes and the rake-mc grid at
+    # the stations, so neither reads a radial basis and neither has its option
+    out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["scan", campaign_path, "--radial-basis", "linear"])
+        main([args[0], campaign_path, *args[1:], "--output", str(out),
+              "--radial-basis", "linear"])
     assert exc.value.code == 2
     assert "--radial-basis" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_exit_code_when_every_pair_exhausted(campaign_path, tmp_path, capsys):
@@ -984,7 +1008,6 @@ BAD_OPTION_VALUES = {
     },
     "rake-mc": {
         "--harmonics": [("4,4", 2, "--harmonics")],
-        "--radial-basis": [("spline", 2, "--radial-basis")],
         "--seed": [("-1", 2, "--seed")],
         "--lambda-ladder": [("x", 2, "--lambda-ladder"), ("inf", 3, "lambda_ladder")],
         "--beta": [("0", 3, "beta")],

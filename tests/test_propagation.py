@@ -404,6 +404,25 @@ def test_iid_blocks_keep_the_given_variance(engine_data, v):
     np.testing.assert_array_equal(meas.factor_blocks, math.sqrt(v) * np.eye(6)[None])
 
 
+def test_iid_noise_given_two_ways_is_the_same_bits(engine_model, engine_data):
+    # every sigma is squared as s * s: Python's s**2 (libm pow) puts this s
+    # one ulp off numpy's square, 78.8089507971897 against 78.80895079718968
+    s = 8.87744055441599
+    iid = MeasurementDistribution.from_iid(engine_data, s)
+    diagonal = MeasurementDistribution.from_diagonal(engine_data, np.full(42, s))
+    assert iid.iid_sigma == diagonal.iid_sigma == s
+    np.testing.assert_array_equal(iid.station_blocks, diagonal.station_blocks)
+    np.testing.assert_array_equal(iid.factor_blocks, diagonal.factor_blocks)
+    coeffs = fit(engine_model, engine_data)
+    metrics = [
+        compute_metrics(engine_model, coeffs, meas, FieldDistribution.from_measurements(engine_model, meas))
+        for meas in (iid, diagonal)
+    ]
+    assert metrics[0].mean_eps == metrics[1].mean_eps
+    assert metrics[0].var_eps == metrics[1].var_eps
+    assert metrics[0].chi2.scale == metrics[1].chi2.scale == s * s / 42
+
+
 def test_iid_sigma_is_derived_from_sigma_b(engine_data):
     assert MeasurementDistribution(engine_data, 0.25 * np.eye(42)).iid_sigma == 0.5
     diag = MeasurementDistribution(engine_data, np.diag(np.linspace(0.1, 1.0, 42)))
