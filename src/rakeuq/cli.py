@@ -25,7 +25,7 @@ from .area import area_average
 from .efficiency import DEFAULT_STATE, correlation_sweep, taylor_variance
 from .errors import RakeUqError, RegularizationExhausted, SchemaError
 from .fourier import DEFAULT_BETA, DEFAULT_LADDER, build_design_matrix, fit
-from .geometry import HarmonicSet
+from .geometry import HarmonicSet, _whole
 from .legacy import HarmonicField, fig1_demo, legacy_sampling_uncertainty, rss_total
 from .montecarlo import SamplerConfig, efficiency_mc, rake_position_mc
 from .propagation import FieldDistribution, predictive_grid
@@ -75,9 +75,9 @@ def _int_at_least(low: int, or_zero: bool = False):
 
     def check(text: str) -> int:
         value = int(text)
-        if value < low and not (or_zero and value == 0):
-            raise ValueError(f"must be {'0 or ' if or_zero else ''}at least {low}")
-        return value
+        if or_zero and value == 0:
+            return value
+        return _whole(value, "a value other than 0" if or_zero else "the value", low)
 
     return _parsed(check)
 
@@ -257,6 +257,7 @@ def cmd_legacy(args) -> int:
         "components": [{"label": label, "value": value} for label, value in components],
         "total": rss_total([value for _, value in components]),
     }
+    io.assert_finite(doc)
     _emit(doc, args.output)
     return 0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateRatio, DimensionMismatch, InvalidCorrelation, InvalidParams
+from .geometry import _finite
 from .propagation import _sigmas, validate_correlation
 
 PARAM_NAMES = ("T01", "T02", "P01", "P02", "gamma")
@@ -35,8 +36,7 @@ def _terms(z):
     if z.shape[-1] != 5:
         raise DimensionMismatch("state vector must have 5 entries (T01,T02,P01,P02,gamma)")
     T01, T02, P01, P02, gamma = (z[..., i] for i in range(5))
-    if np.count_nonzero(np.isfinite(z)) < z.size:
-        raise InvalidParams("z must be finite")
+    _finite(z, "z")
     if np.any(T01 <= 0.0) or np.any(P01 <= 0.0) or np.any(P02 <= 0.0):
         raise InvalidParams("temperatures and pressures must be positive")
     if np.any(gamma <= 1.0):

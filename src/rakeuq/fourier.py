@@ -47,7 +47,7 @@ from .errors import (
     RegularizationExhausted,
     SingularDesign,
 )
-from .geometry import AnnulusGeometry, HarmonicSet
+from .geometry import AnnulusGeometry, HarmonicSet, _finite
 
 # Ridge penalties tried in order once the plain fit exceeds the norm guard.
 DEFAULT_LADDER = (0.0001, 0.001, 0.1, 10.0)
@@ -449,9 +449,7 @@ def _readings(B, name: str, model=None) -> np.ndarray:
     if B.ndim != 2 or model is not None and B.shape != (model.n_rakes, model.n_stations):
         want = "an N x M matrix" if model is None else f"{model.n_rakes} x {model.n_stations}"
         raise DimensionMismatch(f"{name} must be {want}, got shape {shape}")
-    if np.count_nonzero(np.isfinite(B)) < B.size:
-        raise InvalidParams(f"{name} must be finite")
-    return B
+    return _finite(B, name)
 
 
 def _coefficients(X, name: str, model) -> np.ndarray:
@@ -463,9 +461,7 @@ def _coefficients(X, name: str, model) -> np.ndarray:
         raise DimensionMismatch(
             f"{name} must be {model.n_coeffs} x {model.n_stations}, got shape {X.shape}"
         )
-    if np.count_nonzero(np.isfinite(X)) < X.size:
-        raise InvalidParams(f"{name} must be finite")
-    return X
+    return _finite(X, name)
 
 
 def _location(value, name: str, max_ndim: int = 1) -> np.ndarray:
@@ -481,9 +477,7 @@ def _location(value, name: str, max_ndim: int = 1) -> np.ndarray:
     if value.ndim > max_ndim:
         want = "a scalar" if max_ndim == 0 else "a scalar or a vector"
         raise DimensionMismatch(f"{name} must be {want}, got shape {value.shape}")
-    if name == "theta_deg" and np.count_nonzero(np.isfinite(value)) < value.size:
-        raise InvalidParams("theta_deg must be finite")
-    return value
+    return _finite(value, name) if name == "theta_deg" else value
 
 
 def fit(model: FourierModel, B) -> CoefficientMatrix:

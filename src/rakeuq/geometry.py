@@ -13,12 +13,22 @@ import numpy as np
 from .errors import InvalidParams
 
 
-def _whole(value, name: str) -> int:
+def _finite(value, name: str, error=InvalidParams) -> np.ndarray:
+    """The one reader of finite input: ``value`` as a float array. Any NaN
+    or infinity is refused with ``error`` naming ``name``."""
+    value = np.asarray(value, dtype=float)
+    if np.count_nonzero(np.isfinite(value)) < value.size:
+        raise error(f"{name} must be finite")
+    return value
+
+
+def _whole(value, name: str, low=None) -> int:
     """The one reader of counts, seeds and orders: ``value`` as an int.
 
     An int, a numpy integer or a float with no fractional part (2.0) is
     accepted; anything else, 2.5, NaN or a string among them, is refused
-    with InvalidParams naming ``name``, never truncated.
+    with InvalidParams naming ``name``, never truncated, and so is a value
+    below ``low`` where it is given.
     """
     try:
         whole = int(value)
@@ -26,6 +36,8 @@ def _whole(value, name: str) -> int:
         whole = None
     if whole is None or whole != value:
         raise InvalidParams(f"{name} must be a whole number, got {value!r}")
+    if low is not None and whole < low:
+        raise InvalidParams(f"{name} must be at least {low}")
     return whole
 
 
@@ -106,13 +118,11 @@ class HarmonicSet:
 
     def __post_init__(self):
         try:
-            omega = tuple(_whole(w, "harmonic orders") for w in self.omega)
+            omega = tuple(_whole(w, "harmonic orders", 1) for w in self.omega)
         except TypeError as exc:
             raise InvalidParams("harmonic orders must be integers") from exc
         if len(omega) < 1:
             raise InvalidParams("need at least one harmonic order")
-        if any(w < 1 for w in omega):
-            raise InvalidParams("harmonic orders must be positive")
         if len(set(omega)) != len(omega):
             raise InvalidParams("harmonic orders must be distinct")
         object.__setattr__(self, "omega", omega)

@@ -20,28 +20,37 @@ import numpy as np
 
 from .errors import InvalidParams, NegativeComponent, TooFewSamples
 from .fourier import DEFAULT_BETA, build_design_matrix, fit
-from .geometry import AnnulusGeometry, HarmonicSet, _whole
+from .geometry import AnnulusGeometry, HarmonicSet, _finite, _whole
+from .propagation import _SIGMA_MAX, _sigmas
 from .residuals import sampling_metric
+
+
+def _unit_scaled(values):
+    """(values * 2^-e, e), with 2^e the power of two above the largest
+    magnitude: every scaled value lies in (-1, 1), so no square of one
+    overflows. Scaling by a power of two is exact, so a root of a sum of
+    scaled squares, times 2^e, keeps the bits of the unscaled one wherever
+    that neither overflows nor underflows."""
+    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+    return np.ldexp(values, -e), e
 
 
 def legacy_sampling_uncertainty(samples) -> float:
     """Bessel-corrected standard deviation of the pooled, finite readings."""
-    samples = np.asarray(samples, dtype=float).ravel()
+    samples = _finite(samples, "samples").ravel()
     if samples.size < 2:
         raise TooFewSamples("need at least two readings")
-    if np.count_nonzero(np.isfinite(samples)) < samples.size:
-        raise InvalidParams("samples must be finite")
-    return float(np.sqrt(np.sum((samples - samples.mean()) ** 2) / (samples.size - 1)))
+    scaled, e = _unit_scaled(samples)
+    return float(np.ldexp(np.sqrt(np.sum((scaled - scaled.mean()) ** 2) / (samples.size - 1)), e))
 
 
 def rss_total(components) -> float:
     """Root-sum-square combination of finite, nonnegative budget components."""
-    values = np.asarray(components, dtype=float).ravel()
-    if np.count_nonzero(np.isfinite(values)) < values.size:
-        raise InvalidParams("components must be finite")
+    values = _finite(components, "components").ravel()
     if np.any(values < 0.0):
         raise NegativeComponent("budget components must be nonnegative")
-    return float(np.sqrt(np.sum(values**2)))
+    scaled, e = _unit_scaled(values)
+    return float(np.ldexp(np.sqrt(np.sum(scaled**2)), e))
 
 
 @dataclass(frozen=True)
@@ -54,15 +63,16 @@ class HarmonicField:
     phase_deg: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise InvalidParams(f"{name} must be finite")
-        if self.amplitude < 0.0:
-            raise InvalidParams("amplitude must be nonnegative")
-        frequency = _whole(self.frequency, "frequency")
-        if frequency < 1:
-            raise InvalidParams("frequency must be a positive integer")
-        object.__setattr__(self, "frequency", frequency)
+        # |mean| and the amplitude keep to the range of a standard deviation,
+        # so that the field's squares are finite; NaN fails both rules
+        if not abs(float(self.mean)) <= _SIGMA_MAX:
+            raise InvalidParams(
+                f"mean must lie in [-{_SIGMA_MAX:.4g}, {_SIGMA_MAX:.4g}], got {self.mean!r}"
+            )
+        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "amplitude", float(_sigmas(self.amplitude, "amplitude")))
+        object.__setattr__(self, "phase_deg", float(_finite(self.phase_deg, "phase_deg")))
+        object.__setattr__(self, "frequency", _whole(self.frequency, "frequency", 1))
 
     def sample(self, theta_deg) -> np.ndarray:
         t = np.deg2rad(np.asarray(theta_deg, dtype=float))
@@ -97,14 +107,9 @@ def fig1_demo(
     refused with InvalidParams before any fit.
     """
     field = HarmonicField() if field is None else field
-    if not math.isfinite(offset_deg):
-        raise InvalidParams("offset_deg must be finite")
-    counts = [_whole(count, "rake_counts") for count in rake_counts]
+    offset_deg = float(_finite(offset_deg, "offset_deg"))
     harmonics = HarmonicSet((field.frequency,))
-    if any(count < harmonics.n_coeffs for count in counts):
-        raise InvalidParams(
-            f"rake_counts must all be at least 2k+1 = {harmonics.n_coeffs}, got {counts}"
-        )
+    counts = [_whole(count, "rake_counts", harmonics.n_coeffs) for count in rake_counts]
     # keep the guard clear of the coefficient scale itself
     beta = max(DEFAULT_BETA, 10.0 * (abs(field.mean) + field.amplitude))
     rows = []

@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DrawFailed, InvalidParams
 from .fourier import FourierModel, _fit_batch, _readings, design_matrix
-from .geometry import _whole
+from .geometry import _finite, _whole
 from .propagation import (
     MeasurementDistribution,
     _block_congruence,
@@ -108,13 +108,8 @@ class SamplerConfig:
     n_samples: int
 
     def __post_init__(self):
-        seed, n_samples = _whole(self.seed, "seed"), _whole(self.n_samples, "n_samples")
-        if n_samples < 2:
-            raise InvalidParams("n_samples must be at least 2")
-        if seed < 0:
-            raise InvalidParams("seed must be nonnegative")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
+        object.__setattr__(self, "n_samples", _whole(self.n_samples, "n_samples", 2))
 
 
 def _batch_plan(config: SamplerConfig, size: int):
@@ -176,9 +171,7 @@ def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:
     square matrix of its size, factored under the PSD rule of
     ``propagation._psd_factor``.
     """
-    mean = np.asarray(mean, dtype=float).ravel()
-    if not np.isfinite(mean).all():
-        raise InvalidParams("mean must be finite")
+    mean = _finite(mean, "mean").ravel()
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (mean.size, mean.size):
         raise DimensionMismatch(
@@ -395,7 +388,7 @@ def rake_position_mc(
     off the seed and fitted on every usable CPU: the results are
     byte-identical for any CPU count.
     """
-    n_prediction = _whole(n_prediction, "n_prediction")
+    n_prediction = _whole(n_prediction, "n_prediction", 1)
     B = _readings(B, "B", model)
     N = model.n_rakes
     mu_theta = model.geometry.theta_deg
@@ -406,8 +399,6 @@ def rake_position_mc(
     if Sigma_theta.shape != (N, N):
         raise DimensionMismatch("Sigma_theta must be N x N")
     L = _psd_factor(Sigma_theta, "Sigma_theta")[1]
-    if n_prediction < 1:
-        raise InvalidParams("n_prediction must be at least 1")
     theta_pred = np.arange(n_prediction) * (360.0 / n_prediction)
     omega = model.harmonics.omega
     A_pred = design_matrix(theta_pred, omega)

@@ -64,6 +64,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
 from .fourier import FourierModel, _coefficients, _location, _readings, design_matrix
+from .geometry import _finite
 
 
 def vec(matrix) -> np.ndarray:
@@ -85,9 +86,7 @@ def _psd_factor(S, name: str = "covariance", error=NotPSD):
     RuntimeWarning below -1e3 eps s, and clipping. Non-finite S raises
     InvalidParams.
     """
-    S = np.asarray(S, dtype=float)
-    if not np.all(np.isfinite(S)):
-        raise InvalidParams(f"{name} must be finite")
+    S = _finite(S, name)
     S = S + np.swapaxes(S, -1, -2)
     S *= 0.5
     try:
@@ -220,9 +219,7 @@ def _correlation_factor(rho, n_rakes: int, n_stations: int = 1):
     n = n_rakes * n_stations
     if rho.shape != (n, n):
         raise InvalidCorrelation(f"correlation matrix must be {n} x {n}")
-    if not np.all(np.isfinite(rho)):
-        raise InvalidCorrelation("correlation matrix must be finite")
-    blocks = _station_blocks(rho, n_rakes)
+    blocks = _station_blocks(_finite(rho, "correlation matrix", InvalidCorrelation), n_rakes)
     work = np.subtract(blocks, blocks.transpose(0, 2, 1))
     if np.any(np.abs(work, out=work) > 1e-12):
         raise InvalidCorrelation("correlation matrix must be symmetric")

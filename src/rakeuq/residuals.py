@@ -66,7 +66,7 @@ from .fourier import (
     _ridge_guard,
     design_matrix,
 )
-from .geometry import AnnulusGeometry, _whole
+from .geometry import AnnulusGeometry, _finite, _whole
 from .propagation import FieldDistribution, MeasurementDistribution, _blocks_of, _diagonal_blocks, vec
 
 # Stop the pdf series once a term falls below this fraction of the partial
@@ -171,16 +171,11 @@ def noncentral_chisq_pdf(x, g: int, phi: float):
     x and phi must be finite, and g a whole number of at least 1, read by
     ``geometry._whole``.
     """
-    g = _whole(g, "g")
-    if g < 1:
-        raise InvalidParams("g must be at least 1 degree of freedom")
-    if not math.isfinite(phi):
-        raise InvalidParams(f"phi must be finite, got {phi!r}")
+    g = _whole(g, "g", 1)
+    phi = float(_finite(phi, "phi"))
     if phi < 0.0:
         raise InvalidParams("noncentrality must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if np.count_nonzero(np.isfinite(x)) < x.size:
-        raise InvalidParams("x must be finite")
+    x = _finite(x, "x")
     if np.any(x < 0.0):
         raise InvalidParams("the density is supported on x >= 0")
     scalar_input = x.ndim == 0
@@ -341,9 +336,7 @@ def frequency_scan(
     mean_eps = inf rather than being dropped. The radial basis does not
     enter: the metric lives at the rakes.
     """
-    max_freq = _whole(max_freq, "max_freq")
-    if max_freq < 2:
-        raise InvalidParams("max_freq must be at least 2")
+    max_freq = _whole(max_freq, "max_freq", 2)
     if isinstance(meas, MeasurementDistribution) != (sigma_b is None):
         raise InvalidParams("give sigma_b with mean readings, and not with a MeasurementDistribution")
     if sigma_b is not None:

@@ -196,3 +196,18 @@ def test_single_station_campaign():
     model = build_design_matrix(geom, HarmonicSet((1,)))
     mu_X = np.array([[400.0], [5.0], [-2.0]])
     assert area_average_mean(model, mu_X) == pytest.approx(400.0, rel=1e-12)
+
+
+def test_roundoff_negative_variance_reads_zero(engine_model, engine_field):
+    # one K x K block standing for every station, whose intercept entry sits
+    # at roundoff below zero beside unit harmonic entries: only the
+    # intercept enters the area average, so its variance is about -1e-30
+    block = np.eye(engine_model.n_coeffs)
+    block[0, 0] = -1e-30
+    result = area_average(engine_model, replace(engine_field, X_blocks=block[None]))
+    assert result.variance == 0.0
+    assert result.two_sigma == 0.0
+    # well below -1e-10 times the norm of Sigma_X it is refused
+    block[0, 0] = -1e-6
+    with pytest.raises(NegativeVariance):
+        area_average(engine_model, replace(engine_field, X_blocks=block[None]))

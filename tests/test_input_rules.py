@@ -268,6 +268,14 @@ CASES = {
     "rss-nan-component": (lambda c: rss_total([math.nan, 1.0]), InvalidParams, "components"),
     "legacy-nan-sample": (lambda c: legacy_sampling_uncertainty([1.0, math.nan]), InvalidParams, "samples"),
     "harmonic-field-nan-amplitude": (lambda c: HarmonicField(amplitude=math.nan), InvalidParams, "amplitude"),
+    # a field whose squares overflow or underflow: the standard-deviation range
+    "harmonic-field-amplitude-square-overflows": (
+        lambda c: HarmonicField(amplitude=1e308), InvalidParams, "amplitude"),
+    "harmonic-field-amplitude-square-underflows": (
+        lambda c: HarmonicField(amplitude=1e-200), InvalidParams, "amplitude"),
+    "harmonic-field-mean-square-overflows": (lambda c: HarmonicField(mean=1e200), InvalidParams, "mean"),
+    "harmonic-field-negative-mean-square-overflows": (
+        lambda c: HarmonicField(mean=-1e200), InvalidParams, "mean"),
 }
 
 

@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -521,6 +523,18 @@ def test_scan_exit_code_when_every_pair_exhausted(campaign_path, tmp_path, capsy
     assert all(row[2] == "" and row[3] == "inf" for row in rows[1:])
 
 
+def test_scan_exit_code_when_no_ridge_rung_runs(tmp_path, capsys):
+    # four rakes at 0/90/180/270 alias harmonic 2, so the one pair (1, 2) is
+    # singular; with no ladder rungs its fit never runs, yet its row is written
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(campaign_doc(theta=[0.0, 90.0, 180.0, 270.0])))
+    out = tmp_path / "scan.csv"
+    code = main(["scan", str(path), "--max-freq", "2", "--lambda-ladder", "", "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: all 1 pairs exhausted the ridge ladder\n"
+    assert out.read_text().splitlines() == ["omega1,omega2,lambda,mean_eps", "1,2,,inf"]
+
+
 def test_rake_mc_cli_rejects_nan_scatter(campaign_path, tmp_path, capsys):
     code = main(
         ["rake-mc", campaign_path, "--harmonics", "1,4", "--sigma-theta", "nan",
@@ -706,6 +720,44 @@ def test_legacy_cli_with_samples(tmp_path):
     labels = [c["label"] for c in doc["components"]]
     assert "sampling" in labels
     assert doc["total"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_legacy_cli_sums_past_the_square_overflow(tmp_path):
+    # 1e200 squared overflows, but the root-sum-square fits in a double
+    budget = {"components": [{"label": "a", "value": 1e200}, {"label": "b", "value": 1e200}],
+              "samples": [1e200, -1e200, 3.0]}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(budget))
+    out = tmp_path / "total.json"
+    assert main(["legacy", str(path), "--output", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    sampling = statistics.stdev(budget["samples"])
+    assert abs(doc["components"][2]["value"] - sampling) <= 2 * math.ulp(sampling)
+    total = math.hypot(1e200, 1e200, doc["components"][2]["value"])
+    assert abs(doc["total"] - total) <= math.ulp(total)
+    budget.pop("samples")
+    path.write_text(json.dumps(budget))
+    assert main(["legacy", str(path), "--output", str(out)]) == 0
+    total = math.hypot(1e200, 1e200)
+    assert abs(_strict_json(out.read_text())["total"] - total) <= math.ulp(total)
+
+
+def test_legacy_cli_refuses_a_total_past_the_largest_double(tmp_path, capsys):
+    budget = {"components": [{"label": "a", "value": 1.7e308}, {"label": "b", "value": 1.7e308}]}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(budget))
+    out = tmp_path / "total.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["legacy", str(path), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: non-finite value at report.total\n"
+    assert not out.exists()
 
 
 def test_load_budget_returns_float_pairs_in_file_order(tmp_path):
@@ -1031,8 +1083,8 @@ BAD_OPTION_VALUES = {
     "fig1-demo": {
         "--output": [("MISSING", 2, "--output")],
         "--frequency": [("x", 2, "--frequency"), ("0", 3, "frequency")],
-        "--amplitude": [("nan", 3, "amplitude"), ("-1", 3, "amplitude")],
-        "--mean": [("inf", 3, "mean")],
+        "--amplitude": [("nan", 3, "amplitude"), ("-1", 3, "amplitude"), ("1e308", 3, "amplitude")],
+        "--mean": [("inf", 3, "mean"), ("1e200", 3, "mean")],
         "--phase": [("nan", 3, "phase_deg")],
         "--offset": [("nan", 3, "offset_deg")],
         "--rake-counts": [

@@ -1,4 +1,5 @@
 import math
+import statistics
 import time
 
 import numpy as np
@@ -145,3 +146,46 @@ def test_demo_rejects_counts_below_two_k_plus_one(monkeypatch, counts):
     monkeypatch.setattr(legacy_mod, "fit", no_fit)
     with pytest.raises(InvalidParams, match="rake_counts"):
         fig1_demo(rake_counts=counts)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("components", [
+    (1e200, 1e200), (1.5e308, 1e307), (1e-200, 3e-201), (5e-324, 5e-324), (3.0, 4.0), (1e200, 1.0),
+])
+def test_rss_total_is_hypot_where_the_squares_overflow_or_underflow(components):
+    # each square of the first four overflows or underflows, yet the
+    # root-sum-square fits in a double
+    assert _ulps(rss_total(components), math.hypot(*components)) <= 1.0
+
+
+@pytest.mark.parametrize("samples", [
+    (1e200, -1e200, 3.0), (1.5e308, 1.5e308, -1e308), (1e-170, 3e-170, -2e-170), (1.0, 2.0, 3.0),
+])
+def test_legacy_is_stdev_where_the_squares_overflow_or_underflow(samples):
+    # the mean of the second overflows too when summed unscaled
+    assert _ulps(legacy_sampling_uncertainty(samples), statistics.stdev(samples)) <= 2.0
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=20))
+def test_scaled_legacy_sums_keep_the_bits_of_the_plain_ones(values):
+    # scaling by a power of two is exact: wherever the largest square is
+    # well inside the normal range, the plain formulas give the same bits
+    x = np.array(values)
+    deviations = x - x.mean()
+    plain_sd = float(np.sqrt(np.sum(deviations**2) / (x.size - 1)))
+    plain_rss = float(np.sqrt(np.sum(x**2)))
+    normal = 2.0**60 * np.finfo(float).tiny
+    if not np.any(deviations) or np.max(deviations**2) > normal:
+        assert legacy_sampling_uncertainty(x) == plain_sd
+    if not np.any(x) or np.max(x**2) > normal:
+        assert rss_total(np.abs(x)) == plain_rss
+
+
+def test_harmonic_field_at_the_edge_of_the_range_stays_finite():
+    edge = math.sqrt(np.finfo(float).max)
+    for mean in (edge, -edge):
+        rows = fig1_demo(HarmonicField(mean=mean, amplitude=edge), rake_counts=(3, 8))
+        assert all(math.isfinite(r.legacy) and math.isfinite(r.model_eps_p_sq) for r in rows)
