@@ -16,6 +16,7 @@ ladder exhausted.
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,21 @@ from .legacy import HarmonicField, fig1_demo, legacy_sampling_uncertainty, rss_t
 from .montecarlo import SamplerConfig, efficiency_mc, rake_position_mc
 from .propagation import FieldDistribution, predictive_grid
 from .residuals import compute_metrics, frequency_scan
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking every argument that starts with "-" and a
+    digit, or "-." and a digit, for a value.
+
+    argparse's own pattern knows only -1 and -1.5, so ``--offset -1e1`` and
+    ``--rho-values -0.5,0.2`` read the value as an option name; now they
+    read as ``--offset=-1e1`` does. No option here starts with a digit.
+    Subparsers are of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _parsed(parse):
@@ -316,7 +332,7 @@ def _add_fit_args(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rakeuq",
         description="flow-field reconstruction uncertainty from rake measurements",
     )

@@ -47,7 +47,7 @@ from .errors import (
     RegularizationExhausted,
     SingularDesign,
 )
-from .geometry import AnnulusGeometry, HarmonicSet, _finite
+from .geometry import AnnulusGeometry, HarmonicSet, _finite, _floats
 
 # Ridge penalties tried in order once the plain fit exceeds the norm guard.
 DEFAULT_LADDER = (0.0001, 0.001, 0.1, 10.0)
@@ -442,7 +442,7 @@ def _readings(B, name: str, model=None) -> np.ndarray:
     given. Non-finite readings are refused with InvalidParams. ``name`` is
     the input's name in the messages.
     """
-    B = np.asarray(B, dtype=float)
+    B = _floats(B, name)
     shape = B.shape
     if B.ndim == 1:
         B = B[:, None]
@@ -456,7 +456,7 @@ def _coefficients(X, name: str, model) -> np.ndarray:
     """The one reader of K x M coefficient matrices: X as a float matrix of
     ``model``'s n_coeffs x n_stations, else DimensionMismatch. Non-finite
     coefficients are refused with InvalidParams."""
-    X = np.asarray(X, dtype=float)
+    X = _floats(X, name)
     if X.shape != (model.n_coeffs, model.n_stations):
         raise DimensionMismatch(
             f"{name} must be {model.n_coeffs} x {model.n_stations}, got shape {X.shape}"
@@ -473,7 +473,7 @@ def _location(value, name: str, max_ndim: int = 1) -> np.ndarray:
     InvalidParams. Span fractions are range-checked, NaN included, where
     ``RadialBasis.blend`` reads them.
     """
-    value = np.asarray(value, dtype=float)
+    value = _floats(value, name)
     if value.ndim > max_ndim:
         want = "a scalar" if max_ndim == 0 else "a scalar or a vector"
         raise DimensionMismatch(f"{name} must be {want}, got shape {value.shape}")

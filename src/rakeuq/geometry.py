@@ -13,10 +13,21 @@ import numpy as np
 from .errors import InvalidParams
 
 
+def _floats(value, name: str, error=InvalidParams) -> np.ndarray:
+    """``value`` as a float array; anything that does not convert, a
+    non-numeric string among them, is refused with ``error`` naming
+    ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be numeric") from None
+
+
 def _finite(value, name: str, error=InvalidParams) -> np.ndarray:
-    """The one reader of finite input: ``value`` as a float array. Any NaN
-    or infinity is refused with ``error`` naming ``name``."""
-    value = np.asarray(value, dtype=float)
+    """The one reader of finite input: ``value`` as a float array, under
+    ``_floats``. Any NaN or infinity is refused with ``error`` naming
+    ``name``."""
+    value = _floats(value, name, error)
     if np.count_nonzero(np.isfinite(value)) < value.size:
         raise error(f"{name} must be finite")
     return value

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams, NegativeComponent, TooFewSamples
 from .fourier import DEFAULT_BETA, build_design_matrix, fit
-from .geometry import AnnulusGeometry, HarmonicSet, _finite, _whole
+from .geometry import AnnulusGeometry, HarmonicSet, _finite, _floats, _whole
 from .propagation import _SIGMA_MAX, _sigmas
 from .residuals import sampling_metric
 
@@ -65,11 +65,12 @@ class HarmonicField:
     def __post_init__(self):
         # |mean| and the amplitude keep to the range of a standard deviation,
         # so that the field's squares are finite; NaN fails both rules
-        if not abs(float(self.mean)) <= _SIGMA_MAX:
+        mean = float(_floats(self.mean, "mean"))
+        if not abs(mean) <= _SIGMA_MAX:
             raise InvalidParams(
                 f"mean must lie in [-{_SIGMA_MAX:.4g}, {_SIGMA_MAX:.4g}], got {self.mean!r}"
             )
-        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "amplitude", float(_sigmas(self.amplitude, "amplitude")))
         object.__setattr__(self, "phase_deg", float(_finite(self.phase_deg, "phase_deg")))
         object.__setattr__(self, "frequency", _whole(self.frequency, "frequency", 1))

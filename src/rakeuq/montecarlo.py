@@ -4,13 +4,17 @@ Everything here is deterministic for a fixed seed and sample count. Both
 sampling engines draw in blocks of BLOCK draws, each block from its own
 generator spawned off one seed sequence (``_batch_plan``), and work their
 blocks through one pool helper, ``_pooled``: up to one block per usable CPU
-at once, on threads started for the call (numpy's generators and linear
-algebra release the GIL), with the blocks' results taken in block order. A
-block of ``mc_propagate_model`` draws its noise and reduces it to sums, which
-are folded as each round completes, so its memory does not grow with the
-number of blocks; a block of ``rake_position_mc`` draws, wraps and fits its
-own angles. A block's draws and fits have the same bits on any thread, so
-the results are byte-identical for any CPU count, and there is no setting.
+at once, the calling thread taking one and the process's worker threads the
+rest (numpy's generators and linear algebra release the GIL), with the
+blocks' results taken in block order. The worker threads, named
+``rakeuq-mc``, are started on first use and kept for later calls, at most
+one fewer than the usable CPUs, so a repeat call starts none. The pool is
+fork-safe: a forked child starts its own. A block of ``mc_propagate_model``
+draws its noise and reduces it to sums, which are folded as each round
+completes, so its memory does not grow with the number of blocks; a block of
+``rake_position_mc`` draws, wraps and fits its own angles. A block's draws
+and fits have the same bits on any thread, so the results are byte-identical
+for any CPU count, and there is no setting.
 ``sample_mvn``, and ``efficiency_mc`` through it, draw every sample in one
 block from ``np.random.default_rng(seed)``.
 
@@ -65,6 +69,7 @@ from a reference fit of the mean input:
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,37 +135,71 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The worker threads of both engines, one pool per process: (workers, executor),
+# made on first use.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers(n: int):
+    """The process's pool of worker threads, replaced when it has fewer than
+    n workers. Its threads start as work is submitted and live on. A
+    replaced pool is not shut down: a call still working on it keeps it to
+    the end, and its threads exit once no call holds it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < n:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = n, ThreadPoolExecutor(n, thread_name_prefix="rakeuq-mc")
+        return _pool[1]
+
+
+def _forget_pool():
+    """In a forked child: the parent's worker threads do not run here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # Windows has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _pooled(work, tasks):
     """Yield ``work(*task)`` for every task, in task order, with up to one
     task per usable CPU worked on at once.
 
     The tasks go in rounds of k, k the usable CPU count or the number of
     tasks if smaller. A round's first task runs on the calling thread and
-    the rest on a pool of k - 1 threads made for this call, each in a copy
-    of the caller's context (where numpy 2 keeps ``np.errstate``), so no
-    thread outlives the call. A round's results are yielded in order once
-    the caller's task is done, and the next round starts when they have been
-    taken, so at most k results are held at once. An exception in any task
-    reaches the caller once every task of its round has finished; no later
-    round starts. With k < 2 every task runs on the calling thread and no
-    thread is started.
+    the rest on the process's worker pool (``_workers``, usable CPUs - 1
+    threads, kept between calls), each in a copy of the caller's context
+    (where numpy 2 keeps ``np.errstate``). A round's results are yielded in
+    order once the caller's task is done, and the next round starts when
+    they have been taken, so at most k results are held at once. The call
+    leaves a round only once all its tasks have finished, also on an
+    exception in any task or when the generator is closed early; an
+    exception reaches the caller then, and no later round starts. With k < 2
+    every task runs on the calling thread and the pool is not touched.
     """
-    k = min(_usable_cpus(), len(tasks))
+    cpus = _usable_cpus()
+    k = min(cpus, len(tasks))
     if k < 2:
         for task in tasks:
             yield work(*task)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import wait
 
-    with ThreadPoolExecutor(k - 1) as pool:
-        for i in range(0, len(tasks), k):
-            futures = [
-                pool.submit(contextvars.copy_context().run, work, *task)
-                for task in tasks[i + 1 : i + k]
-            ]
+    pool = _workers(cpus - 1)
+    for i in range(0, len(tasks), k):
+        futures = []
+        try:
+            for task in tasks[i + 1 : i + k]:
+                futures.append(pool.submit(contextvars.copy_context().run, work, *task))
             yield work(*tasks[i])
             for future in futures:
                 yield future.result()
+        finally:
+            wait(futures)
 
 
 def sample_mvn(mean, cov, config: SamplerConfig) -> np.ndarray:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCorrelation, InvalidParams, NotPSD
 from .fourier import FourierModel, _coefficients, _location, _readings, design_matrix
-from .geometry import _finite
+from .geometry import _finite, _floats
 
 
 def vec(matrix) -> np.ndarray:
@@ -136,7 +136,7 @@ def _sigmas(value, name: str):
     the factor s describe the same noise. The sigmas come back as a float
     array; InvalidParams reports the first sigma that breaks the rule.
     """
-    value = np.asarray(value, dtype=float)
+    value = _floats(value, name)
     bad = value[~((value == 0.0) | ((value >= _SIGMA_MIN) & (value <= _SIGMA_MAX)))]
     if bad.size:
         raise InvalidParams(

@@ -10,7 +10,8 @@ with the values that the range checks refuse: non-finite efficiency and
 legacy values, a ridge penalty lam that is not 0 or positive and finite,
 non-finite arguments of the noncentral chi-square density (and a g that is
 not a whole number), and a non-finite mean of the normal sampler. NaN fails
-every range, and a wrong shape, count or kind is refused too. The CLI tests
+every range, and a value that is not numeric, a wrong shape, count or kind
+is refused too. The CLI tests
 check that the same refusals reach the command line as exit 2 naming the
 file's block.
 """
@@ -276,6 +277,13 @@ CASES = {
     "harmonic-field-mean-square-overflows": (lambda c: HarmonicField(mean=1e200), InvalidParams, "mean"),
     "harmonic-field-negative-mean-square-overflows": (
         lambda c: HarmonicField(mean=-1e200), InvalidParams, "mean"),
+    # values that are not numbers at all
+    "harmonic-field-text-mean": (lambda c: HarmonicField(mean="x"), InvalidParams, "mean"),
+    "harmonic-field-text-amplitude": (lambda c: HarmonicField(amplitude="x"), InvalidParams, "amplitude"),
+    "harmonic-field-text-phase": (lambda c: HarmonicField(phase_deg="x"), InvalidParams, "phase_deg"),
+    "fig1-text-offset": (lambda c: fig1_demo(offset_deg="x"), InvalidParams, "offset_deg"),
+    "fit-text-reading": (lambda c: fit(c.model, np.full((6, 7), "x")), InvalidParams, "B"),
+    "from_iid-text-sigma": (lambda c: MD.from_iid(c.B, "x"), InvalidParams, "sigma_b"),
 }
 
 

@@ -1037,7 +1037,7 @@ BAD_OPTION_VALUES = {
         "--harmonics": [("1,x", 2, "--harmonics"), ("0,1", 2, "--harmonics")],
         "--radial-basis": [("quadratic", 2, "--radial-basis")],
         "--lambda-ladder": [("a", 2, "--lambda-ladder"), ("-1", 3, "lambda_ladder")],
-        "--beta": [("x", 2, "--beta"), ("0", 3, "beta")],
+        "--beta": [("x", 2, "--beta"), ("0", 3, "beta"), ("-1e1", 3, "beta")],
         "--output": [("MISSING", 2, "--output")],
         "--n-theta": [("0", 2, "--n-theta")],
         "--n-r": [("x", 2, "--n-r")],
@@ -1064,7 +1064,7 @@ BAD_OPTION_VALUES = {
         "--lambda-ladder": [("x", 2, "--lambda-ladder"), ("inf", 3, "lambda_ladder")],
         "--beta": [("0", 3, "beta")],
         "--output": [("MISSING", 2, "--output")],
-        "--sigma-theta": [("x", 2, "--sigma-theta"), ("-1", 3, "sigma_theta")],
+        "--sigma-theta": [("x", 2, "--sigma-theta"), ("-1", 3, "sigma_theta"), ("-1e1", 3, "sigma_theta")],
         "--draws": [("1", 2, "--draws")],
         "--n-prediction": [("0", 2, "--n-prediction")],
     },
@@ -1083,10 +1083,13 @@ BAD_OPTION_VALUES = {
     "fig1-demo": {
         "--output": [("MISSING", 2, "--output")],
         "--frequency": [("x", 2, "--frequency"), ("0", 3, "frequency")],
-        "--amplitude": [("nan", 3, "amplitude"), ("-1", 3, "amplitude"), ("1e308", 3, "amplitude")],
-        "--mean": [("inf", 3, "mean"), ("1e200", 3, "mean")],
-        "--phase": [("nan", 3, "phase_deg")],
-        "--offset": [("nan", 3, "offset_deg")],
+        "--amplitude": [
+            ("nan", 3, "amplitude"), ("-1", 3, "amplitude"), ("1e308", 3, "amplitude"),
+            ("-1e1", 3, "amplitude"),
+        ],
+        "--mean": [("inf", 3, "mean"), ("1e200", 3, "mean"), ("-1e200", 3, "mean")],
+        "--phase": [("nan", 3, "phase_deg"), ("-1e400", 3, "phase_deg")],
+        "--offset": [("nan", 3, "offset_deg"), ("-1e400", 3, "offset_deg")],
         "--rake-counts": [
             ("3,x", 2, "--rake-counts"), ("2", 3, "rake_counts"), ("", 2, "--rake-counts"),
         ],
@@ -1134,6 +1137,23 @@ def test_every_option_refuses_bad_values_by_name(campaign_path, tmp_path, capsys
         assert code == expected, (value, err)
         assert name in err, (value, err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (["fig1-demo", "--rake-counts", "3,8"], "--offset", "-1e1"),
+    (["fig1-demo", "--rake-counts", "3,8"], "--mean", "-1e1"),
+    (["fig1-demo", "--rake-counts", "3,8"], "--phase", "-1.5E+2"),
+    (["efficiency"], "--rho-values", "-0.5,0.2"),
+    (["efficiency"], "--rho-values", "-.5"),
+])
+def test_negative_value_reads_as_a_value(tmp_path, capsys, command, option, value):
+    # argparse's own pattern took these for option names and exited 2
+    outputs = []
+    for i, args in enumerate(([option, value], [f"{option}={value}"])):
+        out = tmp_path / f"out{i}"
+        assert main([*command, *args, "--output", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_option_table_lists_only_parser_options():

@@ -1,5 +1,7 @@
 import math
 import os
+import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -971,17 +973,39 @@ def test_batch_plan_partitions_samples():
     assert len(children) == len(sizes)
 
 
-# Both engines work their blocks on short-lived threads, one block per usable
-# CPU at once. A block's draws, and every slice's fit, are independent of the
-# rest of the run, bit for bit, so no result may depend on the CPU count.
+# Both engines work their blocks on the calling thread and the process's
+# worker pool, one block per usable CPU at once. The pool is made on first
+# use and kept: a call may leave up to usable CPUs - 1 ``rakeuq-mc`` threads
+# running, and none other, and a repeat call at the same CPU count starts
+# none. A forked child makes its own pool. A block's draws, and every
+# slice's fit, are independent of the rest of the run, bit for bit, so no
+# result may depend on the CPU count or on the pool being warm. The tests
+# that force a CPU count start from an empty pool (``fresh_pool``), so that
+# the threads a run starts can be counted.
 
 RAKE_FIELDS = ("coefficients", "lambdas", "grid_mean", "grid_var")
 MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "grid_mean", "grid_var", "Sigma_R")
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No worker pool yet; the process's own comes back after the test."""
+    monkeypatch.setattr(mc_mod, "_pool", None)
+
+
+def _new_threads(before):
+    """The threads running now that were not in ``before``, each of which
+    must be a worker of the engines' pool."""
+    new = set(threading.enumerate()) - before
+    assert all(t.name.startswith("rakeuq-mc") for t in new), new
+    return new
+
+
 def _at_cpu_counts(monkeypatch, run, counts=(1, 2, 4)):
-    """run() with the usable CPU count forced to each of ``counts``, and the
-    sorted stack sizes that ``_fit_batch`` saw in each run."""
+    """run() with the usable CPU count forced to each of ``counts``, from an
+    empty pool, and the sorted stack sizes that ``_fit_batch`` saw in each
+    run. A run at n CPUs may leave at most n - 1 pool workers running."""
+    monkeypatch.setattr(mc_mod, "_pool", None)
     results, stacks = [], []
     fit_batch = mc_mod._fit_batch
     for n in counts:
@@ -993,9 +1017,9 @@ def _at_cpu_counts(monkeypatch, run, counts=(1, 2, 4)):
 
         monkeypatch.setattr(mc_mod, "_usable_cpus", lambda n=n: n)
         monkeypatch.setattr(mc_mod, "_fit_batch", counted)
-        threads = threading.active_count()
+        before = set(threading.enumerate())
         results.append(run())
-        assert threading.active_count() == threads
+        assert len(_new_threads(before)) <= n - 1
         stacks.append(sorted(seen))
     return results, stacks
 
@@ -1054,12 +1078,12 @@ class _NoThreads(Exception):
 def test_fit_scan_and_small_stacks_start_no_thread(
     engine_model, engine_geometry, engine_data, engine_meas, monkeypatch
 ):
-    import concurrent.futures
-
+    # the pool accessor refuses, so a pool made by an earlier test is not
+    # reached either
     def refuse(*args, **kwargs):
         raise _NoThreads
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(mc_mod, "_workers", refuse)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 4)
     one_block = SamplerConfig(seed=5, n_samples=mc_mod.BLOCK)
     two_blocks = replace(one_block, n_samples=mc_mod.BLOCK + 1)
@@ -1074,7 +1098,7 @@ def test_fit_scan_and_small_stacks_start_no_thread(
         mc_propagate_model(engine_model, engine_meas, two_blocks)
 
 
-def test_worker_block_exception_reaches_caller(engine_model, engine_data, monkeypatch):
+def test_worker_block_exception_reaches_caller(engine_model, engine_data, monkeypatch, fresh_pool):
     fit_batch = mc_mod._fit_batch
 
     def fail_off_main(*args, **kwargs):
@@ -1084,17 +1108,19 @@ def test_worker_block_exception_reaches_caller(engine_model, engine_data, monkey
 
     monkeypatch.setattr(mc_mod, "_fit_batch", fail_off_main)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
-    threads = threading.active_count()
+    before = set(threading.enumerate())
     with pytest.raises(RegularizationExhausted, match="worker block"):
         rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=2048))
-    assert threading.active_count() == threads
+    assert len(_new_threads(before)) <= 1
 
 
 class _BlockFailed(Exception):
     pass
 
 
-def test_worker_block_exception_reaches_caller_after_every_block(engine_model, engine_meas, monkeypatch):
+def test_worker_block_exception_reaches_caller_after_every_block(
+    engine_model, engine_meas, monkeypatch, fresh_pool
+):
     # three blocks in one round on three CPUs: block 0 on the calling thread,
     # block 1 raises on a worker, and block 2 is still running when it does
     pooled = mc_mod._pooled
@@ -1116,12 +1142,129 @@ def test_worker_block_exception_reaches_caller_after_every_block(engine_model, e
 
     monkeypatch.setattr(mc_mod, "_pooled", with_failing_block)
     monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
-    threads = threading.active_count()
+    before = set(threading.enumerate())
     with pytest.raises(_BlockFailed):
         mc_propagate_model(engine_model, engine_meas, SamplerConfig(seed=1, n_samples=3 * mc_mod.BLOCK))
     assert raised_on_worker == [True]
     assert sorted(finished) == [0, 2]
-    assert threading.active_count() == threads
+    assert len(_new_threads(before)) <= 2
+
+
+def test_caller_block_exception_waits_for_the_round(engine_model, engine_data, monkeypatch, fresh_pool):
+    # two blocks on two CPUs: block 0 raises on the calling thread at once,
+    # while block 1 is still running on the worker
+    pooled = mc_mod._pooled
+    finished = []
+
+    def with_failing_caller_block(work, tasks):
+        def block(seed_child, *rest):
+            if seed_child.spawn_key[-1] == 0:
+                raise _BlockFailed
+            time.sleep(0.1)
+            out = work(seed_child, *rest)
+            finished.append(threading.current_thread().name)
+            return out
+
+        return pooled(block, tasks)
+
+    monkeypatch.setattr(mc_mod, "_pooled", with_failing_caller_block)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    with pytest.raises(_BlockFailed):
+        rake_position_mc(engine_model, engine_data, 0.5, SamplerConfig(seed=1, n_samples=2 * mc_mod.BLOCK))
+    assert len(finished) == 1 and finished[0].startswith("rakeuq-mc")
+
+
+def _engine_runs(model, data, meas):
+    """A three-block rake run and a two-block propagation run."""
+    return (
+        rake_position_mc(model, data, 1.0, SamplerConfig(seed=8, n_samples=2 * mc_mod.BLOCK + 500),
+                         n_prediction=36),
+        mc_propagate_model(model, meas, SamplerConfig(seed=8, n_samples=2 * mc_mod.BLOCK)),
+    )
+
+
+def _assert_same_engine_bytes(runs, reference):
+    (rake, mc), (rake_ref, mc_ref) = runs, reference
+    _assert_same_bytes([rake_ref, rake], RAKE_FIELDS)
+    _assert_same_bytes([mc_ref, mc], MC_FIELDS)
+
+
+def test_warm_pool_repeat_call_same_bytes_and_starts_no_thread(
+    engine_model, engine_data, engine_meas, monkeypatch, fresh_pool
+):
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    first = _engine_runs(engine_model, engine_data, engine_meas)
+    workers = _new_threads(before)
+    assert len(workers) == 1
+    before = set(threading.enumerate())
+    _assert_same_engine_bytes(_engine_runs(engine_model, engine_data, engine_meas), first)
+    assert _new_threads(before) == set()
+    assert workers <= set(threading.enumerate())
+    # one more usable CPU asks for two workers: a new pool starts its own
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 3)
+    before = set(threading.enumerate())
+    _assert_same_engine_bytes(_engine_runs(engine_model, engine_data, engine_meas), first)
+    assert 1 <= len(_new_threads(before)) <= 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_runs_both_engines_to_the_parents_bytes(
+    engine_model, engine_data, engine_meas, monkeypatch, fresh_pool
+):
+    # the parent's worker is not copied into the child: a child that kept
+    # the parent's pool would queue its blocks for no thread, and hang
+    import warnings
+
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    parent = _engine_runs(engine_model, engine_data, engine_meas)
+    with warnings.catch_warnings():
+        # Python 3.12 warns on a fork with threads running
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _assert_same_engine_bytes(_engine_runs(engine_model, engine_data, engine_meas), parent)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_concurrent_callers_share_one_pool(engine_model, engine_data, engine_meas, monkeypatch, fresh_pool):
+    # four calling threads on two CPUs, switching often: every caller gets
+    # the reference bytes, and one pool of one worker serves them all
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 1)
+    reference = _engine_runs(engine_model, engine_data, engine_meas)
+    monkeypatch.setattr(mc_mod, "_usable_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    runs = [None] * 4
+
+    def call(i):
+        runs[i] = _engine_runs(engine_model, engine_data, engine_meas)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for run in runs:
+        _assert_same_engine_bytes(run, reference)
+    assert len(_new_threads(before)) == 1
 
 
 def test_mc_memory_does_not_grow_with_the_block_count(monkeypatch):
