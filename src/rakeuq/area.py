@@ -79,7 +79,9 @@ class AreaAverageResult:
 def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageResult:
     """Area-average the propagated field distribution.
 
-    The field must come from ``model``. A variance below -1e-10 times the
+    The field must come from ``model``: a ``FieldDistribution``, or the
+    sample moments of ``mc_propagate_model``, whose one KM x KM block takes
+    the cross-station branch. A variance below -1e-10 times the
     Frobenius norm of Sigma_X raises NegativeVariance; roundoff below zero
     reads 0. One block standing for M stations counts M times in that norm.
     """

@@ -210,16 +210,20 @@ class _RidgeGuard(NamedTuple):
 
 
 def _ridge_guard(lambda_ladder, beta: float) -> _RidgeGuard:
-    """Checked guard settings: beta must be positive (+inf turns the guard
-    off), and every ladder entry positive and finite. The comparisons are
-    written so that NaN fails them."""
-    beta = float(beta)
-    if not beta > 0.0:
-        raise InvalidParams(f"beta must be positive, got {beta}")
-    ladder = tuple(float(l) for l in (lambda_ladder or ()))
-    if not all(0.0 < l < math.inf for l in ladder):
-        raise InvalidParams(f"lambda_ladder entries must be positive and finite, got {ladder}")
-    return _RidgeGuard(ladder, beta)
+    """Checked guard settings, each read by ``_floats``: beta must be one
+    positive number (+inf turns the guard off), and the ladder a sequence,
+    possibly empty, of positive finite entries; a scalar ladder is refused,
+    not read as one rung. The comparisons are written so that NaN fails
+    them."""
+    beta = _floats(beta, "beta")
+    if beta.ndim or not beta > 0.0:
+        raise InvalidParams(f"beta must be a positive number, got {beta}")
+    ladder = _floats(lambda_ladder, "lambda_ladder")
+    if ladder.ndim != 1 or not np.all((ladder > 0.0) & (ladder < math.inf)):
+        raise InvalidParams(
+            f"lambda_ladder must be a sequence of positive finite entries, got {lambda_ladder!r}"
+        )
+    return _RidgeGuard(tuple(ladder.tolist()), float(beta))
 
 
 def _design_conditioning(A):
@@ -377,11 +381,13 @@ class FourierModel:
     def pseudoinverse(self, lam: float = 0.0) -> np.ndarray:
         """(A^T A + lam^2 I)^{-1} A^T; the plain pseudoinverse for lam = 0.
 
-        lam must be 0, or positive and finite like a ladder entry; NaN, a
-        negative or an infinite lam raises InvalidParams.
+        lam must be one number, 0 or positive and finite like a ladder
+        entry, read by ``_floats``; anything else raises InvalidParams.
         """
-        if not 0.0 <= lam < math.inf:
-            raise InvalidParams(f"lam must be nonnegative and finite, got {lam!r}")
+        lam = _floats(lam, "lam")
+        if lam.ndim or not 0.0 <= lam < math.inf:
+            raise InvalidParams(f"lam must be nonnegative and finite, got {lam}")
+        lam = float(lam)
         if lam == 0.0:
             if self.P is None:
                 raise SingularDesign(

@@ -37,12 +37,12 @@ def _whole(value, name: str, low=None) -> int:
     """The one reader of counts, seeds and orders: ``value`` as an int.
 
     An int, a numpy integer or a float with no fractional part (2.0) is
-    accepted; anything else, 2.5, NaN or a string among them, is refused
-    with InvalidParams naming ``name``, never truncated, and so is a value
-    below ``low`` where it is given.
+    accepted; anything else, 2.5, NaN, a bool or a string among them, is
+    refused with InvalidParams naming ``name``, never truncated, and so is
+    a value below ``low`` where it is given.
     """
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # None, "2", NaN, inf
         whole = None
     if whole is None or whole != value:

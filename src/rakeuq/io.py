@@ -13,22 +13,22 @@ A campaign file is JSON with three required blocks:
 The uncertainty block is exactly one of ``iid`` (scalar sigma), ``diagonal``
 (one sigma per probe, column-major vec order: rake index fastest) or
 ``correlation`` (the same sigma vector plus an NM x NM correlation matrix,
-giving Sigma_B = D rho D). Readings and sigmas must be finite: Python's json
-reads NaN and Infinity as numbers, so they are refused after the schema, as
-is any non-finite number in a station-state or budget file.
+giving Sigma_B = D rho D). Every number in an input file must be finite:
+Python's json reads NaN and Infinity as numbers, and the schema walker
+refuses them at their dotted path.
 
 The schemas below are plain JSON Schema dicts, and a small walker checks a
 document against them. It knows only the keywords they use: ``type``,
 ``required``, ``properties``, ``additionalProperties: false``, ``items``
 with ``minItems``, ``minProperties`` / ``maxProperties`` and ``minimum``. A
-number is an int or a float, never a bool, and an int too large for a
-double is refused. The walker stops at the first fault it meets and checks
-an object's or array's own keywords before its members, so for a document
-with one fault it names the field jsonschema's best match would name. One
-rule is the walker's own, checked after a matrix's rows: they must have
-equal lengths, so a ragged matrix never reaches numpy. A fault raises
-SchemaError with the dotted path of that field (the document's name for a
-fault at the top level); the CLI maps it to exit code 2.
+number is a finite int or float, never a bool: NaN, an infinity and an int
+too large for a double are refused. The walker stops at the first fault it
+meets and checks an object's or array's own keywords before its members, so
+for a document with one fault it names the field jsonschema's best match
+would name. One rule is the walker's own, checked after a matrix's rows:
+they must have equal lengths, so a ragged matrix never reaches numpy. A
+fault raises SchemaError with the dotted path of that field (the document's
+name for a fault at the top level); the CLI maps it to exit code 2.
 
 Reports are plain dicts serialized with json, which round-trips every float
 bit-exactly. Outputs are rewritten in place: an existing file is opened
@@ -173,9 +173,11 @@ def _schema_fault(doc, schema, path):
         if isinstance(doc, bool) or not isinstance(doc, (int, float)):
             return path, _type_fault(doc, kind)
         try:
-            float(doc)
+            finite = math.isfinite(doc)
         except OverflowError:
             return path, "integer is too large for a double"
+        if not finite:
+            return path, "must be a finite number"
         if "minimum" in schema and doc < schema["minimum"]:
             return path, f"{doc!r} is less than the minimum of {schema['minimum']}"
         return None
@@ -185,8 +187,8 @@ def _schema_fault(doc, schema, path):
         if len(doc) < schema.get("minItems", 0):
             return path, f"needs at least {schema['minItems']} item(s)"
         items = schema["items"]
-        if items == _NUMBER and set(map(type, doc)) <= {float}:
-            return None  # the common case, a row of JSON floats: one pass over types
+        if items == _NUMBER and set(map(type, doc)) <= {float} and all(map(math.isfinite, doc)):
+            return None  # the common case, a row of finite JSON floats
         members = ((index, value, items) for index, value in enumerate(doc))
     elif kind == "object":
         properties = schema["properties"]
@@ -233,12 +235,6 @@ def _non_finite_path(obj, path=""):
         if found is not None:
             return found
     return None
-
-
-def _require_finite(doc):
-    bad = _non_finite_path(doc)
-    if bad is not None:
-        raise SchemaError("must be a finite number", field=bad)
 
 
 def read_json(path):
@@ -326,7 +322,6 @@ def load_station_state(path):
 
     doc = read_json(path)
     _validate_schema(doc, STATION_STATE_SCHEMA, "state")
-    _require_finite(doc)
     z = np.array([doc["means"][name] for name in PARAM_NAMES], dtype=float)
     sigma = np.array([doc["sigmas"][name] for name in PARAM_NAMES], dtype=float)
     rho = np.asarray(doc["rho"], dtype=float) if "rho" in doc else None
@@ -341,7 +336,6 @@ def load_budget(path):
     value a float, plus the raw samples or None."""
     doc = read_json(path)
     _validate_schema(doc, BUDGET_SCHEMA, "budget")
-    _require_finite(doc)
     components = [(c["label"], float(c["value"])) for c in doc["components"]]
     samples = np.asarray(doc["samples"], dtype=float) if "samples" in doc else None
     return components, samples

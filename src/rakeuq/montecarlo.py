@@ -22,8 +22,9 @@ Two sampling studies share the sampler:
 
 * ``mc_propagate_model`` pushes measurement noise through the fixed linear
   fit map and returns empirical moments of coefficients, fitted values,
-  residuals, the sampling metric and a predictive grid. It is the sampling
-  cross-check for the closed-form Gaussian propagation.
+  residuals and the sampling metric. It is the sampling cross-check for the
+  closed-form Gaussian propagation: ``predictive_grid`` and ``area_average``
+  read its coefficient moments as they read a ``FieldDistribution``.
 * ``rake_position_mc`` perturbs the rake angles themselves, refitting every
   draw, to expose how uncertain rake placement moves the reconstruction.
 
@@ -40,8 +41,7 @@ same rungs as the deterministic fit.
 
 Neither sampling engine evaluates a grid per draw. Every grid value is
 linear in the draw's K x M coefficients X, so its sample mean and variance
-follow exactly from the coefficients' sample moments, taken as deviations
-from a reference fit of the mean input:
+follow exactly from the coefficients' sample moments:
 
 * ``mc_propagate_model`` works in the coordinates of the noise factor L
   (``MeasurementDistribution.factor_blocks``): a draw is vec(B) =
@@ -56,14 +56,15 @@ from a reference fit of the mean input:
   blocks the sums are mapped by G_X for Sigma_X and mu_X, and by G_R for
   mu_R, and for Sigma_R when that is read, with the same ``_station_map``.
   Every draw has F = A X exactly, so, as in the closed form, mu_F = A mu_X
-  and Sigma_F is the congruence of Sigma_X by A. The grid value at (r, t)
-  is g^T vec(X) with g = W[r] kron A_g[t], so the grid has mean G mu_X and
-  variance diag(G Sigma_X G^T), taken by the same contraction as
-  ``predictive_grid``.
-* ``rake_position_mc`` sums the kept draws' deviations once, after all
-  blocks: per station m a K-vector, and the K x K cross products, read off
-  the block diagonal of one (n, KM) product. The variance at prediction
-  angle p is a_p^T S_m a_p with S_m the K x K sample covariance.
+  and Sigma_F is the congruence of Sigma_X by A. Sigma_X is also read as
+  one KM x KM block, ``X_blocks``, so ``predictive_grid`` takes the grid's
+  sample moments at any radii and angles by the contraction it uses for
+  the closed form, and ``area_average`` the area average's.
+* ``rake_position_mc`` sums the kept draws' deviations from a reference fit
+  of the mean input once, after all blocks: per station m a K-vector, and
+  the K x K cross products, read off the block diagonal of one (n, KM)
+  product. The variance at prediction angle p is a_p^T S_m a_p with S_m
+  the K x K sample covariance.
 """
 
 import contextvars
@@ -81,7 +82,6 @@ from .geometry import _finite, _whole
 from .propagation import (
     MeasurementDistribution,
     _block_congruence,
-    _grid_moments,
     _psd_factor,
     _row_quadratic_forms,
     _sigmas,
@@ -246,10 +246,14 @@ def _mapped_sum(G: np.ndarray, z_sum: np.ndarray) -> np.ndarray:
 class McPropagation:
     """Empirical moments from sampling the measurement distribution.
 
-    Sigma_X (KM x KM) is assembled at once. The NM x NM Sigma_F and Sigma_R
-    are built on first read: Sigma_F as the congruence of Sigma_X by the
-    rake design, and Sigma_R from the sums of the standard draws z and the
-    map (I_M kron (AP - I)) L of the noise factor L.
+    Sigma_X (KM x KM) is assembled at once, and ``X_blocks`` is the same
+    array as one (1, KM, KM) block: with ``mu_X`` it is what
+    ``predictive_grid`` and ``area_average`` read of a field, so they take
+    the sample moments of the grid and of the area average as they take
+    the closed forms. The NM x NM Sigma_F and Sigma_R are built on first
+    read: Sigma_F as the congruence of Sigma_X by the rake design, and
+    Sigma_R from the sums of the standard draws z and the map
+    (I_M kron (AP - I)) L of the noise factor L.
     """
 
     n_samples: int
@@ -262,19 +266,18 @@ class McPropagation:
     eps_mean_se: float
     eps_var_se: float
     eps_samples: np.ndarray
-    r_fracs: np.ndarray
-    theta_grid_deg: np.ndarray
-    grid_mean: np.ndarray
-    grid_var: np.ndarray
-    grid_mean_se: np.ndarray
     _z_sum: np.ndarray = field(repr=False)
     _z_cross: np.ndarray = field(repr=False)
     _R_map: np.ndarray = field(repr=False)
     _design: np.ndarray = field(repr=False)
 
+    @property
+    def X_blocks(self) -> np.ndarray:
+        return self.Sigma_X[None]
+
     @cached_property
     def Sigma_F(self) -> np.ndarray:
-        return _block_congruence(self._design, self.Sigma_X[None])[0]
+        return _block_congruence(self._design, self.X_blocks)[0]
 
     @cached_property
     def Sigma_R(self) -> np.ndarray:
@@ -293,7 +296,8 @@ def mc_propagate_model(
     Every draw uses the pseudoinverse for the given lambda (default the
     unregularized fit), matching the linear map behind the closed forms this
     function cross-checks; the ridge ladder is deliberately not walked here.
-    The predictive grid is taken at the model's stations, every 10 degrees.
+    ``predictive_grid`` and ``area_average`` read the result at any radii
+    and angles, as they read a ``FieldDistribution``.
 
     The draws come in blocks of BLOCK, each from its own generator spawned
     off the seed, drawn on every usable CPU and summed in block order: the
@@ -322,10 +326,6 @@ def mc_propagate_model(
     E = d[keep, None] * U[:, keep].T
     E_mapT = _station_map(E, L).transpose(0, 2, 1)
     mu_E0 = (E @ meas.mu_B).T.reshape(n_slices, 1, -1)
-    r_fracs = model.geometry.r_stations
-    theta_grid_deg = np.arange(0.0, 360.0, 10.0)
-    W = np.atleast_2d(model.radial.blend(r_fracs))
-    A_g = design_matrix(theta_grid_deg, model.harmonics.omega)
 
     # The results are allocated before any block runs, so they sit below the
     # blocks' temporaries in the heap: arrays kept from a block pinned the
@@ -354,9 +354,6 @@ def mc_propagate_model(
         for T, G in ((P, G_X), (resid, G_R))
     )
     cov_x = _mapped_covariance(G_X, z_sum, z_cross, n)
-    # Every grid value is linear in X, so its sample moments follow exactly
-    # from the sample moments of the coefficients.
-    grid_mean, grid_var = _grid_moments(W, A_g, mu_X, cov_x[None])
     eps_mean = float(eps.mean())
     eps_var = float(eps.var(ddof=1))
     sq = eps - eps_mean
@@ -370,11 +367,6 @@ def mc_propagate_model(
         eps_mean_se=float(np.sqrt(eps_var / n)),
         eps_var_se=float(np.sqrt(max(m4 - eps_var**2, 0.0) / n)),
         eps_samples=eps,
-        r_fracs=r_fracs,
-        theta_grid_deg=theta_grid_deg,
-        grid_mean=grid_mean,
-        grid_var=grid_var,
-        grid_mean_se=np.sqrt(grid_var / n),
         _z_sum=z_sum, _z_cross=z_cross, _R_map=G_R, _design=model.A,
     )
 

@@ -32,8 +32,10 @@ The Monte Carlo engine maps its noise factor and its sums of draws with
 ``_station_map`` too. No reported number needs a dense matrix: the residual
 moments read the blocks of Sigma_R, the chi-square law only mu_R, and the
 area average and the predictive grid the blocks of Sigma_X, one K x K block
-per station (or one for all of them) or one KM x KM block. The dense
-Sigma_B, Sigma_X, Sigma_F and Sigma_R are built on first read only.
+per station (or one for all of them) or one KM x KM block. The sample
+Sigma_X of ``mc_propagate_model`` is one KM x KM block, so both read the
+sampled moments as they read the closed form. The dense Sigma_B, Sigma_X,
+Sigma_F and Sigma_R are built on first read only.
 
 Every PSD check in the package is one rule, ``_psd_factor``: non-finite
 input is refused, a Cholesky factor that exists is kept, and otherwise the
@@ -83,8 +85,9 @@ def _psd_factor(S, name: str = "covariance", error=NotPSD):
     S is (n, n) or a (B, n, n) stack of the diagonal blocks of one matrix.
     Cholesky first; only if it fails do the eigenvalues decide, against the
     mean diagonal entry s of the whole matrix: ``error`` below -1e-10 s, a
-    RuntimeWarning below -1e3 eps s, and clipping. Non-finite S raises
-    InvalidParams.
+    RuntimeWarning below -1e3 eps s, and clipping. The least eigenvalue is
+    at most s, the mean eigenvalue, so a negative s is refused. Non-finite
+    S raises InvalidParams.
     """
     S = _finite(S, name)
     S = S + np.swapaxes(S, -1, -2)
@@ -94,8 +97,6 @@ def _psd_factor(S, name: str = "covariance", error=NotPSD):
     except np.linalg.LinAlgError:
         pass
     scale = float(np.mean(np.diagonal(S, axis1=-2, axis2=-1)))
-    if scale < 0.0:
-        raise error(f"{name} has negative trace")
     evals, evecs = np.linalg.eigh(S)
     low = float(evals.min())
     if low < -1e-10 * scale:
@@ -469,6 +470,8 @@ def _blocks_of(blocks, name: str, n: int, n_stations: int) -> np.ndarray:
 def _field_moments(field: FieldDistribution, model: FourierModel):
     """The one reader of a field against a model: (mu_X, X_blocks).
 
+    The field is a ``FieldDistribution`` or ``mc_propagate_model``'s
+    ``McPropagation``, whose X_blocks is its sample Sigma_X as one block.
     mu_X is read by ``_coefficients``, and X_blocks must be Sigma_X in one
     of its block forms for the model's K x M: M station blocks (M, K, K),
     one (1, K, K) block standing for every station, or one (1, KM, KM)
@@ -489,19 +492,28 @@ def _row_quadratic_forms(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S.reshape(-1, K * K) @ (A[:, :, None] * A[:, None, :]).reshape(T, K * K).T
 
 
-def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, X_blocks: np.ndarray):
-    """Mean and variance of the grid W X A_g^T for coefficients X (K x M).
+def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
+    """Vectorized predictive mean and variance on an (r, theta) grid.
 
-    X has mean mu_X and covariance Sigma_X in vec order (K fastest), given
-    as ``X_blocks`` in one of its block forms, so the value at (r, t) is
-    g^T vec(X) with g = W[r] kron A_g[t]. For K x K station blocks X_m the
-    variance g^T Sigma_X g is sum_m W[r, m]^2 a_t^T X_m a_t; one block
-    standing for every station has its one row of forms repeated to M rows,
-    so one (R, M) @ (M, T) product takes the sum either way. For one
-    KM x KM block it is taken with matrix products: W contracts both
-    station axes of the (M, K, M, K) view, leaving one K x K block per
-    radius, and A_g closes each block from both sides.
+    ``r_fracs`` and ``theta_deg`` are each a scalar or a vector. Returns two
+    arrays of shape (len(r_fracs), len(theta_deg)). Span fractions must lie
+    in [0, 1] and angles be finite; the field must come from ``model``. Any
+    field with ``mu_X`` and ``X_blocks`` is read: a ``FieldDistribution``,
+    or the sample moments of ``mc_propagate_model``.
+
+    The grid is W X A_g^T, W the radial blend at ``r_fracs`` and A_g the
+    design at ``theta_deg``, so the value at (r, t) is g^T vec(X) with
+    g = W[r] kron A_g[t]. For K x K station blocks X_m the variance
+    g^T Sigma_X g is sum_m W[r, m]^2 a_t^T X_m a_t; one block standing for
+    every station has its one row of forms repeated to M rows, so one
+    (R, M) @ (M, T) product takes the sum either way. For one KM x KM block
+    it is taken with matrix products: W contracts both station axes of the
+    (M, K, M, K) view, leaving one K x K block per radius, and A_g closes
+    each block from both sides.
     """
+    mu_X, X_blocks = _field_moments(field, model)
+    W = np.atleast_2d(model.radial.blend(_location(r_fracs, "r_fracs")))
+    A_g = np.atleast_2d(design_matrix(_location(theta_deg, "theta_deg"), model.harmonics.omega))
     R, M = W.shape
     K = mu_X.shape[0]
     mean = W @ mu_X.T @ A_g.T
@@ -512,16 +524,3 @@ def _grid_moments(W: np.ndarray, A_g: np.ndarray, mu_X: np.ndarray, X_blocks: np
         left = (W @ X_blocks.reshape(M, K * M * K)).reshape(R, K, M, K)
         var = _row_quadratic_forms(A_g, (W[:, None, None, :] @ left)[:, :, 0, :])
     return mean, np.maximum(var, 0.0)
-
-
-def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, theta_deg):
-    """Vectorized predictive mean and variance on an (r, theta) grid.
-
-    ``r_fracs`` and ``theta_deg`` are each a scalar or a vector. Returns two
-    arrays of shape (len(r_fracs), len(theta_deg)). Span fractions must lie
-    in [0, 1] and angles be finite; the field must come from ``model``.
-    """
-    mu_X, X_blocks = _field_moments(field, model)
-    W = np.atleast_2d(model.radial.blend(_location(r_fracs, "r_fracs")))
-    A_g = np.atleast_2d(design_matrix(_location(theta_deg, "theta_deg"), model.harmonics.omega))
-    return _grid_moments(W, A_g, mu_X, X_blocks)

@@ -299,8 +299,8 @@ def frequency_scan(
     sigma_b: float = None,
     *,
     max_freq: int = 10,
-    beta: float = None,
-    lambda_ladder=None,
+    beta: float = DEFAULT_BETA,
+    lambda_ladder=DEFAULT_LADDER,
 ) -> FrequencyScanResult:
     """Rank every unordered harmonic pair by expected sampling metric.
 
@@ -342,10 +342,7 @@ def frequency_scan(
     if sigma_b is not None:
         meas = MeasurementDistribution.from_iid(meas, sigma_b)
     mu_B = _readings(meas.mu_B, "mu_B", geometry)
-    guard = _ridge_guard(
-        DEFAULT_LADDER if lambda_ladder is None else lambda_ladder,
-        DEFAULT_BETA if beta is None else beta,
-    )
+    guard = _ridge_guard(lambda_ladder, beta)
     N, M = mu_B.shape
     # a sum over the M stations even where one block stands for them all:
     # M times the block would put some pairs' mean_eps an ulp apart

@@ -73,8 +73,10 @@ def test_criterion_01_propagation_matches_sampling(
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    _, var_cf = predictive_grid(engine_model, engine_field, mc.r_fracs, mc.theta_grid_deg)
-    point_rel = float(np.max(np.abs(mc.grid_var - var_cf) / var_cf))
+    r_fracs, theta_deg = engine_model.geometry.r_stations, np.arange(0.0, 360.0, 10.0)
+    _, var_cf = predictive_grid(engine_model, engine_field, r_fracs, theta_deg)
+    _, var_mc = predictive_grid(engine_model, mc, r_fracs, theta_deg)
+    point_rel = float(np.max(np.abs(var_mc - var_cf) / var_cf))
     verdict(
         1,
         "closed-form propagation matches a 200k-draw sampling oracle",

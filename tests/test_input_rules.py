@@ -7,13 +7,15 @@ against a model, and every count, seed and harmonic order is checked by one
 reader, which names the input when it refuses it. The table below sends one
 bad input of each kind through every entry point that takes it, together
 with the values that the range checks refuse: non-finite efficiency and
-legacy values, a ridge penalty lam that is not 0 or positive and finite,
-non-finite arguments of the noncentral chi-square density (and a g that is
-not a whole number), and a non-finite mean of the normal sampler. NaN fails
-every range, and a value that is not numeric, a wrong shape, count or kind
-is refused too. The CLI tests
-check that the same refusals reach the command line as exit 2 naming the
-file's block.
+legacy values, a ridge penalty lam that is not 0 or positive and finite, a
+norm bound beta that is not positive, a ladder that is not a sequence of
+positive finite rungs, non-finite arguments of the noncentral chi-square
+density (and a g that is not a whole number), and a non-finite mean of the
+normal sampler. NaN fails every range, and a value that is not numeric, a
+wrong shape, count or kind, or a bool given as a whole number is refused
+too. The CLI tests check that the same refusals reach the command line as
+exit 2 naming the file's block or, for a non-finite number, its dotted
+path.
 """
 
 import json
@@ -207,12 +209,38 @@ CASES = {
     "rake-nan-n_prediction": (
         lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, n_prediction=math.nan),
         InvalidParams, "n_prediction"),
+    # a bool is not a whole number, as a JSON boolean is not a number
+    "harmonic-set-bool-order": (lambda c: HarmonicSet((True, 2)), InvalidParams, "harmonic orders"),
+    "sampler-bool-seed": (lambda c: SamplerConfig(True, 2.0), InvalidParams, "seed"),
+    "harmonic-field-numpy-bool-frequency": (
+        lambda c: HarmonicField(frequency=np.True_), InvalidParams, "frequency"),
+    "rake-numpy-bool-n_prediction": (
+        lambda c: rake_position_mc(c.model, c.B, 0.5, c.cfg, n_prediction=np.True_),
+        InvalidParams, "n_prediction"),
     # the ridge penalty lam: 0, or positive and finite like a ladder entry
     "field-nan-lam": (
         lambda c: FieldDistribution.from_measurements(c.model, c.meas, math.nan), InvalidParams, "lam"),
     "field-negative-lam": (
         lambda c: FieldDistribution.from_measurements(c.model, c.meas, -0.1), InvalidParams, "lam"),
     "pseudoinverse-inf-lam": (lambda c: c.model.pseudoinverse(math.inf), InvalidParams, "lam"),
+    "pseudoinverse-text-lam": (lambda c: c.model.pseudoinverse("x"), InvalidParams, "lam"),
+    "pseudoinverse-vector-lam": (lambda c: c.model.pseudoinverse([0.1]), InvalidParams, "lam"),
+    # the ridge guard: one positive beta, and a sequence of positive finite rungs
+    "design-text-beta": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), beta="x"), InvalidParams, "beta"),
+    "design-none-beta": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), beta=None), InvalidParams, "beta"),
+    "design-none-rung": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), lambda_ladder=(None,)),
+        InvalidParams, "lambda_ladder"),
+    "design-scalar-ladder": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), lambda_ladder=0.1),
+        InvalidParams, "lambda_ladder"),
+    "scan-none-beta": (
+        lambda c: frequency_scan(c.geometry, c.B, SIGMA_B, beta=None), InvalidParams, "beta"),
+    "scan-scalar-ladder": (
+        lambda c: frequency_scan(c.geometry, c.B, SIGMA_B, beta=BETA, lambda_ladder=0.1),
+        InvalidParams, "lambda_ladder"),
     # the noncentral chi-square density at finite x and phi
     "pdf-nan-x": (lambda c: noncentral_chisq_pdf(math.nan, 3, 1.0), InvalidParams, "x"),
     "pdf-inf-x": (lambda c: noncentral_chisq_pdf([1.0, math.inf], 3, 1.0), InvalidParams, "x"),
@@ -382,18 +410,19 @@ def test_cli_refuses_sigma_outside_the_range(tmp_path, capsys, engine_data, comm
     assert not out.exists()
 
 
+# bad geometry entries, and the dotted path the schema names
 GEOMETRY = {
-    "nan-angle": {"theta_deg": [54.0, math.nan, 162.0, 234.0, 270.0, 342.0]},
-    "nan-station": {"r_stations": [0.05, 0.2, 0.35, math.nan, 0.65, 0.8, 0.95]},
-    "inf-r_outer": {"r_outer": math.inf},
+    "nan-angle": ({"theta_deg": [54.0, math.nan, 162.0, 234.0, 270.0, 342.0]}, "geometry.theta_deg.1"),
+    "nan-station": ({"r_stations": [0.05, 0.2, 0.35, math.nan, 0.65, 0.8, 0.95]}, "geometry.r_stations.3"),
+    "inf-r_outer": ({"r_outer": math.inf}, "geometry.r_outer"),
 }
 
 
-@pytest.mark.parametrize("geometry", GEOMETRY.values(), ids=GEOMETRY.keys())
-def test_cli_refuses_non_finite_geometry(tmp_path, capsys, engine_data, geometry):
+@pytest.mark.parametrize("geometry, field", GEOMETRY.values(), ids=GEOMETRY.keys())
+def test_cli_refuses_non_finite_geometry(tmp_path, capsys, engine_data, geometry, field):
     path = _campaign(tmp_path, engine_data, geometry=geometry)
     assert main(["fit", path, "--harmonics", "1,4", "--beta", str(BETA)]) == 2
-    assert capsys.readouterr().err.startswith("error: geometry: ")
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be a finite number")
 
 
 def test_cli_refuses_state_sigma_outside_the_range(tmp_path, capsys):

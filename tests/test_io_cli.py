@@ -622,17 +622,17 @@ def test_fit_exit_code_on_schema_error(tmp_path):
 
 
 def test_fit_rejects_nan_reading(tmp_path, capsys):
-    # Python's json reads NaN and Infinity, and the schema's number passes them
+    # Python's json reads NaN and Infinity, and the schema's number refuses them
     doc = campaign_doc()
     doc["measurements"][2][3] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as err:
         io.load_campaign(str(path))
-    assert err.value.field == "measurements"
+    assert err.value.field == "measurements.2.3"
     code = main(["fit", str(path), "--harmonics", "1,4"])
     assert code == 2
-    assert "measurements" in capsys.readouterr().err
+    assert "error: measurements.2.3: must be a finite number" in capsys.readouterr().err
 
 
 def test_fit_rejects_infinite_sigma_b(tmp_path, capsys):
@@ -771,7 +771,7 @@ def test_load_budget_returns_float_pairs_in_file_order(tmp_path):
 
 
 def test_legacy_rejects_nan_component(tmp_path, capsys):
-    # Python's json reads NaN, and the schema's number passes it
+    # Python's json reads NaN, and the schema's number refuses it
     budget = {
         "components": [
             {"label": "probe", "value": float("nan")},

@@ -26,12 +26,15 @@ from rakeuq import (
     RegularizationExhausted,
     SamplerConfig,
     SingularDesign,
+    area_average,
+    area_average_mean,
     build_design_matrix,
     chi_square_params,
     design_matrix,
     fit,
     frequency_scan,
     mc_propagate_model,
+    predictive_grid,
     rake_position_mc,
     sample_mvn,
     station_predictions,
@@ -100,6 +103,12 @@ def test_sampler_config_validation():
         SamplerConfig(seed=1, n_samples=1)
 
 
+def _station_grid(model, mc):
+    """The predictive grid of a propagation run at the model's stations,
+    every 10 degrees."""
+    return predictive_grid(model, mc, model.geometry.r_stations, np.arange(0.0, 360.0, 10.0))
+
+
 @pytest.fixture(scope="module")
 def mc_oracle(engine_model, engine_meas):
     return mc_propagate_model(
@@ -140,7 +149,8 @@ def test_mc_zero_covariance_exact(engine_model, engine_data):
     np.testing.assert_array_equal(res.Sigma_X, np.zeros((35, 35)))
     np.testing.assert_array_equal(res.Sigma_F, np.zeros((42, 42)))
     np.testing.assert_array_equal(res.Sigma_R, np.zeros((42, 42)))
-    np.testing.assert_array_equal(res.grid_var, np.zeros_like(res.grid_var))
+    grid_var = _station_grid(engine_model, res)[1]
+    np.testing.assert_array_equal(grid_var, np.zeros_like(grid_var))
     assert res.eps_var < 1e-30
 
 
@@ -150,7 +160,7 @@ def test_mc_deterministic_run_to_run(engine_model, engine_meas):
     b = mc_propagate_model(engine_model, engine_meas, cfg)
     np.testing.assert_array_equal(a.Sigma_X, b.Sigma_X)
     np.testing.assert_array_equal(a.eps_samples, b.eps_samples)
-    np.testing.assert_array_equal(a.grid_var, b.grid_var)
+    np.testing.assert_array_equal(_station_grid(engine_model, a)[1], _station_grid(engine_model, b)[1])
 
 
 def test_mc_standard_errors_shrink(engine_model, engine_meas):
@@ -165,12 +175,8 @@ def test_mc_standard_errors_shrink(engine_model, engine_meas):
 
 
 def test_mc_grid_variance_matches_closed_form(engine_model, engine_field, mc_oracle):
-    from rakeuq import predictive_grid
-
-    _, var = predictive_grid(
-        engine_model, engine_field, mc_oracle.r_fracs, mc_oracle.theta_grid_deg
-    )
-    rel = np.abs(mc_oracle.grid_var - var) / var.max()
+    _, var = _station_grid(engine_model, engine_field)
+    rel = np.abs(_station_grid(engine_model, mc_oracle)[1] - var) / var.max()
     assert rel.max() < 0.02
 
 
@@ -186,11 +192,12 @@ def test_mc_grid_moments_match_per_draw_grids(engine_model, engine_data):
     vb = engine_data.reshape(-1, order="F") + z @ mc_mod._psd_factor(Sigma_B)[1].T
     B = vb.reshape(512, 7, 6).transpose(0, 2, 1)
     X = engine_model.P @ B
-    W = engine_model.radial.blend(res.r_fracs)
-    A_g = design_matrix(res.theta_grid_deg, engine_model.harmonics.omega)
+    W = engine_model.radial.blend(engine_model.geometry.r_stations)
+    A_g = design_matrix(np.arange(0.0, 360.0, 10.0), engine_model.harmonics.omega)
     grids = np.einsum("rm,bkm,tk->brt", W, X, A_g)
-    np.testing.assert_allclose(res.grid_mean, grids.mean(axis=0), rtol=1e-10)
-    np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
+    grid_mean, grid_var = _station_grid(engine_model, res)
+    np.testing.assert_allclose(grid_mean, grids.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
 
 
 # One noise model per block shape of MeasurementDistribution.factor_blocks:
@@ -231,6 +238,12 @@ def test_mc_covariances_match_per_draw_samples(engine_model, engine_data, noise)
         assert np.linalg.norm(cov - ref) <= 1e-10 * np.linalg.norm(ref)
         ref_mean = draws.mean(axis=0)
         assert np.linalg.norm(mean - ref_mean) <= 1e-10 * np.linalg.norm(ref_mean)
+    # area_average reads the run's one KM x KM block, cross-station entries
+    # included (large for dense noise): the moments of the draws' own averages
+    averages = np.array([area_average_mean(engine_model, x) for x in X])
+    area = area_average(engine_model, res)
+    assert area.mean == pytest.approx(averages.mean(), rel=1e-10)
+    assert area.variance == pytest.approx(averages.var(ddof=1), rel=1e-10)
 
 
 @pytest.fixture
@@ -377,7 +390,8 @@ def test_mc_field_and_residual_covariances_built_on_read(engine_model, engine_da
     meas = NOISE[noise](engine_data)
     cfg = SamplerConfig(seed=61, n_samples=600)
     res = mc_propagate_model(engine_model, meas, cfg)
-    res.eps_mean, res.eps_var, res.eps_var_se, res.grid_var, res.grid_mean_se, res.Sigma_X
+    res.eps_mean, res.eps_var, res.eps_var_se, res.Sigma_X
+    _station_grid(engine_model, res)
     assert "Sigma_F" not in res.__dict__ and "Sigma_R" not in res.__dict__
     _, F, R, _ = _per_draw_fits(engine_model, meas, cfg, 0.0)
     for draws, cov in ((F, res.Sigma_F), (R, res.Sigma_R)):
@@ -394,9 +408,51 @@ def test_mc_correlated_noise_shrinks_peak_band(engine_model, engine_data):
         engine_data, np.full(42, SIGMA_B), rho
     )
     cfg = SamplerConfig(seed=41, n_samples=40_000)
-    band_iid = mc_propagate_model(engine_model, iid, cfg).grid_var.max()
-    band_cor = mc_propagate_model(engine_model, cor, cfg).grid_var.max()
+    band_iid = _station_grid(engine_model, mc_propagate_model(engine_model, iid, cfg))[1].max()
+    band_cor = _station_grid(engine_model, mc_propagate_model(engine_model, cor, cfg))[1].max()
     assert band_cor < band_iid
+
+
+def _ar1(n, rho):
+    i = np.arange(n)
+    return rho ** np.abs(i[:, None] - i[None, :])
+
+
+# The noise models of the closed-form readers' oracle check: besides iid
+# and diagonal noise, correlation within each station's six rakes (station
+# blocks), and across all 42 readings in vec order (one NM x NM block, so
+# Sigma_X is one KM x KM block in the closed form too).
+ORACLE_NOISE = {
+    "iid": NOISE["iid"],
+    "diagonal": NOISE["diagonal"],
+    "within-station AR(1)": lambda mu: MeasurementDistribution.from_correlation(
+        mu, np.full(42, SIGMA_B), np.kron(np.eye(7), _ar1(6, 0.5))),
+    "cross-station AR(1)": lambda mu: MeasurementDistribution.from_correlation(
+        mu, np.full(42, SIGMA_B), _ar1(42, 0.5)),
+}
+
+
+@pytest.mark.parametrize("noise", list(ORACLE_NOISE))
+def test_closed_form_readers_match_the_oracle(engine_model, engine_data, noise):
+    # area_average and predictive_grid read the sampled moments as they read
+    # the closed form. Every value they report is linear in the Gaussian
+    # readings, so its sample variance has relative standard deviation
+    # sqrt(2 / (n - 1)) and its sample mean standard error sqrt(var / n).
+    n = 5000
+    meas = ORACLE_NOISE[noise](engine_data)
+    mc = mc_propagate_model(engine_model, meas, SamplerConfig(seed=71, n_samples=n))
+    field = FieldDistribution.from_measurements(engine_model, meas)
+    assert mc.X_blocks.shape == (1, 35, 35) and np.shares_memory(mc.X_blocks, mc.Sigma_X)
+    rel_sd = math.sqrt(2.0 / (n - 1))
+    area_mc, area = area_average(engine_model, mc), area_average(engine_model, field)
+    assert abs(area_mc.variance - area.variance) <= 5.0 * rel_sd * area.variance
+    assert abs(area_mc.mean - area.mean) <= 5.0 * math.sqrt(area.variance / n)
+    # two span fractions between stations, and the mid-span station
+    r_fracs, theta_deg = [0.1, 0.5, 0.9], np.arange(0.0, 360.0, 15.0)
+    mean_mc, var_mc = predictive_grid(engine_model, mc, r_fracs, theta_deg)
+    mean, var = predictive_grid(engine_model, field, r_fracs, theta_deg)
+    assert np.all(np.abs(var_mc - var) <= 5.0 * rel_sd * var)
+    assert np.all(np.abs(mean_mc - mean) <= 5.0 * np.sqrt(var / n))
 
 
 def test_scan_identifies_generating_pair(scan_geometry):
@@ -984,7 +1040,9 @@ def test_batch_plan_partitions_samples():
 # the threads a run starts can be counted.
 
 RAKE_FIELDS = ("coefficients", "lambdas", "grid_mean", "grid_var")
-MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "grid_mean", "grid_var", "Sigma_R")
+# predictive_grid and area_average read a propagation run's mu_X and
+# Sigma_X, so the bytes of its grid follow from theirs
+MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "Sigma_R")
 
 
 @pytest.fixture
