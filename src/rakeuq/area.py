@@ -80,10 +80,12 @@ def area_average(model: FourierModel, field: FieldDistribution) -> AreaAverageRe
     """Area-average the propagated field distribution.
 
     The field must come from ``model``: a ``FieldDistribution``, or the
-    sample moments of ``mc_propagate_model``, whose one KM x KM block takes
-    the cross-station branch. A variance below -1e-10 times the
-    Frobenius norm of Sigma_X raises NegativeVariance; roundoff below zero
-    reads 0. One block standing for M stations counts M times in that norm.
+    sample moments of ``mc_propagate_model`` or ``rake_position_mc``, whose
+    one KM x KM block takes the cross-station branch. A variance below
+    -1e-10 times the Frobenius norm of Sigma_X raises NegativeVariance;
+    roundoff below zero reads 0. One block standing for M stations counts M
+    times in that norm. ``two_sigma`` is the half width of the 95 % normal
+    band, 1.96 sigma, not 2 sigma.
     """
     mu_X, X_blocks = _field_moments(field, model)
     K, M = mu_X.shape

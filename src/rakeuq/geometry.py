@@ -14,13 +14,17 @@ from .errors import InvalidParams
 
 
 def _floats(value, name: str, error=InvalidParams) -> np.ndarray:
-    """``value`` as a float array; anything that does not convert, a
-    non-numeric string among them, is refused with ``error`` naming
-    ``name``."""
+    """``value`` as a float array. Text, numeric or not ("0.5" too), an
+    array holding any, and anything else that does not convert is refused
+    with ``error`` naming ``name``."""
     try:
-        return np.asarray(value, dtype=float)
+        kind = np.asarray(value).dtype.kind
+        text = kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in np.ravel(value))
+        if not text:
+            return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise error(f"{name} must be numeric") from None
+        pass
+    raise error(f"{name} must be numeric")
 
 
 def _finite(value, name: str, error=InvalidParams) -> np.ndarray:

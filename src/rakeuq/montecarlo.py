@@ -60,18 +60,19 @@ follow exactly from the coefficients' sample moments:
   one KM x KM block, ``X_blocks``, so ``predictive_grid`` takes the grid's
   sample moments at any radii and angles by the contraction it uses for
   the closed form, and ``area_average`` the area average's.
-* ``rake_position_mc`` sums the kept draws' deviations from a reference fit
-  of the mean input once, after all blocks: per station m a K-vector, and
-  the K x K cross products, read off the block diagonal of one (n, KM)
-  product. The variance at prediction angle p is a_p^T S_m a_p with S_m
-  the K x K sample covariance.
+* ``rake_position_mc`` sums the kept draws' deviations from the fit at the
+  nominal angles once, after all blocks: one KM-vector and one (n, KM)
+  cross product give mu_X and the sample Sigma_X, which is kept in vec
+  (station-major) order as one KM x KM block, ``X_blocks``. Its grid is
+  ``predictive_grid`` of those moments at the stations, and
+  ``area_average`` reads them too.
 """
 
 import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,9 +84,9 @@ from .propagation import (
     MeasurementDistribution,
     _block_congruence,
     _psd_factor,
-    _row_quadratic_forms,
     _sigmas,
     _station_map,
+    predictive_grid,
     unvec,
 )
 
@@ -373,10 +374,19 @@ def mc_propagate_model(
 
 @dataclass(frozen=True)
 class RakeMCResult:
-    """Per-draw fits and grid statistics under rake-placement scatter."""
+    """Per-draw fits under rake-placement scatter and their sample moments.
+
+    ``mu_X`` and ``X_blocks``, the kept draws' sample Sigma_X as one
+    (1, KM, KM) block, are what ``predictive_grid`` and ``area_average``
+    read of a field, so they take the placement scatter's grid and area
+    average at any radii and angles. ``grid_mean`` and ``grid_var`` are
+    ``predictive_grid`` at the stations and ``theta_pred_deg``, transposed.
+    """
 
     coefficients: np.ndarray  # (n_ok, 2k+1, M), draw order, failures removed
     lambdas: np.ndarray  # ridge penalty used per kept draw
+    mu_X: np.ndarray
+    X_blocks: np.ndarray
     theta_pred_deg: np.ndarray
     grid_mean: np.ndarray  # (n_prediction, M)
     grid_var: np.ndarray
@@ -412,8 +422,10 @@ def rake_position_mc(
     norm guard and ridge ladder, trying lambda = 0 only where ``fit`` does;
     draws whose ladder is exhausted are dropped and counted, and the run
     aborts with DrawFailed when more than MAX_FAILURE_FRACTION (1 %) of
-    draws fail, so also when all of them do. ``n_prediction`` is a whole
-    number.
+    draws fail, so also when all of them do. The kept draws' sample
+    moments, ``mu_X`` and ``X_blocks``, are read by ``predictive_grid`` at
+    the stations and at ``n_prediction`` evenly spaced angles, a whole
+    number, for ``grid_mean`` and ``grid_var``.
 
     The draws come in blocks of BLOCK, each from its own generator spawned
     off the seed and fitted on every usable CPU: the results are
@@ -430,19 +442,14 @@ def rake_position_mc(
     if Sigma_theta.shape != (N, N):
         raise DimensionMismatch("Sigma_theta must be N x N")
     L = _psd_factor(Sigma_theta, "Sigma_theta")[1]
-    theta_pred = np.arange(n_prediction) * (360.0 / n_prediction)
     omega = model.harmonics.omega
-    A_pred = design_matrix(theta_pred, omega)
 
     # Fit at the nominal angles, as ``fit`` does: the origin of the
-    # coefficient deviations. These are exactly zero when Sigma_theta = 0, so
-    # the degenerate case reproduces the deterministic prediction grid bit
-    # for bit.
+    # coefficient deviations.
     K, M = model.n_coeffs, model.n_stations
     plain = model.P is not None
     X_nom, _, ok_nom = _fit_batch(model, model.A[None], B, plain=plain)
     X_ref = X_nom[0] if ok_nom[0] else np.zeros((K, M))
-    G_ref = A_pred @ X_ref
 
     def run_block(seed_child, size):
         z = np.random.default_rng(seed_child).standard_normal((size, N))
@@ -464,26 +471,25 @@ def rake_position_mc(
         )
     n_ok = n - n_failed
     coeffs = np.concatenate(coeff_blocks)
-    # Per station m: mean a_p^T mean(dX) about G_ref, variance a_p^T S_m a_p.
-    # One (n_ok, KM) cross product holds every station's K x K sums on its
-    # block diagonal.
+    # The kept draws' deviations from the nominal fit: their sum and one
+    # (n_ok, KM) cross product give mu_X and the KM x KM sample covariance.
+    # At Sigma_theta = 0 every deviation is exactly zero, so mu_X is the
+    # nominal fit bit for bit and the covariance zero.
     dX = (coeffs - X_ref).reshape(n_ok, K * M)
-    s1 = dX.sum(axis=0).reshape(K, M).T
-    idx = np.arange(M)
-    s2 = (dX.T @ dX).reshape(K, M, K, M)[:, idx, :, idx]
+    s1 = dX.sum(axis=0)
     # n_ok >= 2: a run has at least 2 draws, and below 100 draws none may fail
-    cov = (s2 - s1[:, :, None] * s1[:, None, :] / n_ok) / (n_ok - 1)
-    grid_mean = G_ref + A_pred @ (s1.T / n_ok)
-    grid_var = np.maximum(_row_quadratic_forms(A_pred, cov).T, 0.0)
-    return RakeMCResult(
-        coefficients=coeffs,
-        lambdas=lambdas,
-        theta_pred_deg=theta_pred,
-        grid_mean=grid_mean,
-        grid_var=grid_var,
-        n_draws=n,
-        n_failed=n_failed,
-    )
+    cov = (dX.T @ dX - np.outer(s1, s1) / n_ok) / (n_ok - 1)
+    mu_X = X_ref + s1.reshape(K, M) / n_ok
+    # dX's columns run coefficient-major; X_blocks is in vec (station-major)
+    # order. Permuting the product costs less than permuting the draws.
+    X_blocks = cov.reshape(K, M, K, M).transpose(1, 0, 3, 2).reshape(1, M * K, M * K)
+    theta_pred = np.arange(n_prediction) * (360.0 / n_prediction)
+    # the grid is read off the result's own moments, so it is made without one
+    result = RakeMCResult(coefficients=coeffs, lambdas=lambdas, mu_X=mu_X, X_blocks=X_blocks,
+                          theta_pred_deg=theta_pred, grid_mean=None, grid_var=None,
+                          n_draws=n, n_failed=n_failed)
+    grid_mean, grid_var = predictive_grid(model, result, model.geometry.r_stations, theta_pred)
+    return replace(result, grid_mean=grid_mean.T, grid_var=grid_var.T)
 
 
 def efficiency_mc(state, config: SamplerConfig):

@@ -33,9 +33,10 @@ The Monte Carlo engine maps its noise factor and its sums of draws with
 moments read the blocks of Sigma_R, the chi-square law only mu_R, and the
 area average and the predictive grid the blocks of Sigma_X, one K x K block
 per station (or one for all of them) or one KM x KM block. The sample
-Sigma_X of ``mc_propagate_model`` is one KM x KM block, so both read the
-sampled moments as they read the closed form. The dense Sigma_B, Sigma_X,
-Sigma_F and Sigma_R are built on first read only.
+Sigma_X of ``mc_propagate_model`` and of ``rake_position_mc`` is one
+KM x KM block, so both read the sampled moments as they read the closed
+form. The dense Sigma_B, Sigma_X, Sigma_F and Sigma_R are built on first
+read only.
 
 Every PSD check in the package is one rule, ``_psd_factor``: non-finite
 input is refused, a Cholesky factor that exists is kept, and otherwise the
@@ -470,8 +471,9 @@ def _blocks_of(blocks, name: str, n: int, n_stations: int) -> np.ndarray:
 def _field_moments(field: FieldDistribution, model: FourierModel):
     """The one reader of a field against a model: (mu_X, X_blocks).
 
-    The field is a ``FieldDistribution`` or ``mc_propagate_model``'s
-    ``McPropagation``, whose X_blocks is its sample Sigma_X as one block.
+    The field is a ``FieldDistribution``, ``mc_propagate_model``'s
+    ``McPropagation`` or ``rake_position_mc``'s ``RakeMCResult``, whose
+    X_blocks is its sample Sigma_X as one block.
     mu_X is read by ``_coefficients``, and X_blocks must be Sigma_X in one
     of its block forms for the model's K x M: M station blocks (M, K, K),
     one (1, K, K) block standing for every station, or one (1, KM, KM)
@@ -499,7 +501,7 @@ def predictive_grid(model: FourierModel, field: FieldDistribution, r_fracs, thet
     arrays of shape (len(r_fracs), len(theta_deg)). Span fractions must lie
     in [0, 1] and angles be finite; the field must come from ``model``. Any
     field with ``mu_X`` and ``X_blocks`` is read: a ``FieldDistribution``,
-    or the sample moments of ``mc_propagate_model``.
+    or the sample moments of ``mc_propagate_model`` or ``rake_position_mc``.
 
     The grid is W X A_g^T, W the radial blend at ``r_fracs`` and A_g the
     design at ``theta_deg``, so the value at (r, t) is g^T vec(X) with

@@ -312,6 +312,14 @@ CASES = {
     "fig1-text-offset": (lambda c: fig1_demo(offset_deg="x"), InvalidParams, "offset_deg"),
     "fit-text-reading": (lambda c: fit(c.model, np.full((6, 7), "x")), InvalidParams, "B"),
     "from_iid-text-sigma": (lambda c: MD.from_iid(c.B, "x"), InvalidParams, "sigma_b"),
+    # numeric text is text: no string is read as a number
+    "from_iid-numeric-text-sigma": (lambda c: MD.from_iid(c.B, "0.5"), InvalidParams, "sigma_b"),
+    "harmonic-field-numeric-text-mean": (lambda c: HarmonicField(mean="3"), InvalidParams, "mean"),
+    "design-numeric-text-beta": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), beta="1e4"), InvalidParams, "beta"),
+    "design-numeric-text-rung": (
+        lambda c: build_design_matrix(c.geometry, HarmonicSet((1, 4)), lambda_ladder=["0.1"]),
+        InvalidParams, "lambda_ladder"),
 }
 
 

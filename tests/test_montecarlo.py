@@ -775,6 +775,9 @@ def test_rake_mc_zero_scatter_bit_exact(engine_model, engine_data):
     np.testing.assert_array_equal(res.grid_mean, det)
     np.testing.assert_array_equal(res.grid_var, np.zeros_like(res.grid_var))
     assert res.n_failed == 0
+    # the moments themselves: the deterministic fit and no covariance at all
+    assert np.array_equal(res.mu_X, coeffs.X)
+    assert res.X_blocks.shape == (1, 35, 35) and not res.X_blocks.any()
 
 
 def test_rake_mc_singular_nominal_design_follows_fit():
@@ -847,6 +850,47 @@ def test_rake_mc_grid_moments_match_kept_draws(engine_model, engine_data):
     grids = A_pred @ res.coefficients
     np.testing.assert_allclose(res.grid_mean, grids.mean(axis=0), rtol=1e-10)
     np.testing.assert_allclose(res.grid_var, grids.var(axis=0, ddof=1), rtol=1e-10)
+
+
+# iid scatter, and AR(1) scatter with correlation 0.6 between neighbouring rakes
+RAKE_SCATTER = {
+    "iid": 1.0,
+    "correlated": 0.6 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6))),
+}
+
+
+@pytest.mark.parametrize("scatter", list(RAKE_SCATTER))
+def test_rake_mc_area_average_matches_per_draw_area_averages(engine_model, engine_data, scatter):
+    # area_average reads the run's mu_X and its one KM x KM block, cross-station
+    # entries included: the moments of the kept draws' own area averages
+    res = rake_position_mc(
+        engine_model, engine_data, RAKE_SCATTER[scatter], SamplerConfig(seed=6, n_samples=3000),
+        n_prediction=36,
+    )
+    assert res.X_blocks.shape == (1, 35, 35)
+    averages = np.array([area_average_mean(engine_model, x) for x in res.coefficients])
+    area = area_average(engine_model, res)
+    assert area.mean == pytest.approx(averages.mean(), rel=1e-10)
+    assert area.variance == pytest.approx(averages.var(ddof=1), rel=1e-10)
+
+
+def test_rake_mc_predictive_grid_between_stations_matches_kept_draws(engine_model, engine_data):
+    res = rake_position_mc(
+        engine_model, engine_data, 2.0, SamplerConfig(seed=9, n_samples=2500), n_prediction=36,
+    )
+    # the engine's own grid is predictive_grid at the stations, bit for bit
+    mean, var = predictive_grid(engine_model, res, STATIONS, res.theta_pred_deg)
+    np.testing.assert_array_equal(res.grid_mean, mean.T)
+    np.testing.assert_array_equal(res.grid_var, var.T)
+    # and between the stations it is the moments of the draws' own grids
+    r = (STATIONS[:-1] + STATIONS[1:]) / 2
+    theta = np.arange(5.0, 360.0, 15.0)
+    W = engine_model.radial.blend(r)
+    A_g = design_matrix(theta, engine_model.harmonics.omega)
+    grids = np.einsum("rm,bkm,tk->brt", W, res.coefficients, A_g)
+    mean, var = predictive_grid(engine_model, res, r, theta)
+    np.testing.assert_allclose(mean, grids.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(var, grids.var(axis=0, ddof=1), rtol=1e-10)
 
 
 def test_rake_mc_deterministic_run_to_run(engine_model, engine_data):
@@ -1039,7 +1083,7 @@ def test_batch_plan_partitions_samples():
 # that force a CPU count start from an empty pool (``fresh_pool``), so that
 # the threads a run starts can be counted.
 
-RAKE_FIELDS = ("coefficients", "lambdas", "grid_mean", "grid_var")
+RAKE_FIELDS = ("coefficients", "lambdas", "mu_X", "X_blocks", "grid_mean", "grid_var")
 # predictive_grid and area_average read a propagation run's mu_X and
 # Sigma_X, so the bytes of its grid follow from theirs
 MC_FIELDS = ("mu_X", "Sigma_X", "mu_R", "eps_samples", "Sigma_R")
